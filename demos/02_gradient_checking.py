@@ -1,9 +1,9 @@
 """Verifying the hand-derived backward passes with central differences.
 
 Every gradient in this library is derived and coded by hand, so the
-finite-difference checker is the safety net: it perturbs every scalar
-parameter, measures the loss slope, and compares against the analytic
-value. This script runs it on each layer kind, on a full network, and
+finite-difference checker is the safety net: it perturbs every entry of
+the flat parameter vector, measures the loss slope, and compares against
+the analytic value, which comes in the same layout. This script runs it on each layer kind, on a full network, and
 then deliberately corrupts one gradient entry to show the checker
 pinpointing the exact coordinate.
 """
@@ -43,8 +43,8 @@ def loss_fn(p):
     return 0.5 * float(np.sum(out * out))
 
 
-i, j = np.unravel_index(np.abs(grads["W1"]).argmax(), grads["W1"].shape)
-grads["W1"][i, j] *= 2.0
+i, j = np.unravel_index(np.abs(grads.W1).argmax(), grads.W1.shape)
+grads.W1[i, j] *= 2.0
 report = compare_to_finite_differences(loss_fn, params, grads)
 worst = report.worst_block()
 print(f"doubled W1[{i},{j}]; checker reports worst block {worst.name} "

@@ -1,7 +1,8 @@
 """Bilinear layers with single- and multi-head temporal attention.
 
 A small numpy library built around exact manual forward/backward passes
-for three layer kinds (BL, TABL, MTABL), plus a training harness for
+for one bilinear layer with K >= 0 attention heads, which covers the three
+layer kinds BL (K=0), TABL (K=1) and MTABL (K heads recombined), plus a training harness for
 3-class order-book mid-price movement prediction and verification tools
 (finite-difference gradient checks, structural reduction checks, and a
 multiplication cost model with an instrumented counter).
@@ -30,22 +31,13 @@ from .errors import (
     MtablError,
     ParseError,
 )
-from .layers import (
-    BLParams,
-    LayerCache,
-    MTABLParams,
-    TABLParams,
-    bl_forward,
-    layer_backward,
-    layer_forward,
-    mtabl_forward,
-    tabl_forward,
-)
+from .layers import LayerCache, LayerParams, layer_backward, layer_forward, layer_layout
 from .linalg import Matrix, as_matrix, count_multiplications, softmax_rows
 from .losses import cross_entropy, inverse_frequency_weights, uniform_weights
 from .metrics import EvalReport, confusion_matrix, evaluate
 from .network import (
     LayerSpec,
+    NetworkParams,
     NetworkSpec,
     init_network_params,
     network_backward,
@@ -71,20 +63,20 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BLParams", "CacheMismatchError", "ComplexityEstimate", "ConfigurationError",
+    "CacheMismatchError", "ComplexityEstimate", "ConfigurationError",
     "ConstraintError", "DataError", "Dataset", "DimensionError", "DivergenceError",
-    "EvalReport", "FormatError", "GradCheckReport", "LayerCache", "LayerSpec",
-    "MTABLParams", "Matrix", "MtablError", "NetworkSpec", "OptimConfig",
-    "ParseError", "RawDayMatrix", "ReductionReport", "SeriesSample", "TABLParams",
-    "TrainState", "as_matrix", "batch_gradients", "bl_forward", "check_reduction",
+    "EvalReport", "FormatError", "GradCheckReport", "LayerCache", "LayerParams",
+    "LayerSpec", "Matrix", "MtablError", "NetworkParams", "NetworkSpec", "OptimConfig",
+    "ParseError", "RawDayMatrix", "ReductionReport", "SeriesSample",
+    "TrainState", "as_matrix", "batch_gradients", "check_reduction",
     "complexity_estimate", "confusion_matrix", "count_multiplications",
     "cross_entropy", "draw_gradcheck_sample", "evaluate", "gradcheck",
     "gradcheck_layer",
     "init_network_params", "inverse_frequency_weights", "layer_backward",
-    "layer_forward", "load_checkpoint", "load_dataset", "load_day",
-    "measure_multiplications", "mtabl_forward", "network_backward",
+    "layer_forward", "layer_layout", "load_checkpoint", "load_dataset", "load_day",
+    "measure_multiplications", "network_backward",
     "network_forward", "normalize", "predict_labels", "save_checkpoint",
     "save_dataset", "softmax_rows", "split_days", "step", "synth_generate",
-    "tabl_complexity_total", "tabl_forward", "topology", "train",
+    "tabl_complexity_total", "topology", "train",
     "uniform_weights", "windowize",
 ]

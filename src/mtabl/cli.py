@@ -26,9 +26,15 @@ from .errors import (
     DimensionError,
     DivergenceError,
 )
-from .layers import KIND_MTABL, KIND_TABL
 from .metrics import EvalReport, evaluate
-from .network import NetworkSpec, predict_labels, topology
+from .network import (
+    KIND_MTABL,
+    KIND_TABL,
+    NetworkSpec,
+    init_network_params,
+    predict_labels,
+    topology,
+)
 from .optim import OptimConfig, train
 from .serialize import load_checkpoint, save_checkpoint
 from .verify import (
@@ -235,6 +241,14 @@ def cmd_train(args) -> int:
     dataset = _build_dataset(cfg)
     data_mod.save_dataset(out_dir / "dataset.mtabl", dataset)
     spec = _build_network(cfg, dataset.sample_dims())
+    # Everything eval --data needs to rebuild the inputs the model saw;
+    # JSON float repr round-trips the statistics exactly.
+    preprocessing = {
+        "window": cfg["window"], "horizon": cfg["horizon"],
+        "transposed": cfg["transposed"],
+        "feature_mean": None if dataset.feature_mean is None else dataset.feature_mean.tolist(),
+        "feature_std": None if dataset.feature_std is None else dataset.feature_std.tolist(),
+    }
 
     test_reports = []
     for seed in cfg["seeds"]:
@@ -257,7 +271,7 @@ def cmd_train(args) -> int:
         save_checkpoint(
             run_dir / "checkpoint.mtabl", spec, params,
             meta={"seed": seed, "eval_split": split_name,
-                  "dataset_cache": str(out_dir / "dataset.mtabl")},
+                  "dataset_cache": str(out_dir / "dataset.mtabl"), **preprocessing},
         )
         _write_report(report, run_dir / "report")
         print(f"seed {seed}: {split_name} macro_f1={report.macro_f1:.4f} "
@@ -284,9 +298,17 @@ def cmd_eval(args) -> int:
         day_dir = Path(args.data)
         if not day_dir.is_dir():
             raise DataError(f"data directory not found: {day_dir}")
+        if "window" not in meta:
+            raise DataError("checkpoint does not record its preprocessing; "
+                            "use --dataset-cache")
         files = sorted(str(p) for p in day_dir.iterdir() if p.is_file())
-        dataset = data_mod.split_days(files, 0, 0, len(files),
-                                      window=spec.input_dims[1])
+        dataset = data_mod.split_days(
+            files, 0, 0, len(files), window=meta["window"], horizon=meta["horizon"],
+            transposed=meta["transposed"], apply_normalization=False,
+        )
+        if meta.get("feature_mean") is not None:
+            dataset = data_mod.standardize(dataset, np.array(meta["feature_mean"]),
+                                           np.array(meta["feature_std"]))
     elif cache and Path(cache).exists():
         dataset = data_mod.load_dataset(cache)
     else:
@@ -313,8 +335,6 @@ def cmd_gradcheck(args) -> int:
     input_dims = (cfg["synth_features"] if cfg["synth"] else data_mod.N_FEATURES,
                   cfg["window"])
     spec = _build_network(cfg, input_dims)
-    from .network import init_network_params
-
     params = init_network_params(spec, rng)
     sample = draw_gradcheck_sample(spec, params, rng, step=args.step)
     report = gradcheck(spec, params, sample, step=args.step, threshold=args.threshold)

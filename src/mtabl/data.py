@@ -179,8 +179,11 @@ def normalize(dataset: Dataset) -> Dataset:
     if not dataset.train:
         raise ConfigurationError("cannot normalize: training partition is empty")
     stacked = np.stack([s.x for s in dataset.train])  # (n, D, T)
-    mean = stacked.mean(axis=(0, 2))
-    std = stacked.std(axis=(0, 2))
+    return standardize(dataset, stacked.mean(axis=(0, 2)), stacked.std(axis=(0, 2)))
+
+
+def standardize(dataset: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:
+    """Apply given z-score statistics, such as those a checkpoint carries."""
     divisor = np.where(std < 1e-12, 1.0, std)
 
     def transform(samples):

@@ -1,34 +1,37 @@
-"""Bilinear layers with temporal attention, single- and multi-head.
+"""The bilinear layer with K >= 0 temporal attention heads.
 
-All three layer kinds map a matrix-valued series X of shape (D, T), whose
-columns are consecutive time steps, to an output of shape (D', T'):
+One layer maps a matrix-valued series X of shape (D, T), whose columns
+are consecutive time steps, to an output of shape (D', T'):
 
-  BL     y = act(W1 @ X @ W2 + B)
+  xbar   = W1 @ X                       feature projection, (D', T)
+  e_k    = xbar @ W_k                   attention scores of head k, (D', T)
+  a_k    = softmax over each row        attention mask, rows sum to 1
+  mix_k  = lam*(xbar*a_k) + (1-lam)*xbar
+  y      = act(xtilde @ W2 + B)
 
-  TABL   xbar = W1 @ X                    feature projection, (D', T)
-         e    = xbar @ W                  attention scores, (D', T)
-         a    = softmax over each row     attention mask, rows sum to 1
-         mix  = lam*(xbar*a) + (1-lam)*xbar
-         y    = act(mix @ W2 + B)
+The paper's three layer kinds are head counts of this one layer:
 
-  MTABL  K attention heads, each with its own score matrix W_k, share the
-         projection xbar and the scalar lam. The per-head mixed features
-         are stacked on the feature axis into a (D'*K, T) block and
-         projected back to D' rows by Wtilde1 before the temporal map:
-         y = act((Wtilde1 @ stack) @ W2 + B)
+  BL     K=0: no attention, xtilde = xbar
+  TABL   K=1 without recombination: xtilde = mix_1
+  MTABL  K heads sharing xbar and lam; the mixed features are stacked on
+         the feature axis into a (D'*K, T) block and projected back to D'
+         rows by Wtilde1 (D', D'*K): xtilde = Wtilde1 @ [mix_1; ...; mix_K]
 
 The mixing coefficient lam is constrained to [0, 1]; at lam=0 the attention
-path is inert and TABL degenerates to BL. Backward passes are exact
+path is inert and the layer reduces to BL. Backward passes are exact
 analytic gradients, derived by hand; there is no autodiff anywhere.
 
-Forward passes are pure given (params, input) and parameters are never
-mutated here, so concurrent forward/backward over different samples with
+Parameters live in one contiguous float64 vector: :class:`LayerParams`
+holds named views into it, laid out by :func:`layer_layout`, and
+gradients come in the same layout. Forward passes never mutate the
+parameters, so concurrent forward/backward over different samples with
 shared parameters is safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,23 +40,9 @@ from .errors import (
     ConfigurationError,
     ConstraintError,
     DimensionError,
+    DivergenceError,
 )
-from .linalg import (
-    Matrix,
-    add,
-    concat_rows,
-    hadamard,
-    matmul,
-    scale,
-    scope,
-    softmax_rows,
-    transpose,
-)
-
-KIND_BL = "bl"
-KIND_TABL = "tabl"
-KIND_MTABL = "mtabl"
-LAYER_KINDS = (KIND_BL, KIND_TABL, KIND_MTABL)
+from .linalg import Matrix, hadamard, matmul, scale, scope, softmax_rows
 
 ACTIVATIONS = ("identity", "relu", "softmax")
 
@@ -68,49 +57,103 @@ SCOPE_OUTPUT = "temporal_projection"
 MASK_ROW_SUM_TOL = 1e-12
 
 
-@dataclass
-class BLParams:
-    """Weights of an attention-free bilinear layer.
+def layer_layout(in_dims: tuple[int, int], out_dims: tuple[int, int],
+                 heads: int, recombine: bool) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """Name and shape of every parameter block of one layer, in storage order.
 
-    W1 is (D', D), W2 is (T, T'), B is (D', T').
+    W1, W2 and B come first, then the score matrices: ``W`` for a single
+    head without recombination, ``head0`` .. ``head{K-1}`` otherwise. Then
+    ``Wtilde1`` when the heads are recombined, and the scalar ``lam``
+    whenever there is a head.
+    """
+    (d, t), (d_out, t_out) = in_dims, out_dims
+    if recombine and heads < 1:
+        raise ConfigurationError("head recombination needs at least one head")
+    if heads > 1 and not recombine:
+        raise ConfigurationError(f"{heads} heads need the Wtilde1 recombination")
+    names = ["W"] if heads == 1 and not recombine else [f"head{k}" for k in range(heads)]
+    layout = [("W1", (d_out, d)), ("W2", (t, t_out)), ("B", (d_out, t_out))]
+    layout += [(name, (t, t)) for name in names]
+    if recombine:
+        layout.append(("Wtilde1", (d_out, d_out * heads)))
+    if heads:
+        layout.append(("lam", ()))
+    return tuple(layout)
+
+
+def layout_size(layout) -> int:
+    return sum(math.prod(shape) for _, shape in layout)
+
+
+@dataclass(frozen=True, eq=False)
+class LayerParams:
+    """One layer's weights as named views into the float64 vector ``flat``.
+
+    W1 is (D', D), W2 (T, T'), B (D', T'); ``heads`` holds the K score
+    matrices (T, T), ``Wtilde1`` the (D', D'*K) recombination or None, and
+    ``lam`` a 0-d view (the constant 0.0 when K=0). The fields are frozen:
+    write through the views, e.g. ``p.lam[()] = 0.3``.
     """
 
+    flat: np.ndarray
+    layout: tuple
     W1: Matrix
     W2: Matrix
     B: Matrix
+    heads: tuple[Matrix, ...]
+    Wtilde1: Matrix | None
+    lam: np.ndarray | float
+
+    @classmethod
+    def view(cls, flat: np.ndarray, layout) -> "LayerParams":
+        """Views over ``flat`` (not a copy) laid out by ``layout``."""
+        if flat.dtype != np.float64 or flat.shape != (layout_size(layout),):
+            raise DimensionError(
+                f"parameter vector is {flat.dtype} {flat.shape}, layout needs "
+                f"float64 ({layout_size(layout)},)"
+            )
+        blocks = dict(_blocks(flat, layout))
+        heads = tuple(v for name, v in blocks.items() if name == "W" or name.startswith("head"))
+        return cls(flat, tuple(layout), blocks["W1"], blocks["W2"], blocks["B"], heads,
+                   blocks.get("Wtilde1"), blocks.get("lam", 0.0))
+
+    @classmethod
+    def pack(cls, W1, W2, B, heads=(), Wtilde1=None, lam: float = 0.0) -> "LayerParams":
+        """Copy separate arrays into a new vector; every shape must chain."""
+        (d_out, d), (t, t_out) = np.shape(W1), np.shape(W2)
+        layout = layer_layout((d, t), (d_out, t_out), len(heads), Wtilde1 is not None)
+        values = [W1, W2, B, *heads] + [Wtilde1] * (Wtilde1 is not None) + [lam] * bool(heads)
+        for (name, shape), value in zip(layout, values):
+            if np.shape(value) != shape:
+                raise DimensionError(f"{name} {np.shape(value)} must be {shape}")
+        flat = np.concatenate([np.ravel(np.asarray(v, dtype=np.float64)) for v in values])
+        return cls.view(flat, layout)
+
+    def like(self, flat: np.ndarray) -> "LayerParams":
+        """The same layout over another vector, such as a gradient."""
+        return LayerParams.view(flat, self.layout)
+
+    def named_blocks(self) -> list[tuple[str, np.ndarray]]:
+        """``(name, view)`` for every block, in storage order."""
+        return _blocks(self.flat, self.layout)
 
 
-@dataclass
-class TABLParams:
-    """BL weights plus a single attention score matrix W (T, T) and lam."""
-
-    base: BLParams
-    W: Matrix
-    lam: float
-    fix_attention_diag: bool = False
-
-
-@dataclass
-class MTABLParams:
-    """BL weights plus K score matrices, a shared lam, and the head
-    recombination matrix Wtilde1 of shape (D', D'*K)."""
-
-    base: BLParams
-    heads: list[Matrix]
-    lam: float
-    Wtilde1: Matrix
-    fix_attention_diag: bool = False
+def _blocks(flat: np.ndarray, layout) -> list[tuple[str, np.ndarray]]:
+    out, offset = [], 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        out.append((name, flat[offset:offset + size].reshape(shape)))
+        offset += size
+    return out
 
 
 @dataclass
 class LayerCache:
     """Every intermediate the backward pass needs, kept per forward call."""
 
-    kind: str
     activation: str
     x: Matrix
     xbar: Matrix
-    scores: list[Matrix]
     masks: list[Matrix]
     mixed: list[Matrix]
     stacked: Matrix | None
@@ -149,156 +192,73 @@ def activation_backward(grad_y: Matrix, cache: LayerCache) -> Matrix:
     raise ConfigurationError(f"unknown activation {kind!r}")
 
 
-def _require_lam(lam: float) -> None:
-    if not 0.0 <= lam <= 1.0:
-        raise ConstraintError(f"lam must lie in [0, 1], got {lam}")
-
-
-def _require_base_shapes(x: Matrix, p: BLParams) -> None:
-    d, t = x.shape
-    if p.W1.shape[1] != d:
-        raise DimensionError(f"W1 {p.W1.shape} does not accept input with D={d}")
-    if p.W2.shape[0] != t:
-        raise DimensionError(f"W2 {p.W2.shape} does not accept input with T={t}")
-    if p.B.shape != (p.W1.shape[0], p.W2.shape[1]):
-        raise DimensionError(
-            f"B {p.B.shape} does not match output shape "
-            f"({p.W1.shape[0]}, {p.W2.shape[1]})"
+def _check_mask(a: Matrix) -> None:
+    # Written so that a NaN row fails the comparison too.
+    if not np.abs(a.sum(axis=1) - 1.0).max() <= MASK_ROW_SUM_TOL:
+        raise DivergenceError(
+            "attention mask rows do not sum to 1 (non-finite attention scores)"
         )
 
 
-def _check_mask(a: Matrix) -> None:
-    assert np.abs(a.sum(axis=1) - 1.0).max() <= MASK_ROW_SUM_TOL, (
-        "attention mask rows do not sum to 1"
-    )
-
-
-def _attend(xbar: Matrix, w: Matrix, lam: float, carry: Matrix):
-    """One attention head: scores, mask, and the mixed features.
-
-    ``carry`` is (1-lam)*xbar, computed once by the caller and shared
-    between heads.
-    """
-    with scope(SCOPE_ATTENTION):
-        e = matmul(xbar, w)
-    a = softmax_rows(e)
-    _check_mask(a)
-    with scope(SCOPE_MIX):
-        mixed = add(scale(hadamard(xbar, a), lam), carry)
-    return e, a, mixed
-
-
-def _output_map(xtilde: Matrix, p: BLParams, activation: str):
-    with scope(SCOPE_OUTPUT):
-        z = add(matmul(xtilde, p.W2), p.B)
-    return z, apply_activation(z, activation)
-
-
-def bl_forward(x: Matrix, p: BLParams, activation: str = "identity"):
-    """Attention-free bilinear map: y = act(W1 @ x @ W2 + B)."""
-    _require_base_shapes(x, p)
+def layer_forward(x: Matrix, p: LayerParams, activation: str = "identity"):
+    """Forward pass of one layer; returns the output and its cache."""
+    if x.shape != (p.W1.shape[1], p.W2.shape[0]):
+        raise DimensionError(
+            f"input {x.shape} does not fit W1 {p.W1.shape} and W2 {p.W2.shape}"
+        )
     with scope(SCOPE_PROJECT):
         xbar = matmul(p.W1, x)
-    z, y = _output_map(xbar, p, activation)
+    masks, mixed, stacked, xtilde = [], [], None, xbar
+    if p.heads:
+        lam = p.lam
+        if not 0.0 <= lam <= 1.0:
+            raise ConstraintError(f"lam must lie in [0, 1], got {float(lam)}")
+        with scope(SCOPE_MIX):
+            carry = scale(xbar, 1.0 - lam)  # shared by every head
+        for w in p.heads:
+            with scope(SCOPE_ATTENTION):
+                e = matmul(xbar, w)
+            a = softmax_rows(e)
+            _check_mask(a)
+            with scope(SCOPE_MIX):
+                mixed.append(scale(hadamard(xbar, a), lam) + carry)
+            masks.append(a)
+        if p.Wtilde1 is None:
+            xtilde = mixed[0]
+        else:
+            stacked = np.vstack(mixed)
+            with scope(SCOPE_RECOMBINE):
+                xtilde = matmul(p.Wtilde1, stacked)
+    with scope(SCOPE_OUTPUT):
+        z = matmul(xtilde, p.W2) + p.B
+    y = apply_activation(z, activation)
     cache = LayerCache(
-        kind=KIND_BL, activation=activation, x=x, xbar=xbar,
-        scores=[], masks=[], mixed=[], stacked=None, xtilde=xbar, z=z, y=y,
+        activation=activation, x=x, xbar=xbar, masks=masks,
+        mixed=mixed, stacked=stacked, xtilde=xtilde, z=z, y=y,
     )
     return y, cache
 
 
-def tabl_forward(x: Matrix, p: TABLParams, activation: str = "identity"):
-    """Single-head temporal attention bilinear layer."""
-    _require_base_shapes(x, p.base)
-    _require_lam(p.lam)
-    t = x.shape[1]
-    if p.W.shape != (t, t):
-        raise DimensionError(f"attention matrix W {p.W.shape} must be ({t}, {t})")
-    with scope(SCOPE_PROJECT):
-        xbar = matmul(p.base.W1, x)
-    with scope(SCOPE_MIX):
-        carry = scale(xbar, 1.0 - p.lam)
-    e, a, mixed = _attend(xbar, p.W, p.lam, carry)
-    z, y = _output_map(mixed, p.base, activation)
-    cache = LayerCache(
-        kind=KIND_TABL, activation=activation, x=x, xbar=xbar,
-        scores=[e], masks=[a], mixed=[mixed], stacked=None, xtilde=mixed, z=z, y=y,
-    )
-    return y, cache
-
-
-def mtabl_forward(x: Matrix, p: MTABLParams, activation: str = "identity"):
-    """Multi-head temporal attention bilinear layer.
-
-    Heads run on the shared projection xbar; their mixed features are
-    stacked on the feature axis and recombined by Wtilde1.
-    """
-    k = len(p.heads)
-    if k == 0:
-        raise ConfigurationError("mtabl needs at least one attention head")
-    _require_base_shapes(x, p.base)
-    _require_lam(p.lam)
-    t = x.shape[1]
-    d_out = p.base.W1.shape[0]
-    for i, w in enumerate(p.heads):
-        if w.shape != (t, t):
-            raise DimensionError(f"head {i} matrix {w.shape} must be ({t}, {t})")
-    if p.Wtilde1.shape != (d_out, d_out * k):
-        raise DimensionError(
-            f"Wtilde1 {p.Wtilde1.shape} must be ({d_out}, {d_out * k}) for K={k}"
-        )
-    with scope(SCOPE_PROJECT):
-        xbar = matmul(p.base.W1, x)
-    with scope(SCOPE_MIX):
-        carry = scale(xbar, 1.0 - p.lam)
-    scores, masks, mixed = [], [], []
-    for w in p.heads:
-        e, a, m = _attend(xbar, w, p.lam, carry)
-        scores.append(e)
-        masks.append(a)
-        mixed.append(m)
-    stacked = concat_rows(mixed)
-    with scope(SCOPE_RECOMBINE):
-        xtilde = matmul(p.Wtilde1, stacked)
-    z, y = _output_map(xtilde, p.base, activation)
-    cache = LayerCache(
-        kind=KIND_MTABL, activation=activation, x=x, xbar=xbar,
-        scores=scores, masks=masks, mixed=mixed, stacked=stacked,
-        xtilde=xtilde, z=z, y=y,
-    )
-    return y, cache
-
-
-def layer_forward(x: Matrix, params, activation: str = "identity"):
-    """Dispatch on the parameter type."""
-    if isinstance(params, MTABLParams):
-        return mtabl_forward(x, params, activation)
-    if isinstance(params, TABLParams):
-        return tabl_forward(x, params, activation)
-    if isinstance(params, BLParams):
-        return bl_forward(x, params, activation)
-    raise ConfigurationError(f"unknown parameter type {type(params).__name__}")
-
-
-def _check_cache(cache: LayerCache, params, grad_y: Matrix) -> None:
-    expected_kind = {
-        BLParams: KIND_BL, TABLParams: KIND_TABL, MTABLParams: KIND_MTABL,
-    }.get(type(params))
-    if expected_kind != cache.kind:
-        raise CacheMismatchError(
-            f"cache built by a {cache.kind} forward, parameters are {expected_kind}"
-        )
+def _check_cache(cache: LayerCache, params: LayerParams, grad_y: Matrix) -> None:
     if grad_y.shape != cache.y.shape:
         raise CacheMismatchError(
             f"upstream gradient {grad_y.shape} does not match output {cache.y.shape}"
         )
-    base = params if isinstance(params, BLParams) else params.base
-    if cache.xbar.shape != (base.W1.shape[0], cache.x.shape[1]):
+    if cache.xbar.shape != (params.W1.shape[0], cache.x.shape[1]):
         raise CacheMismatchError("cached projection does not match W1")
-    if isinstance(params, MTABLParams) and len(params.heads) != len(cache.masks):
+    if (len(cache.masks) != len(params.heads)
+            or (cache.stacked is None) != (params.Wtilde1 is None)):
         raise CacheMismatchError(
-            f"cache holds {len(cache.masks)} heads, parameters have {len(params.heads)}"
+            f"cache holds {len(cache.masks)} heads, parameters have {len(params.heads)}, "
+            f"recombination {'absent' if params.Wtilde1 is None else 'present'}"
         )
+
+
+def _t(a: Matrix) -> Matrix:
+    # A contiguous copy, not a transposed view: numpy multiplies a view by
+    # a single row or column through another BLAS kernel, which rounds
+    # differently, and seeded training results are pinned bit for bit.
+    return np.ascontiguousarray(a.T)
 
 
 def _softmax_rows_backward(grad_a: Matrix, a: Matrix) -> Matrix:
@@ -307,101 +267,53 @@ def _softmax_rows_backward(grad_a: Matrix, a: Matrix) -> Matrix:
     return a * (grad_a - inner)
 
 
-def layer_backward(cache: LayerCache, params, grad_y: Matrix,
-                   *, grad_wrt_preactivation: bool = False):
+def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
+                   grads: LayerParams | None = None, *,
+                   grad_wrt_preactivation: bool = False):
     """Exact gradients of a scalar loss w.r.t. every parameter and the input.
 
     ``grad_y`` is dL/dy, or dL/dz when ``grad_wrt_preactivation`` is set
-    (the fused softmax + cross-entropy path supplies the latter). Returns
-    ``(grads, grad_x)`` where ``grads`` maps parameter names as produced
-    by :func:`param_items` to arrays (and ``"lam"`` to a float).
+    (the fused softmax + cross-entropy path supplies the latter). The
+    parameter gradients are added into ``grads``, which has the layout of
+    ``params`` (a zeroed one when omitted), so a batch can sum its samples
+    in one buffer. Returns ``(grads, grad_x)``.
     """
     _check_cache(cache, params, grad_y)
+    if grads is None:
+        grads = params.like(np.zeros_like(params.flat))
     dz = grad_y if grad_wrt_preactivation else activation_backward(grad_y, cache)
-    base = params if isinstance(params, BLParams) else params.base
+    # Local names for the in-place adds: the frozen fields cannot be rebound.
+    g_b, g_w2, g_w1 = grads.B, grads.W2, grads.W1
+    g_b += dz
+    g_w2 += matmul(_t(cache.xtilde), dz)
+    dxtilde = matmul(dz, _t(params.W2))
 
-    grads: dict[str, Matrix | float] = {}
-    grads["B"] = dz.copy()
-    grads["W2"] = matmul(transpose(cache.xtilde), dz)
-    dxtilde = matmul(dz, transpose(base.W2))
-
-    if cache.kind == KIND_BL:
-        dxbar = dxtilde
-    else:
-        if cache.kind == KIND_MTABL:
-            grads["Wtilde1"] = matmul(dxtilde, transpose(cache.stacked))
-            dstacked = matmul(transpose(params.Wtilde1), dxtilde)
+    dxbar = dxtilde
+    if params.heads:
+        if params.Wtilde1 is None:
+            dmixed = [dxtilde]
+        else:
+            g_wt = grads.Wtilde1
+            g_wt += matmul(dxtilde, _t(cache.stacked))
+            dstacked = matmul(_t(params.Wtilde1), dxtilde)
             d_out = cache.xbar.shape[0]
             dmixed = [dstacked[k * d_out:(k + 1) * d_out] for k in range(len(params.heads))]
-            head_mats = params.heads
-            head_names = [f"head{k}" for k in range(len(params.heads))]
-        else:
-            dmixed = [dxtilde]
-            head_mats = [params.W]
-            head_names = ["W"]
 
         xbar = cache.xbar
         lam = params.lam
         dxbar = np.zeros_like(xbar)
         dlam = 0.0
-        for dmix, a, w, name in zip(dmixed, cache.masks, head_mats, head_names):
+        for dmix, a, w, g_w in zip(dmixed, cache.masks, params.heads, grads.heads):
             dlam += float(np.sum(dmix * (xbar * a - xbar)))
             dxbar += (1.0 - lam) * dmix
             da = lam * (dmix * xbar)
             dxbar += lam * (dmix * a)
             de = _softmax_rows_backward(da, a)
-            grads[name] = matmul(transpose(xbar), de)
-            dxbar += matmul(de, transpose(w))
-        grads["lam"] = dlam
+            g_w += matmul(_t(xbar), de)
+            dxbar += matmul(de, _t(w))
+        g_lam = grads.lam
+        g_lam += dlam
 
-    grads["W1"] = matmul(dxbar, transpose(cache.x))
-    grad_x = matmul(transpose(base.W1), dxbar)
+    g_w1 += matmul(dxbar, _t(cache.x))
+    grad_x = matmul(_t(params.W1), dxbar)
     return grads, grad_x
-
-
-def param_items(params) -> list[tuple[str, Matrix | float]]:
-    """Flatten a parameter object into (name, value) pairs, stable order."""
-    if isinstance(params, BLParams):
-        return [("W1", params.W1), ("W2", params.W2), ("B", params.B)]
-    if isinstance(params, TABLParams):
-        return param_items(params.base) + [("W", params.W), ("lam", params.lam)]
-    if isinstance(params, MTABLParams):
-        items = param_items(params.base)
-        items += [(f"head{k}", w) for k, w in enumerate(params.heads)]
-        items += [("Wtilde1", params.Wtilde1), ("lam", params.lam)]
-        return items
-    raise ConfigurationError(f"unknown parameter type {type(params).__name__}")
-
-
-def params_to_dict(params) -> dict[str, Matrix | float]:
-    return dict(param_items(params))
-
-
-def params_from_dict(template, values: dict[str, Matrix | float]):
-    """Rebuild a parameter object of the same kind as ``template``."""
-    if isinstance(template, BLParams):
-        return BLParams(W1=values["W1"], W2=values["W2"], B=values["B"])
-    base = BLParams(W1=values["W1"], W2=values["W2"], B=values["B"])
-    if isinstance(template, TABLParams):
-        return TABLParams(base=base, W=values["W"], lam=float(values["lam"]),
-                          fix_attention_diag=template.fix_attention_diag)
-    if isinstance(template, MTABLParams):
-        heads = [values[f"head{k}"] for k in range(len(template.heads))]
-        return MTABLParams(base=base, heads=heads, lam=float(values["lam"]),
-                           Wtilde1=values["Wtilde1"],
-                           fix_attention_diag=template.fix_attention_diag)
-    raise ConfigurationError(f"unknown parameter type {type(template).__name__}")
-
-
-def clone_params(params):
-    """Deep copy of one layer's parameters."""
-    if isinstance(params, BLParams):
-        return BLParams(W1=params.W1.copy(), W2=params.W2.copy(), B=params.B.copy())
-    if isinstance(params, TABLParams):
-        return replace(params, base=clone_params(params.base), W=params.W.copy())
-    if isinstance(params, MTABLParams):
-        return replace(
-            params, base=clone_params(params.base),
-            heads=[w.copy() for w in params.heads], Wtilde1=params.Wtilde1.copy(),
-        )
-    raise ConfigurationError(f"unknown parameter type {type(params).__name__}")

@@ -1,8 +1,9 @@
 """Dense float64 matrix kernel.
 
-A "matrix" throughout this package is a 2-D, C-contiguous, float64 numpy
-array; ``rows`` and ``cols`` are ``shape[0]`` and ``shape[1]``. Every
-operation validates shapes eagerly and raises :class:`DimensionError` on
+A "matrix" throughout this package is a 2-D float64 numpy array, often a
+view (a transpose, or a block of a flat parameter vector); ``rows`` and
+``cols`` are ``shape[0]`` and ``shape[1]``. Every operation validates
+shapes eagerly and raises :class:`DimensionError` on
 mismatch, so shape bugs surface at the call site instead of deep inside a
 layer.
 
@@ -18,7 +19,7 @@ threads.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -35,14 +36,6 @@ def as_matrix(values, *, require_finite: bool = False) -> Matrix:
     if require_finite and not np.isfinite(m).all():
         raise DataError("matrix contains non-finite entries")
     return m
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return np.zeros((rows, cols))
-
-
-def eye(n: int) -> Matrix:
-    return np.eye(n)
 
 
 class MultiplicationCounter:
@@ -106,32 +99,9 @@ def hadamard(a: Matrix, b: Matrix) -> Matrix:
     return a * b
 
 
-def add(a: Matrix, b: Matrix) -> Matrix:
-    if a.shape != b.shape:
-        raise DimensionError(f"add: shapes differ, {a.shape} vs {b.shape}")
-    return a + b
-
-
 def scale(a: Matrix, s: float) -> Matrix:
     _tick(a.size)
     return a * s
-
-
-def transpose(a: Matrix) -> Matrix:
-    return np.ascontiguousarray(a.T)
-
-
-def concat_rows(blocks: Sequence[Matrix]) -> Matrix:
-    """Stack matrices vertically; all operands must share a column count."""
-    if len(blocks) == 0:
-        raise DimensionError("concat_rows: need at least one matrix")
-    cols = blocks[0].shape[1]
-    for i, block in enumerate(blocks):
-        if block.shape[1] != cols:
-            raise DimensionError(
-                f"concat_rows: operand {i} has {block.shape[1]} cols, expected {cols}"
-            )
-    return np.vstack(blocks)
 
 
 def softmax_rows(e: Matrix) -> Matrix:

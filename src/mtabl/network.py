@@ -4,7 +4,8 @@ forward/backward over a stack of bilinear layers.
 A network is an ordered list of layer descriptors whose shapes chain, with
 the attention layer last producing a (3, 1) column of class probabilities.
 Shape mismatches are configuration errors raised at construction, never at
-run time.
+run time. A network's parameters are one float64 vector whose layout
+follows from the spec (:class:`NetworkParams`).
 """
 
 from __future__ import annotations
@@ -17,17 +18,18 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError
 from .layers import (
     ACTIVATIONS,
-    BLParams,
-    KIND_BL,
-    KIND_MTABL,
-    KIND_TABL,
-    LAYER_KINDS,
-    MTABLParams,
-    TABLParams,
+    LayerParams,
     layer_backward,
     layer_forward,
+    layer_layout,
+    layout_size,
 )
 from .linalg import Matrix
+
+KIND_BL = "bl"
+KIND_TABL = "tabl"
+KIND_MTABL = "mtabl"
+LAYER_KINDS = (KIND_BL, KIND_TABL, KIND_MTABL)
 
 N_CLASSES = 3
 
@@ -62,6 +64,12 @@ class LayerSpec:
         if self.activation == "softmax" and t != 1:
             raise ConfigurationError("softmax activation requires a single output column")
 
+    def layout(self, in_dims: tuple[int, int]):
+        """Parameter layout: BL has no heads, TABL one head without
+        recombination, MTABL ``heads`` heads recombined by Wtilde1."""
+        heads = 0 if self.kind == KIND_BL else self.heads
+        return layer_layout(in_dims, self.out_dims, heads, self.kind == KIND_MTABL)
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -90,6 +98,9 @@ class NetworkSpec:
         for layer in self.layers:
             chain.append(layer.out_dims)
         return chain
+
+    def layouts(self) -> list:
+        return [layer.layout(dims) for layer, dims in zip(self.layers, self.shapes())]
 
     def to_dict(self) -> dict:
         return {
@@ -155,6 +166,42 @@ def topology(name: str, *, input_dims: tuple[int, int] = (40, 10),
     return NetworkSpec(input_dims=input_dims, layers=tuple(layers))
 
 
+class NetworkParams(list):
+    """Per-layer :class:`LayerParams` over one contiguous float64 vector.
+
+    ``flat`` holds every parameter, layer after layer, each layer in the
+    order of :meth:`LayerSpec.layout`; gradients and optimizer state use
+    the same layout, so they are vectors of the same length.
+    """
+
+    def __init__(self, spec: NetworkSpec, flat: np.ndarray | None = None):
+        layouts = spec.layouts()
+        bounds = np.cumsum([0] + [layout_size(layout) for layout in layouts])
+        self.spec = spec
+        self.flat = np.zeros(bounds[-1]) if flat is None else flat
+        if self.flat.shape != (bounds[-1],):
+            raise DimensionError(
+                f"parameter vector has shape {self.flat.shape}, the network needs "
+                f"({bounds[-1]},)"
+            )
+        super().__init__(
+            LayerParams.view(self.flat[lo:hi], layout)
+            for lo, hi, layout in zip(bounds, bounds[1:], layouts)
+        )
+
+    def like(self, flat: np.ndarray) -> "NetworkParams":
+        """The same layout over another vector, such as a gradient."""
+        return NetworkParams(self.spec, flat)
+
+    def copy(self) -> "NetworkParams":
+        return self.like(self.flat.copy())
+
+    def named_blocks(self) -> list[tuple[str, np.ndarray]]:
+        """``("layer{i}/{name}", view)`` for every block, in storage order."""
+        return [(f"layer{i}/{name}", view)
+                for i, p in enumerate(self) for name, view in p.named_blocks()]
+
+
 def _uniform_fan(rng: np.random.Generator, rows: int, cols: int, fan_in: int) -> Matrix:
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, (rows, cols))
@@ -172,39 +219,27 @@ def _attention_matrix(rng: np.random.Generator, t: int, fix_diag: bool) -> Matri
 
 
 def init_layer_params(spec: LayerSpec, in_dims: tuple[int, int],
-                      rng: np.random.Generator):
+                      rng: np.random.Generator) -> LayerParams:
+    layout = spec.layout(in_dims)
+    p = LayerParams.view(np.zeros(layout_size(layout)), layout)
     d, t = in_dims
-    d_out, t_out = spec.out_dims
-    base = BLParams(
-        W1=_uniform_fan(rng, d_out, d, fan_in=d),
-        W2=_uniform_fan(rng, t, t_out, fan_in=t),
-        B=np.zeros((d_out, t_out)),
-    )
-    if spec.kind == KIND_BL:
-        return base
-    if spec.kind == KIND_TABL:
-        return TABLParams(
-            base=base, W=_attention_matrix(rng, t, spec.fix_attention_diag),
-            lam=0.5, fix_attention_diag=spec.fix_attention_diag,
-        )
-    heads = [
-        _attention_matrix(rng, t, spec.fix_attention_diag) for _ in range(spec.heads)
-    ]
-    return MTABLParams(
-        base=base, heads=heads, lam=0.5,
-        Wtilde1=_uniform_fan(rng, d_out, d_out * spec.heads, fan_in=d_out * spec.heads),
-        fix_attention_diag=spec.fix_attention_diag,
-    )
+    p.W1[...] = _uniform_fan(rng, *p.W1.shape, fan_in=d)
+    p.W2[...] = _uniform_fan(rng, *p.W2.shape, fan_in=t)
+    for w in p.heads:
+        w[...] = _attention_matrix(rng, t, spec.fix_attention_diag)
+    if p.Wtilde1 is not None:
+        p.Wtilde1[...] = _uniform_fan(rng, *p.Wtilde1.shape, fan_in=p.Wtilde1.shape[1])
+    if p.heads:
+        p.lam[()] = 0.5
+    return p
 
 
-def init_network_params(spec: NetworkSpec, seed_or_rng) -> list:
+def init_network_params(spec: NetworkSpec, seed_or_rng) -> NetworkParams:
     rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
            else np.random.default_rng(seed_or_rng))
-    params = []
-    shapes = spec.shapes()
-    for layer, in_dims in zip(spec.layers, shapes[:-1]):
-        params.append(init_layer_params(layer, in_dims, rng))
-    return params
+    layers = [init_layer_params(layer, dims, rng)
+              for layer, dims in zip(spec.layers, spec.shapes())]
+    return NetworkParams(spec, np.concatenate([p.flat for p in layers]))
 
 
 def network_forward(x: Matrix, spec: NetworkSpec, params: list):
@@ -219,20 +254,25 @@ def network_forward(x: Matrix, spec: NetworkSpec, params: list):
     return out, caches
 
 
-def network_backward(spec: NetworkSpec, params: list, caches: list, grad,
-                     *, grad_wrt_preactivation: bool = False):
-    """Reverse the stack; returns per-layer gradient dicts and dL/dx.
+def network_backward(spec: NetworkSpec, params: NetworkParams, caches: list, grad,
+                     grads: NetworkParams | None = None, *,
+                     grad_wrt_preactivation: bool = False):
+    """Reverse the stack; returns the parameter gradients and dL/dx.
 
-    With ``grad_wrt_preactivation`` the incoming gradient is taken with
-    respect to the final layer's pre-activation scores, as produced by the
-    fused softmax cross-entropy backward.
+    The gradients are added into ``grads`` (a zeroed vector of the
+    parameter layout when omitted). With ``grad_wrt_preactivation`` the
+    incoming gradient is taken with respect to the final layer's
+    pre-activation scores, as produced by the fused softmax cross-entropy
+    backward.
     """
-    grads: list = [None] * len(params)
+    if grads is None:
+        grads = params.like(np.zeros_like(params.flat))
     upstream = grad
-    for i in range(len(params) - 1, -1, -1):
-        fused = grad_wrt_preactivation and i == len(params) - 1
-        grads[i], upstream = layer_backward(
-            caches[i], params[i], upstream, grad_wrt_preactivation=fused
+    last = len(params) - 1
+    for i in range(last, -1, -1):
+        _, upstream = layer_backward(
+            caches[i], params[i], upstream, grads[i],
+            grad_wrt_preactivation=grad_wrt_preactivation and i == last,
         )
     return grads, upstream
 
@@ -246,12 +286,6 @@ def predict_labels(spec: NetworkSpec, params: list, samples) -> list[int]:
     return out
 
 
-def clone_network_params(params: list) -> list:
-    from .layers import clone_params
-
-    return [clone_params(p) for p in params]
-
-
 def attention_lambdas(params: list) -> list[float]:
     """The mixing coefficient of every attention layer, in layer order."""
-    return [p.lam for p in params if isinstance(p, (TABLParams, MTABLParams))]
+    return [float(p.lam) for p in params if p.heads]

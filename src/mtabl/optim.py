@@ -4,7 +4,9 @@ orchestration with seeded shuffling.
 
 The loop is sequential over optimizer steps; within a batch, per-sample
 gradients are summed in sample order and averaged, which keeps two runs
-with the same seed, config and data bit-identical. Model selection keeps
+with the same seed, config and data bit-identical. Parameters, gradients
+and optimizer moments are flat vectors of one layout, so an update is a
+few vector operations applied in place. Model selection keeps
 the parameters of the best validation macro-F1 epoch (best training loss
 when there is no validation split).
 """
@@ -18,13 +20,12 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigurationError, DivergenceError
-from .layers import MTABLParams, TABLParams, params_from_dict, params_to_dict
 from .losses import PROB_FLOOR, cross_entropy, inverse_frequency_weights, uniform_weights
 from .metrics import EvalReport, evaluate
 from .network import (
+    NetworkParams,
     NetworkSpec,
     attention_lambdas,
-    clone_network_params,
     init_network_params,
     network_backward,
     network_forward,
@@ -67,28 +68,22 @@ class OptimConfig:
 
 @dataclass
 class TrainState:
-    """Optimizer accumulators; shapes mirror the parameters exactly."""
+    """Optimizer accumulators, vectors in the parameter layout."""
 
     step_count: int
     learning_rate: float
-    first_moments: list[dict]
-    second_moments: list[dict]
-    velocities: list[dict]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
+    velocity: np.ndarray
 
     @classmethod
-    def initial(cls, params: list, cfg: OptimConfig) -> "TrainState":
-        def zeros_like_tree(p):
-            return {
-                name: 0.0 if isinstance(value, float) else np.zeros_like(value)
-                for name, value in params_to_dict(p).items()
-            }
-
+    def initial(cls, params: NetworkParams, cfg: OptimConfig) -> "TrainState":
         return cls(
             step_count=0,
             learning_rate=cfg.learning_rate,
-            first_moments=[zeros_like_tree(p) for p in params],
-            second_moments=[zeros_like_tree(p) for p in params],
-            velocities=[zeros_like_tree(p) for p in params],
+            first_moment=np.zeros_like(params.flat),
+            second_moment=np.zeros_like(params.flat),
+            velocity=np.zeros_like(params.flat),
         )
 
 
@@ -119,107 +114,76 @@ class EpochRecord:
         return d
 
 
-def _apply_constraints(p):
+def _apply_constraints(params: NetworkParams) -> None:
     """Clamp lam onto [0, 1]; re-pin attention diagonals when frozen."""
-    if isinstance(p, (TABLParams, MTABLParams)):
-        p.lam = min(max(p.lam, 0.0), 1.0)
-        assert 0.0 <= p.lam <= 1.0
-        if p.fix_attention_diag:
-            mats = p.heads if isinstance(p, MTABLParams) else [p.W]
-            for w in mats:
+    for layer, p in zip(params.spec.layers, params):
+        if p.heads:
+            lam = min(max(float(p.lam), 0.0), 1.0)
+            if not 0.0 <= lam <= 1.0:
+                raise DivergenceError(f"non-finite lam after the update ({lam})")
+            p.lam[()] = lam
+        if layer.fix_attention_diag:
+            for w in p.heads:
                 np.fill_diagonal(w, 1.0 / w.shape[0])
-    return p
 
 
-def step(params: list, grads: list, state: TrainState, cfg: OptimConfig):
-    """One optimizer update; returns the new parameter list and the state.
+def step(params: NetworkParams, grads: NetworkParams, state: TrainState, cfg: OptimConfig):
+    """One optimizer update of ``params`` in place; returns (params, state).
 
     Adam uses bias-corrected moment estimates; SGD uses classic momentum.
     The mixing coefficient is projected back onto [0, 1] after every update.
     """
     lr = state.learning_rate
     t = state.step_count + 1
-    new_params = []
-    for p, g, m, v, vel in zip(params, grads, state.first_moments,
-                               state.second_moments, state.velocities):
-        values = params_to_dict(p)
-        updated = {}
-        for name, value in values.items():
-            grad = g[name]
-            if cfg.algorithm == "adam":
-                m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * grad
-                v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * (grad * grad)
-                m_hat = m[name] / (1.0 - cfg.beta1 ** t)
-                v_hat = v[name] / (1.0 - cfg.beta2 ** t)
-                new_value = value - lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-            else:
-                vel[name] = cfg.momentum * vel[name] + grad
-                new_value = value - lr * vel[name]
-            updated[name] = float(new_value) if isinstance(value, float) else new_value
-        new_params.append(_apply_constraints(params_from_dict(p, updated)))
+    grad = grads.flat
+    if cfg.algorithm == "adam":
+        state.first_moment = cfg.beta1 * state.first_moment + (1.0 - cfg.beta1) * grad
+        state.second_moment = (cfg.beta2 * state.second_moment
+                               + (1.0 - cfg.beta2) * (grad * grad))
+        m_hat = state.first_moment / (1.0 - cfg.beta1 ** t)
+        v_hat = state.second_moment / (1.0 - cfg.beta2 ** t)
+        params.flat -= lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    else:
+        state.velocity = cfg.momentum * state.velocity + grad
+        params.flat -= lr * state.velocity
+    _apply_constraints(params)
     state.step_count = t
-    return new_params, state
+    return params, state
 
 
-def _first_nonfinite_layer(caches) -> str:
-    for i, cache in enumerate(caches):
-        for name in ("xbar", "z", "y"):
-            value = getattr(cache, name)
-            if value is not None and not np.isfinite(value).all():
-                return f"layer {i} ({cache.kind})"
+def _first_nonfinite_layer(spec: NetworkSpec, caches) -> str:
+    for i, (layer, cache) in enumerate(zip(spec.layers, caches)):
+        if not all(np.isfinite(v).all() for v in (cache.xbar, cache.z, cache.y)):
+            return f"layer {i} ({layer.kind})"
     return "loss"
 
 
-def _first_nonfinite_params(params) -> str:
-    from .layers import param_items
-
-    for i, p in enumerate(params):
-        for name, value in param_items(p):
-            if not np.isfinite(np.asarray(value)).all():
-                return f"layer {i} parameters ({name})"
-    return "the forward pass (overflowing attention scores)"
-
-
-def batch_gradients(spec: NetworkSpec, params: list, batch, class_weights):
+def batch_gradients(spec: NetworkSpec, params: NetworkParams, batch, class_weights):
     """Mean loss and mean per-sample gradients over one batch.
 
-    Returns (loss, grads, clamp_events) where grads mirrors the parameter
-    structure and clamp_events counts samples whose true-class probability
+    Returns (loss, grads, clamp_events) where grads is in the parameter
+    layout and clamp_events counts samples whose true-class probability
     had to be floored before the log.
     """
     if not batch:
         raise ConfigurationError("batch must be nonempty")
-    total: list[dict] | None = None
+    total = params.like(np.zeros_like(params.flat))
     loss_sum = 0.0
     clamped = 0
     for sample in batch:
-        try:
-            probs, caches = network_forward(sample.x, spec, params)
-        except AssertionError:
-            # Masks go NaN only when the scores overflowed upstream.
-            raise DivergenceError(
-                f"non-finite attention mask, {_first_nonfinite_params(params)}"
-            ) from None
+        probs, caches = network_forward(sample.x, spec, params)
         if probs[sample.label, 0] < PROB_FLOOR:
             clamped += 1
         loss, grad_scores = cross_entropy(probs, sample.label, class_weights)
         if not math.isfinite(loss):
             raise DivergenceError(
-                f"non-finite loss, first bad values in {_first_nonfinite_layer(caches)}"
+                f"non-finite loss, first bad values in {_first_nonfinite_layer(spec, caches)}"
             )
         loss_sum += loss
-        grads, _ = network_backward(spec, params, caches, grad_scores,
-                                    grad_wrt_preactivation=True)
-        if total is None:
-            total = grads
-        else:
-            for acc, g in zip(total, grads):
-                for name in acc:
-                    acc[name] = acc[name] + g[name]
+        network_backward(spec, params, caches, grad_scores, total,
+                         grad_wrt_preactivation=True)
     inv = 1.0 / len(batch)
-    for acc in total:
-        for name in acc:
-            acc[name] = acc[name] * inv
+    total.flat *= inv
     return loss_sum * inv, total, clamped
 
 
@@ -230,14 +194,15 @@ def _class_weights(cfg: OptimConfig, dataset: Dataset):
 
 
 def train(spec: NetworkSpec, dataset: Dataset, cfg: OptimConfig, *,
-          initial_params: list | None = None, log_sink=None, on_step=None):
+          initial_params: NetworkParams | None = None, log_sink=None, on_step=None):
     """Full training run; returns (best parameters, list of EpochRecord).
 
     Shuffled mini-batches per epoch, mean-gradient updates, validation
     after every epoch. The learning rate is multiplied by ``lr_decay``
     whenever the selection metric fails to improve for ``lr_patience``
     epochs. ``log_sink`` receives every EpochRecord as it is produced;
-    ``on_step`` is called with (params, state) after every optimizer step.
+    ``on_step`` is called with (params, state) after every optimizer step;
+    the parameters are updated in place, so copy them to keep a snapshot.
     """
     if not dataset.train:
         raise ConfigurationError("training partition is empty")
@@ -246,11 +211,13 @@ def train(spec: NetworkSpec, dataset: Dataset, cfg: OptimConfig, *,
             f"dataset samples are {dataset.sample_dims()}, network expects {spec.input_dims}"
         )
     rng = np.random.default_rng(cfg.seed)
-    params = initial_params if initial_params is not None else init_network_params(spec, rng)
+    # Updates happen in place, so a caller's initial parameters are copied.
+    params = (initial_params.copy() if initial_params is not None
+              else init_network_params(spec, rng))
     state = TrainState.initial(params, cfg)
     weights = _class_weights(cfg, dataset)
 
-    best_params = clone_network_params(params)
+    best_params = params.copy()
     best_metric = -math.inf
     stale = 0
     records: list[EpochRecord] = []
@@ -264,11 +231,11 @@ def train(spec: NetworkSpec, dataset: Dataset, cfg: OptimConfig, *,
             batch = [dataset.train[i] for i in order[start:start + cfg.batch_size]]
             try:
                 loss, grads, clamped = batch_gradients(spec, params, batch, weights)
+                step(params, grads, state, cfg)
             except DivergenceError as err:
                 raise DivergenceError(
                     f"epoch {epoch}, batch {start // cfg.batch_size}: {err}"
                 ) from err
-            params, state = step(params, grads, state, cfg)
             if on_step is not None:
                 on_step(params, state)
             loss_sum += loss * len(batch)
@@ -293,7 +260,7 @@ def train(spec: NetworkSpec, dataset: Dataset, cfg: OptimConfig, *,
 
         if metric > best_metric:
             best_metric = metric
-            best_params = clone_network_params(params)
+            best_params = params.copy()
             stale = 0
         else:
             stale += 1

@@ -3,7 +3,9 @@
 Layout: an 8-byte magic, a u32 format version, a u32 header length, a JSON
 header, then the raw block payloads in header order. Each block is a 2-D
 array stored little-endian (float64 or int64) with its shape recorded in
-the header, so a save/load round trip is bit-exact.
+the header, so a save/load round trip is bit-exact. The header is
+validated before any payload is read; every malformed file raises
+:class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .network import NetworkSpec
+from .network import NetworkParams, NetworkSpec
 
 MAGIC = b"MTABLBIN"
 VERSION = 1
@@ -48,6 +50,27 @@ def write_container(path, kind: str, meta: dict, blocks: list[tuple[str, np.ndar
             fh.write(payload)
 
 
+def _check_header(header, path) -> None:
+    if not (isinstance(header, dict) and isinstance(header.get("kind"), str)
+            and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("blocks"), list)):
+        raise FormatError(f"{path}: header needs a str kind, a dict meta and a blocks list")
+    names = set()
+    for entry in header["blocks"]:
+        if not isinstance(entry, dict):
+            raise FormatError(f"{path}: block entry {entry!r} is not an object")
+        name = entry.get("name")
+        if not isinstance(name, str) or name in names:
+            raise FormatError(f"{path}: block name {name!r} is missing or repeated")
+        names.add(name)
+        for key in ("rows", "cols"):
+            # bool is an int subclass; JSON true must not pass as a size.
+            if type(entry.get(key)) is not int or entry[key] < 0:
+                raise FormatError(f"{path}: block {name!r} has bad {key} {entry.get(key)!r}")
+        if entry.get("dtype") not in _DTYPES:
+            raise FormatError(f"{path}: unknown block dtype {entry.get('dtype')!r}")
+
+
 def read_container(path, expect_kind: str | None = None):
     """Returns (meta, ordered dict of name -> array)."""
     raw = Path(path).read_bytes()
@@ -61,71 +84,41 @@ def read_container(path, expect_kind: str | None = None):
     offset = len(MAGIC) + 8
     try:
         header = json.loads(raw[offset:offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (ValueError, RecursionError) as err:  # bad UTF-8 and bad JSON are ValueErrors
         raise FormatError(f"{path}: corrupt header ({err})") from err
+    _check_header(header, path)
     offset += header_len
-    if expect_kind is not None and header.get("kind") != expect_kind:
+    if expect_kind is not None and header["kind"] != expect_kind:
         raise FormatError(
-            f"{path}: container holds {header.get('kind')!r}, expected {expect_kind!r}"
+            f"{path}: container holds {header['kind']!r}, expected {expect_kind!r}"
         )
     blocks: dict[str, np.ndarray] = {}
     for entry in header["blocks"]:
         rows, cols = entry["rows"], entry["cols"]
-        dtype = _DTYPES.get(entry["dtype"])
-        if dtype is None:
-            raise FormatError(f"{path}: unknown block dtype {entry['dtype']!r}")
         nbytes = rows * cols * 8
         if offset + nbytes > len(raw):
             raise FormatError(f"{path}: truncated payload for block {entry['name']!r}")
-        array = np.frombuffer(raw[offset:offset + nbytes], dtype=dtype).reshape(rows, cols)
-        blocks[entry["name"]] = array.copy()
+        array = np.frombuffer(raw[offset:offset + nbytes], dtype=_DTYPES[entry["dtype"]])
+        blocks[entry["name"]] = array.reshape(rows, cols).copy()
         offset += nbytes
     return header["meta"], blocks
 
 
-def save_checkpoint(path, spec: NetworkSpec, params: list, meta: dict | None = None) -> None:
-    """Write the network layout and every parameter, bit-exact."""
-    from .layers import param_items
-
-    blocks = []
-    for i, layer_params in enumerate(params):
-        for name, value in param_items(layer_params):
-            if isinstance(value, float):
-                value = np.array([[value]])
-            blocks.append((f"layer{i:02d}/{name}", value))
+def save_checkpoint(path, spec: NetworkSpec, params: NetworkParams,
+                    meta: dict | None = None) -> None:
+    """Write the network spec and the flat parameter vector, bit-exact."""
     container_meta = {"spec": spec.to_dict(), "extra": meta or {}}
-    write_container(path, "checkpoint", container_meta, blocks)
+    write_container(path, "checkpoint", container_meta, [("params", params.flat[None, :])])
 
 
 def load_checkpoint(path):
-    """Returns (spec, params, meta)."""
-    from .layers import KIND_BL, KIND_TABL, BLParams, MTABLParams, TABLParams
-
+    """Returns (spec, params, meta); the parameter layout follows from the spec."""
     meta, blocks = read_container(path, expect_kind="checkpoint")
-    spec = NetworkSpec.from_dict(meta["spec"])
-    params = []
-    for i, layer in enumerate(spec.layers):
-        prefix = f"layer{i:02d}/"
-
-        def block(name):
-            key = prefix + name
-            if key not in blocks:
-                raise FormatError(f"{path}: checkpoint is missing block {key!r}")
-            return blocks[key]
-
-        base = BLParams(W1=block("W1"), W2=block("W2"), B=block("B"))
-        if layer.kind == KIND_BL:
-            params.append(base)
-        elif layer.kind == KIND_TABL:
-            params.append(TABLParams(
-                base=base, W=block("W"), lam=float(block("lam")[0, 0]),
-                fix_attention_diag=layer.fix_attention_diag,
-            ))
-        else:
-            heads = [block(f"head{k}") for k in range(layer.heads)]
-            params.append(MTABLParams(
-                base=base, heads=heads, lam=float(block("lam")[0, 0]),
-                Wtilde1=block("Wtilde1"),
-                fix_attention_diag=layer.fix_attention_diag,
-            ))
-    return spec, params, meta["extra"]
+    if "params" not in blocks:
+        raise FormatError(f"{path}: checkpoint is missing block 'params'")
+    try:
+        spec = NetworkSpec.from_dict(meta["spec"])
+        params = NetworkParams(spec, blocks["params"].ravel())
+    except (KeyError, TypeError, ValueError) as err:
+        raise FormatError(f"{path}: bad network spec or parameter vector ({err})") from None
+    return spec, params, meta.get("extra", {})

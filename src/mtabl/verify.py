@@ -3,9 +3,9 @@
 Three families of check, each deliberately decoupled from the code it
 verifies:
 
-* a central finite-difference gradient checker that perturbs every scalar
-  parameter of a layer or network and compares the numeric slope against
-  the analytic backward pass;
+* a central finite-difference gradient checker that perturbs every entry
+  of a layer's or network's flat parameter vector and compares the
+  numeric slope against the analytic backward pass;
 * structural-equivalence checks for the multi-head layer's reductions to
   the single-head one (one head with an identity recombination, and K
   identical heads recombined by averaging);
@@ -22,23 +22,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, MtablError
-from .layers import (
+from .layers import LayerParams, layer_backward, layer_forward
+from .linalg import count_multiplications
+from .losses import cross_entropy
+from .network import (
     KIND_BL,
     KIND_MTABL,
     KIND_TABL,
-    BLParams,
-    MTABLParams,
-    TABLParams,
-    layer_backward,
-    layer_forward,
-    mtabl_forward,
-    params_from_dict,
-    params_to_dict,
-    tabl_forward,
+    LayerSpec,
+    NetworkSpec,
+    init_layer_params,
+    network_backward,
+    network_forward,
 )
-from .linalg import count_multiplications, eye
-from .losses import cross_entropy
-from .network import NetworkSpec, network_backward, network_forward
 
 REL_ERR_FLOOR = 1e-8
 DEFAULT_STEP = 1e-5
@@ -91,58 +87,60 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def _as_grad_array(value) -> np.ndarray:
-    return np.array([[value]]) if isinstance(value, float) else value
-
-
-def compare_to_finite_differences(loss_fn, params, analytic: dict, *,
+def compare_to_finite_differences(loss_fn, params, analytic, *,
                                   step: float = DEFAULT_STEP,
                                   threshold: float = DEFAULT_THRESHOLD) -> GradCheckReport:
-    """Central differences of ``loss_fn`` against a dict of analytic gradients.
+    """Central differences of ``loss_fn`` against analytic gradients.
 
-    ``loss_fn`` maps a parameter object to a scalar. Every scalar entry of
-    every parameter block is perturbed by +-step. Coordinates at which the
-    loss cannot be evaluated (constraint violations, non-finite values) are
-    recorded as untestable instead of failing the check. A coordinate whose
-    analytic value agrees with the central difference to within the
-    difference quotient's own rounding resolution (a few dozen ulps of the
-    loss spread over 2*step) counts as matched outright: below that spacing
-    the quotient carries no information, which matters both for tiny true
-    gradients and for exactly-zero ones, such as the mixing coefficient of
-    a length-one series.
+    ``params`` is a LayerParams or NetworkParams and ``analytic`` holds
+    gradients in the same layout; ``loss_fn`` maps ``params`` to a scalar.
+    Every entry of the flat parameter vector is perturbed by +-step in
+    place and restored, and results are reported per named block at the
+    block coordinate (i, j); the scalar lam sits at (0, 0). Coordinates at
+    which the loss cannot be evaluated (constraint violations, non-finite
+    values) are recorded as untestable instead of failing the check. A
+    coordinate whose analytic value agrees with the central difference to
+    within the difference quotient's own rounding resolution (a few dozen
+    ulps of the loss spread over 2*step) counts as matched outright: below
+    that spacing the quotient carries no information, which matters both
+    for tiny true gradients and for exactly-zero ones, such as the mixing
+    coefficient of a length-one series.
     """
     report = GradCheckReport(step=step, threshold=threshold)
     eps = np.finfo(np.float64).eps
-    values = params_to_dict(params)
-    for name, value in values.items():
-        grad = _as_grad_array(analytic[name])
-        block_value = _as_grad_array(value)
+    flat, grad = params.flat, analytic.flat
+    offset = 0
+    for name, block in params.named_blocks():
+        cols = block.shape[1] if block.ndim == 2 else 1
         worst = BlockCheck(name, -1.0, (0, 0), 0.0, 0.0)
-        for i in range(block_value.shape[0]):
-            for j in range(block_value.shape[1]):
-                def loss_at(delta):
-                    perturbed = block_value.copy()
-                    perturbed[i, j] += delta
-                    new = dict(values)
-                    new[name] = float(perturbed[0, 0]) if isinstance(value, float) else perturbed
-                    return loss_fn(params_from_dict(params, new))
+        for k in range(offset, offset + block.size):
+            i, j = divmod(k - offset, cols)
+            original = flat[k]
 
+            def loss_at(delta):
+                flat[k] = original + delta
                 try:
-                    up, down = loss_at(step), loss_at(-step)
-                except MtablError:
-                    report.untestable.append(f"{name}[{i},{j}]")
-                    continue
-                if not (math.isfinite(up) and math.isfinite(down)):
-                    report.untestable.append(f"{name}[{i},{j}]")
-                    continue
-                numeric = (up - down) / (2.0 * step)
-                a = float(grad[i, j])
-                resolution = 32.0 * eps * max(abs(up), abs(down), 1.0) / (2.0 * step)
-                err = 0.0 if abs(a - numeric) <= resolution else relative_error(a, numeric)
-                if err > worst.max_rel_err:
-                    worst = BlockCheck(name, err, (i, j), a, numeric)
+                    return loss_fn(params)
+                finally:
+                    flat[k] = original
+
+            try:
+                up, down = loss_at(step), loss_at(-step)
+            except MtablError:
+                report.untestable.append(f"{name}[{i},{j}]")
+                continue
+            if not (math.isfinite(up) and math.isfinite(down)):
+                report.untestable.append(f"{name}[{i},{j}]")
+                continue
+            numeric = (up - down) / (2.0 * step)
+            a = float(grad[k])
+            resolution = 32.0 * eps * max(abs(up), abs(down), 1.0) / (2.0 * step)
+            err = 0.0 if abs(a - numeric) <= resolution else relative_error(a, numeric)
+            if err > worst.max_rel_err:
+                worst = BlockCheck(name, err, (i, j), a, numeric)
         if worst.max_rel_err >= 0.0:
             report.blocks[name] = worst
+        offset += block.size
     return report
 
 
@@ -169,7 +167,7 @@ def gradcheck_layer(params, activation: str, x: np.ndarray, *,
                                          step=step, threshold=threshold)
 
 
-def gradcheck(spec: NetworkSpec, params: list, sample, *,
+def gradcheck(spec: NetworkSpec, params, sample, *,
               step: float = DEFAULT_STEP,
               threshold: float = DEFAULT_THRESHOLD) -> GradCheckReport:
     """Check a whole network's gradients under the cross-entropy loss.
@@ -183,20 +181,12 @@ def gradcheck(spec: NetworkSpec, params: list, sample, *,
     grads, _ = network_backward(spec, params, caches, grad_scores,
                                 grad_wrt_preactivation=True)
 
-    merged = GradCheckReport(step=step, threshold=threshold)
-    for i, layer_params in enumerate(params):
-        def loss_fn(p, i=i):
-            trial = list(params)
-            trial[i] = p
-            out, _ = network_forward(sample.x, spec, trial)
-            return cross_entropy(out, sample.label)[0]
+    def loss_fn(p):
+        out, _ = network_forward(sample.x, spec, p)
+        return cross_entropy(out, sample.label)[0]
 
-        part = compare_to_finite_differences(loss_fn, layer_params, grads[i],
-                                             step=step, threshold=threshold)
-        for name, block in part.blocks.items():
-            merged.blocks[f"layer{i}/{name}"] = block
-        merged.untestable.extend(f"layer{i}/{coord}" for coord in part.untestable)
-    return merged
+    return compare_to_finite_differences(loss_fn, params, grads,
+                                         step=step, threshold=threshold)
 
 
 def random_layer_case(kind: str, rng: np.random.Generator, *, max_dim: int = 6,
@@ -217,24 +207,19 @@ def random_layer_case(kind: str, rng: np.random.Generator, *, max_dim: int = 6,
         ["identity", "relu", "softmax"])
 
     def draw_params():
-        base = BLParams(
+        base = dict(
             W1=rng.normal(0.0, 1.0 / math.sqrt(d), (d_out, d)),
             W2=rng.normal(0.0, 1.0 / math.sqrt(t), (t, t_out)),
             B=rng.normal(0.0, 0.3, (d_out, t_out)),
         )
         if kind == KIND_BL:
-            return base
+            return LayerParams.pack(**base)
         lam = float(rng.uniform(0.2, 0.8))
-        if kind == KIND_TABL:
-            return TABLParams(base=base, W=rng.normal(0.0, 1.0 / math.sqrt(t), (t, t)),
-                              lam=lam)
-        return MTABLParams(
-            base=base,
-            heads=[rng.normal(0.0, 1.0 / math.sqrt(t), (t, t)) for _ in range(heads)],
-            lam=lam,
-            Wtilde1=rng.normal(0.0, 1.0 / math.sqrt(d_out * heads),
-                               (d_out, d_out * heads)),
-        )
+        k = 1 if kind == KIND_TABL else heads
+        score_mats = [rng.normal(0.0, 1.0 / math.sqrt(t), (t, t)) for _ in range(k)]
+        recombine = (None if kind == KIND_TABL else
+                     rng.normal(0.0, 1.0 / math.sqrt(d_out * k), (d_out, d_out * k)))
+        return LayerParams.pack(**base, heads=score_mats, Wtilde1=recombine, lam=lam)
 
     params = draw_params()
     for _ in range(64):
@@ -281,66 +266,63 @@ class ReductionReport:
                 and self.control_separated)
 
 
-def _grad_diff(a: dict, b: dict, keys) -> float:
-    worst = 0.0
-    for ka, kb in keys:
-        ga, gb = _as_grad_array(a[ka]), _as_grad_array(b[kb])
-        worst = max(worst, float(np.abs(ga - gb).max()))
-    return worst
+def _grad_diff(a: LayerParams, b: LayerParams) -> float:
+    """Largest gap between the gradients of the shared W1, W2, B and lam."""
+    return max(float(np.abs(np.subtract(getattr(a, name), getattr(b, name))).max())
+               for name in ("W1", "W2", "B", "lam"))
 
 
 def check_reduction(seed: int = 0, n_inputs: int = 100, tol: float = 1e-12) -> ReductionReport:
     """Multi-head layers must collapse onto the single-head layer.
 
     With one head and an identity recombination the multi-head forward and
-    every shared-parameter gradient must coincide with the single-head
-    layer; with K identical heads recombined by the block-averaged identity
-    the forward must coincide too, with the head gradients summing to the
-    single-head score gradient. A perturbed recombination serves as the
-    control: it must separate the outputs, otherwise the check itself is
-    vacuous.
+    every shared-parameter gradient must coincide with the single head
+    without recombination; with K identical heads recombined by the
+    block-averaged identity the forward must coincide too, with the head
+    gradients summing to the single-head score gradient. A perturbed
+    recombination serves as the control: it must separate the outputs,
+    otherwise the check itself is vacuous.
     """
     rng = np.random.default_rng(seed)
     d, t, d_out, t_out = 4, 5, 3, 2
-    base = BLParams(W1=rng.normal(size=(d_out, d)), W2=rng.normal(size=(t, t_out)),
-                    B=rng.normal(size=(d_out, t_out)))
+    base = dict(W1=rng.normal(size=(d_out, d)), W2=rng.normal(size=(t, t_out)),
+                B=rng.normal(size=(d_out, t_out)))
     w = rng.normal(size=(t, t))
     lam = float(rng.uniform(0.1, 0.9))
-    single = TABLParams(base=base, W=w, lam=lam)
-    one_head = MTABLParams(base=base, heads=[w], lam=lam, Wtilde1=eye(d_out))
     k = 3
-    averaged = MTABLParams(base=base, heads=[w.copy() for _ in range(k)], lam=lam,
-                           Wtilde1=np.hstack([eye(d_out)] * k) / k)
-    perturbed = MTABLParams(base=base, heads=[w], lam=lam,
-                            Wtilde1=eye(d_out) + 0.05)
+    single = LayerParams.pack(**base, heads=[w], lam=lam)
+    one_head = LayerParams.pack(**base, heads=[w], Wtilde1=np.eye(d_out), lam=lam)
+    averaged = LayerParams.pack(**base, heads=[w] * k, lam=lam,
+                                Wtilde1=np.hstack([np.eye(d_out)] * k) / k)
+    perturbed = LayerParams.pack(**base, heads=[w], Wtilde1=np.eye(d_out) + 0.05, lam=lam)
 
     max_fwd = 0.0
     max_grad = 0.0
     fwd_sum = 0.0
     control_separated = True
-    shared = [("W1", "W1"), ("W2", "W2"), ("B", "B"), ("lam", "lam")]
     for _ in range(n_inputs):
         x = rng.normal(size=(d, t))
         grad_y = rng.normal(size=(d_out, t_out))
 
-        y_single, cache_single = tabl_forward(x, single)
+        y_single, cache_single = layer_forward(x, single)
         g_single, _ = layer_backward(cache_single, single, grad_y)
 
-        y_one, cache_one = mtabl_forward(x, one_head)
+        y_one, cache_one = layer_forward(x, one_head)
         g_one, _ = layer_backward(cache_one, one_head, grad_y)
         diff = float(np.abs(y_single - y_one).max())
         max_fwd = max(max_fwd, diff)
         fwd_sum += diff
-        max_grad = max(max_grad, _grad_diff(g_single, g_one, shared + [("W", "head0")]))
+        max_grad = max(max_grad, _grad_diff(g_single, g_one),
+                       float(np.abs(g_single.heads[0] - g_one.heads[0]).max()))
 
-        y_avg, cache_avg = mtabl_forward(x, averaged)
+        y_avg, cache_avg = layer_forward(x, averaged)
         g_avg, _ = layer_backward(cache_avg, averaged, grad_y)
         max_fwd = max(max_fwd, float(np.abs(y_single - y_avg).max()))
-        max_grad = max(max_grad, _grad_diff(g_single, g_avg, shared))
-        head_sum = sum(g_avg[f"head{i}"] for i in range(k))
-        max_grad = max(max_grad, float(np.abs(head_sum - g_single["W"]).max()))
+        max_grad = max(max_grad, _grad_diff(g_single, g_avg))
+        head_sum = sum(g_avg.heads)
+        max_grad = max(max_grad, float(np.abs(head_sum - g_single.heads[0]).max()))
 
-        y_ctrl, _ = mtabl_forward(x, perturbed)
+        y_ctrl, _ = layer_forward(x, perturbed)
         if float(np.abs(y_single - y_ctrl).max()) <= tol:
             control_separated = False
 
@@ -410,15 +392,13 @@ def tabl_complexity_total(d: int, t: int, d_out: int, t_out: int) -> int:
 def measure_multiplications(d: int, t: int, d_out: int, t_out: int, k: int,
                             seed: int = 0) -> dict[str, int]:
     """Run an instrumented multi-head forward and return counts by step."""
-    from .network import LayerSpec, init_layer_params
-
     rng = np.random.default_rng(seed)
     spec = LayerSpec(kind=KIND_MTABL, out_dims=(d_out, t_out),
                      activation="identity", heads=k)
     params = init_layer_params(spec, (d, t), rng)
     x = rng.normal(size=(d, t))
     with count_multiplications() as counter:
-        mtabl_forward(x, params, "identity")
+        layer_forward(x, params, "identity")
     counts = dict(counter.by_scope)
     counts["total"] = counter.total
     return counts

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from mtabl.data import split_days, synth_generate
-from mtabl.layers import mtabl_forward, params_to_dict, tabl_forward
+from mtabl.layers import layer_forward
 from mtabl.metrics import evaluate
 from mtabl.network import (
     init_network_params,
@@ -74,7 +74,7 @@ class TestAcceptance:
                f"grad diff {rep.max_grad_diff:.2e}, control separated")
 
     def test_c3_attention_normalization(self):
-        # The forwards assert row normalization on every call; a violation
+        # The forward checks row normalization on every call; a violation
         # anywhere in the suite would already have raised. Exercise a broad
         # sweep here and count the checked rows explicitly.
         rng = np.random.default_rng(0)
@@ -83,8 +83,7 @@ class TestAcceptance:
             kind = ["tabl", "mtabl"][int(rng.integers(2))]
             heads = int(rng.integers(1, 6)) if kind == "mtabl" else 1
             params, activation, x = random_layer_case(kind, rng, heads=heads)
-            forward = tabl_forward if kind == "tabl" else mtabl_forward
-            _, cache = forward(x, params, activation)
+            _, cache = layer_forward(x, params, activation)
             for mask in cache.masks:
                 assert np.abs(mask.sum(axis=1) - 1.0).max() <= 1e-12
                 rows_checked += mask.shape[0]
@@ -110,16 +109,10 @@ class TestAcceptance:
         train(spec, ds, cfg, on_step=watch)
 
         initial = init_network_params(spec, 11)
-        snapshot = [params_to_dict(p) for p in initial]
+        snapshot = initial.flat.copy()
         frozen_cfg = OptimConfig(learning_rate=0.0, max_epochs=3, batch_size=32, seed=11)
         trained, _ = train(spec, ds, frozen_cfg, initial_params=initial)
-        unchanged = all(
-            (after[name] == value if isinstance(value, float)
-             else after[name].tobytes() == value.tobytes())
-            for p, before in zip(trained, snapshot)
-            for name, value in before.items()
-            for after in [params_to_dict(p)]
-        )
+        unchanged = trained.flat.tobytes() == snapshot.tobytes()
         report(4, not violations and unchanged and steps[0] >= 150,
                f"{steps[0]} optimizer steps, zero lambda violations, "
                f"lr=0 left parameters bit-identical")

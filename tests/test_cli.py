@@ -1,5 +1,11 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mtabl.cli import main
@@ -8,6 +14,17 @@ from mtabl.data import load_dataset
 
 def run(argv):
     return main(argv)
+
+
+def write_days(day_dir, n=4, events=30):
+    day_dir.mkdir()
+    for i in range(n):
+        r = np.random.default_rng(i)
+        grid = np.vstack([r.normal(size=(40, events)),
+                          r.integers(1, 4, (5, events)).astype(float)])
+        with open(day_dir / f"day{i}.txt", "w") as fh:
+            for row in grid:
+                fh.write(" ".join(f"{v:.8g}" for v in row) + "\n")
 
 
 def train_args(out, seeds=2, epochs=3, extra=()):
@@ -64,17 +81,8 @@ class TestTrainCommand:
         assert code == 3
 
     def test_trains_from_day_files(self, tmp_path, capsys):
-        import numpy as np
-
         day_dir = tmp_path / "days"
-        day_dir.mkdir()
-        for i in range(4):
-            r = np.random.default_rng(i)
-            grid = np.vstack([r.normal(size=(40, 30)),
-                              r.integers(1, 4, (5, 30)).astype(float)])
-            with open(day_dir / f"day{i}.txt", "w") as fh:
-                for row in grid:
-                    fh.write(" ".join(f"{v:.8g}" for v in row) + "\n")
+        write_days(day_dir)
         out = tmp_path / "run"
         code = run(["train", "--data", str(day_dir), "--train-days", "2",
                     "--val-days", "1", "--test-days", "1", "--window", "10",
@@ -118,6 +126,45 @@ class TestEvalCommand:
     def test_missing_checkpoint(self, tmp_path):
         code = run(["eval", "--checkpoint", str(tmp_path / "nope.mtabl")])
         assert code == 3
+
+    def test_day_files_reproduce_training_report_bit_exactly(self, tmp_path, capsys):
+        # Horizon 20 and z-scoring both differ from what a bare split of
+        # the test day would give, so only the preprocessing stored in the
+        # checkpoint can reproduce the report.
+        day_dir = tmp_path / "days"
+        write_days(day_dir)
+        out = tmp_path / "run"
+        assert run(["train", "--data", str(day_dir), "--train-days", "2",
+                    "--val-days", "1", "--test-days", "1", "--horizon", "20",
+                    "--layer", "tabl", "--seeds", "1", "--max-epochs", "3",
+                    "--batch-size", "16", "--out", str(out)]) == 0
+        test_dir = tmp_path / "test_day"
+        test_dir.mkdir()
+        shutil.copy(day_dir / "day3.txt", test_dir / "day3.txt")
+        eval_out = tmp_path / "eval"
+        assert run(["eval", "--checkpoint", str(out / "seed0" / "checkpoint.mtabl"),
+                    "--data", str(test_dir), "--split", "test",
+                    "--out", str(eval_out)]) == 0
+        train_report = json.loads((out / "seed0" / "report.json").read_text())
+        eval_report = json.loads((eval_out / "report_test.json").read_text())
+        assert eval_report == train_report
+
+    def test_corrupt_checkpoint_exits_3_without_traceback(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(train_args(out, seeds=1, epochs=1)) == 0
+        checkpoint = out / "seed0" / "checkpoint.mtabl"
+        raw = checkpoint.read_bytes()
+        # A list where the header object belongs.
+        checkpoint.write_bytes(raw[:8] + raw[8:12] + (2).to_bytes(4, "little") + b"[]")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "mtabl.cli", "eval",
+                               "--checkpoint", str(checkpoint)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "data error" in proc.stderr
 
 
 class TestGradcheckCommand:

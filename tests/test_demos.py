@@ -1,0 +1,25 @@
+"""Smoke test: the quick demos run to completion against the current API.
+
+Demo 04 trains for tens of seconds and is left to manual runs.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("name", ["01_layer_mechanics", "02_gradient_checking",
+                                  "03_complexity_accounting", "05_order_book_pipeline"])
+def test_demo_runs(name, tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

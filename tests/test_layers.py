@@ -7,64 +7,57 @@ from mtabl.errors import (
     ConstraintError,
     DimensionError,
 )
-from mtabl.layers import (
-    BLParams,
-    MTABLParams,
-    TABLParams,
-    bl_forward,
-    clone_params,
-    layer_backward,
-    mtabl_forward,
-    param_items,
-    params_from_dict,
-    params_to_dict,
-    tabl_forward,
-)
-from mtabl.linalg import eye
+from mtabl.layers import LayerParams, layer_backward, layer_forward, layer_layout
+from mtabl.network import init_network_params, topology
 
 from oracles import bl_forward_scalar, mtabl_forward_scalar, tabl_forward_scalar
 
 
+def random_base(rng, d=2, t=3, d_out=2, t_out=2):
+    return dict(W1=rng.normal(size=(d_out, d)), W2=rng.normal(size=(t, t_out)),
+                B=rng.normal(size=(d_out, t_out)))
+
+
 def random_bl(rng, d=2, t=3, d_out=2, t_out=2):
-    return BLParams(
-        W1=rng.normal(size=(d_out, d)),
-        W2=rng.normal(size=(t, t_out)),
-        B=rng.normal(size=(d_out, t_out)),
-    )
+    return LayerParams.pack(**random_base(rng, d, t, d_out, t_out))
 
 
 def random_tabl(rng, d=2, t=3, d_out=2, t_out=2, lam=0.6):
-    return TABLParams(base=random_bl(rng, d, t, d_out, t_out),
-                      W=rng.normal(size=(t, t)), lam=lam)
+    base = random_base(rng, d, t, d_out, t_out)
+    return LayerParams.pack(**base, heads=[rng.normal(size=(t, t))], lam=lam)
 
 
 def random_mtabl(rng, d=2, t=3, d_out=2, t_out=2, k=2, lam=0.6):
-    return MTABLParams(
-        base=random_bl(rng, d, t, d_out, t_out),
-        heads=[rng.normal(size=(t, t)) for _ in range(k)],
-        lam=lam,
+    base = random_base(rng, d, t, d_out, t_out)
+    return LayerParams.pack(
+        **base, heads=[rng.normal(size=(t, t)) for _ in range(k)], lam=lam,
         Wtilde1=rng.normal(size=(d_out, d_out * k)),
     )
+
+
+def without_attention(p):
+    """The same W1, W2 and B with no heads."""
+    return LayerParams.pack(p.W1, p.W2, p.B)
 
 
 class TestBLForward:
     def test_zero_input_zero_bias(self, rng):
         p = random_bl(rng)
         p.B[:] = 0.0
-        y, _ = bl_forward(np.zeros((2, 3)), p)
+        y, _ = layer_forward(np.zeros((2, 3)), p)
         assert np.array_equal(y, np.zeros((2, 2)))
 
     def test_identity_weights_pass_input_through(self, rng):
         x = rng.normal(size=(3, 4))
-        p = BLParams(W1=eye(3), W2=eye(4), B=np.zeros((3, 4)))
-        y, _ = bl_forward(x, p)
+        p = LayerParams.pack(W1=np.eye(3), W2=np.eye(4), B=np.zeros((3, 4)))
+        y, _ = layer_forward(x, p)
         assert np.array_equal(y, x)
 
     def test_matches_scalar_oracle(self, rng):
         x = rng.normal(size=(2, 3))
         p = random_bl(rng)
         for act in ("identity", "relu"):
-            y, _ = bl_forward(x, p, act)
+            y, _ = layer_forward(x, p, act)
             expected = np.array(bl_forward_scalar(
                 x.tolist(), p.W1.tolist(), p.W2.tolist(), p.B.tolist(), act))
             assert np.abs(y - expected).max() <= 1e-12
@@ -72,63 +65,62 @@ class TestBLForward:
     def test_shape_mismatch(self, rng):
         p = random_bl(rng, d=2)
         with pytest.raises(DimensionError):
-            bl_forward(np.zeros((3, 3)), p)
+            layer_forward(np.zeros((3, 3)), p)
 
 
 class TestTABLForward:
     def test_lam_zero_equals_bl(self, rng):
         x = rng.normal(size=(2, 3))
         p = random_tabl(rng, lam=0.0)
-        y_tabl, _ = tabl_forward(x, p)
-        y_bl, _ = bl_forward(x, p.base)
+        y_tabl, _ = layer_forward(x, p)
+        y_bl, _ = layer_forward(x, without_attention(p))
         assert np.abs(y_tabl - y_bl).max() <= 1e-12
 
     def test_single_step_series_ignores_attention(self, rng):
         # With one time step the mask is all ones, so any lam and any W
         # leave the output at the plain bilinear value.
         x = rng.normal(size=(4, 1))
-        base = random_bl(rng, d=4, t=1, d_out=3, t_out=1)
-        y_bl, _ = bl_forward(x, base)
+        base = random_base(rng, d=4, t=1, d_out=3, t_out=1)
+        y_bl, _ = layer_forward(x, LayerParams.pack(**base))
         for lam in (0.0, 0.3, 1.0):
-            p = TABLParams(base=base, W=rng.normal(size=(1, 1)), lam=lam)
-            y, _ = tabl_forward(x, p)
+            p = LayerParams.pack(**base, heads=[rng.normal(size=(1, 1))], lam=lam)
+            y, _ = layer_forward(x, p)
             assert np.abs(y - y_bl).max() <= 1e-12
 
     def test_matches_five_step_oracle(self, rng):
         x = np.array([[1.0, -2.0], [0.5, 3.0]])
-        p = TABLParams(
-            base=BLParams(W1=np.array([[1.0, 2.0], [-1.0, 0.5]]),
-                          W2=np.array([[2.0], [-1.0]]),
-                          B=np.array([[0.1], [-0.2]])),
-            W=np.array([[0.5, -0.25], [1.0, 0.75]]),
+        p = LayerParams.pack(
+            W1=np.array([[1.0, 2.0], [-1.0, 0.5]]),
+            W2=np.array([[2.0], [-1.0]]),
+            B=np.array([[0.1], [-0.2]]),
+            heads=[np.array([[0.5, -0.25], [1.0, 0.75]])],
             lam=0.6,
         )
-        y, _ = tabl_forward(x, p)
+        y, _ = layer_forward(x, p)
         expected = np.array(tabl_forward_scalar(
-            x.tolist(), p.base.W1.tolist(), p.W.tolist(), p.base.W2.tolist(),
-            p.base.B.tolist(), p.lam))
+            x.tolist(), p.W1.tolist(), p.heads[0].tolist(), p.W2.tolist(),
+            p.B.tolist(), float(p.lam)))
         assert np.abs(y - expected).max() <= 1e-12
 
     def test_lam_outside_range_rejected(self, rng):
         for lam in (-0.1, 1.1):
             p = random_tabl(rng, lam=lam)
             with pytest.raises(ConstraintError):
-                tabl_forward(np.zeros((2, 3)), p)
+                layer_forward(np.zeros((2, 3)), p)
 
     def test_wrong_attention_shape(self, rng):
-        p = random_tabl(rng, t=3)
-        p.W = np.zeros((2, 2))
-        with pytest.raises(DimensionError):
-            tabl_forward(np.zeros((2, 3)), p)
+        base = random_base(rng, t=3)
+        with pytest.raises(DimensionError, match="W"):
+            LayerParams.pack(**base, heads=[np.zeros((2, 2))], lam=0.5)
 
     def test_mask_rows_sum_to_one(self, rng):
-        _, cache = tabl_forward(rng.normal(size=(3, 5)), random_tabl(rng, d=3, t=5))
+        _, cache = layer_forward(rng.normal(size=(3, 5)), random_tabl(rng, d=3, t=5))
         assert np.abs(cache.masks[0].sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_mixing_is_convex_combination(self, rng):
         for lam in (0.0, 0.25, 0.8, 1.0):
             p = random_tabl(rng, d=3, t=4, lam=lam)
-            _, cache = tabl_forward(rng.normal(size=(3, 4)), p)
+            _, cache = layer_forward(rng.normal(size=(3, 4)), p)
             attended = cache.xbar * cache.masks[0]
             lo = np.minimum(cache.xbar, attended)
             hi = np.maximum(cache.xbar, attended)
@@ -138,8 +130,8 @@ class TestTABLForward:
     def test_projection_is_homogeneous_in_input(self, rng):
         p = random_tabl(rng)
         x = rng.normal(size=(2, 3))
-        _, cache1 = tabl_forward(x, p)
-        _, cache2 = tabl_forward(2.5 * x, p)
+        _, cache1 = layer_forward(x, p)
+        _, cache2 = layer_forward(2.5 * x, p)
         assert np.abs(cache2.xbar - 2.5 * cache1.xbar).max() <= 1e-12
 
 
@@ -147,53 +139,55 @@ class TestMTABLForward:
     def test_one_head_identity_recombination_equals_single_head(self, rng):
         x = rng.normal(size=(3, 4))
         single = random_tabl(rng, d=3, t=4, d_out=2, t_out=2)
-        multi = MTABLParams(base=single.base, heads=[single.W], lam=single.lam,
-                            Wtilde1=eye(2))
-        y_single, _ = tabl_forward(x, single)
-        y_multi, _ = mtabl_forward(x, multi)
+        multi = LayerParams.pack(single.W1, single.W2, single.B, heads=single.heads,
+                                 Wtilde1=np.eye(2), lam=single.lam)
+        y_single, _ = layer_forward(x, single)
+        y_multi, _ = layer_forward(x, multi)
         assert np.abs(y_multi - y_single).max() <= 1e-12
 
     def test_identical_heads_mean_recombination(self, rng):
         x = rng.normal(size=(3, 4))
         single = random_tabl(rng, d=3, t=4, d_out=2, t_out=2)
-        multi = MTABLParams(
-            base=single.base, heads=[single.W.copy() for _ in range(3)],
-            lam=single.lam, Wtilde1=np.hstack([eye(2)] * 3) / 3.0,
+        multi = LayerParams.pack(
+            single.W1, single.W2, single.B, heads=single.heads * 3,
+            lam=single.lam, Wtilde1=np.hstack([np.eye(2)] * 3) / 3.0,
         )
-        y_single, _ = tabl_forward(x, single)
-        y_multi, _ = mtabl_forward(x, multi)
+        y_single, _ = layer_forward(x, single)
+        y_multi, _ = layer_forward(x, multi)
         assert np.abs(y_multi - y_single).max() <= 1e-12
 
     def test_matches_multi_head_oracle(self, rng):
         x = np.array([[1.0, -0.5], [2.0, 0.25]])
-        p = MTABLParams(
-            base=BLParams(W1=np.array([[1.0, -1.0], [0.5, 2.0]]),
-                          W2=np.array([[1.5], [-0.5]]),
-                          B=np.array([[0.0], [0.3]])),
+        p = LayerParams.pack(
+            W1=np.array([[1.0, -1.0], [0.5, 2.0]]),
+            W2=np.array([[1.5], [-0.5]]),
+            B=np.array([[0.0], [0.3]]),
             heads=[np.array([[0.2, -0.4], [0.6, 0.1]]),
                    np.array([[-0.3, 0.8], [0.9, -0.2]])],
             lam=0.4,
             Wtilde1=np.array([[1.0, 0.0, -0.5, 0.25], [0.0, 2.0, 0.75, -1.0]]),
         )
-        y, _ = mtabl_forward(x, p)
+        y, _ = layer_forward(x, p)
         expected = np.array(mtabl_forward_scalar(
-            x.tolist(), p.base.W1.tolist(), [w.tolist() for w in p.heads],
-            p.Wtilde1.tolist(), p.base.W2.tolist(), p.base.B.tolist(), p.lam))
+            x.tolist(), p.W1.tolist(), [w.tolist() for w in p.heads],
+            p.Wtilde1.tolist(), p.W2.tolist(), p.B.tolist(), float(p.lam)))
         assert np.abs(y - expected).max() <= 1e-12
 
     def test_no_heads_rejected(self, rng):
-        p = MTABLParams(base=random_bl(rng), heads=[], lam=0.5, Wtilde1=np.zeros((2, 0)))
+        # Recombination without heads, and several heads without it.
         with pytest.raises(ConfigurationError):
-            mtabl_forward(np.zeros((2, 3)), p)
+            LayerParams.pack(**random_base(rng), heads=[], Wtilde1=np.zeros((2, 0)))
+        with pytest.raises(ConfigurationError):
+            layer_layout((2, 3), (2, 2), 2, False)
 
     def test_bad_recombination_shape(self, rng):
-        p = random_mtabl(rng, k=2)
-        p.Wtilde1 = np.zeros((2, 3))
-        with pytest.raises(DimensionError):
-            mtabl_forward(np.zeros((2, 3)), p)
+        base = random_base(rng)
+        heads = [rng.normal(size=(3, 3)) for _ in range(2)]
+        with pytest.raises(DimensionError, match="Wtilde1"):
+            LayerParams.pack(**base, heads=heads, Wtilde1=np.zeros((2, 3)), lam=0.5)
 
     def test_every_head_mask_normalized(self, rng):
-        _, cache = mtabl_forward(rng.normal(size=(3, 5)),
+        _, cache = layer_forward(rng.normal(size=(3, 5)),
                                  random_mtabl(rng, d=3, t=5, k=4))
         for mask in cache.masks:
             assert np.abs(mask.sum(axis=1) - 1.0).max() <= 1e-12
@@ -202,22 +196,21 @@ class TestMTABLForward:
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self, rng):
         for params in (random_bl(rng), random_tabl(rng), random_mtabl(rng, k=3)):
-            layer_fn = {BLParams: bl_forward, TABLParams: tabl_forward,
-                        MTABLParams: mtabl_forward}[type(params)]
             x = rng.normal(size=(2, 3))
-            y, cache = layer_fn(x, params)
+            y, cache = layer_forward(x, params)
             grads, grad_x = layer_backward(cache, params, np.zeros_like(y))
             assert np.array_equal(grad_x, np.zeros_like(x))
-            for name, g in grads.items():
-                assert np.all(np.asarray(g) == 0.0), name
+            assert grads.layout == params.layout
+            for name, g in grads.named_blocks():
+                assert np.all(g == 0.0), name
 
     def test_lam_zero_kills_attention_gradient(self, rng):
         p = random_tabl(rng, lam=0.0)
         x = rng.normal(size=(2, 3))
-        y, cache = tabl_forward(x, p)
+        y, cache = layer_forward(x, p)
         grads, _ = layer_backward(cache, p, rng.normal(size=y.shape))
-        assert np.array_equal(grads["W"], np.zeros_like(p.W))
-        assert grads["lam"] != 0.0
+        assert np.array_equal(grads.heads[0], np.zeros_like(p.heads[0]))
+        assert grads.lam != 0.0
 
     def test_softmax_activation_jacobian_matches_fused_path(self, rng):
         # dL/dy pushed through the softmax Jacobian must agree with the
@@ -226,7 +219,7 @@ class TestBackward:
 
         p = random_tabl(rng, d=4, t=3, d_out=3, t_out=1)
         x = rng.normal(size=(4, 3))
-        probs, cache = tabl_forward(x, p, "softmax")
+        probs, cache = layer_forward(x, p, "softmax")
         label = 1
         _, fused = cross_entropy(probs, label)
         grads_fused, gx_fused = layer_backward(cache, p, fused,
@@ -235,38 +228,68 @@ class TestBackward:
         grad_y[label, 0] = -1.0 / probs[label, 0]
         grads_plain, gx_plain = layer_backward(cache, p, grad_y)
         assert np.abs(gx_fused - gx_plain).max() <= 1e-12
-        for name in grads_fused:
-            a, b = np.asarray(grads_fused[name]), np.asarray(grads_plain[name])
-            assert np.abs(a - b).max() <= 1e-12, name
+        assert np.abs(grads_fused.flat - grads_plain.flat).max() <= 1e-12
 
     def test_cache_mismatch_detected(self, rng):
         p = random_tabl(rng)
         other = random_mtabl(rng)
         x = rng.normal(size=(2, 3))
-        y, cache = tabl_forward(x, p)
+        y, cache = layer_forward(x, p)
         with pytest.raises(CacheMismatchError):
             layer_backward(cache, other, np.zeros_like(y))
         with pytest.raises(CacheMismatchError):
             layer_backward(cache, p, np.zeros((5, 5)))
-        _, mt_cache = mtabl_forward(x, other)
-        dropped = MTABLParams(base=other.base, heads=other.heads[:1],
-                              lam=other.lam, Wtilde1=other.Wtilde1[:, :2])
+        with pytest.raises(CacheMismatchError):
+            layer_backward(cache, without_attention(p), np.zeros_like(y))
+        _, mt_cache = layer_forward(x, other)
+        dropped = LayerParams.pack(other.W1, other.W2, other.B, heads=other.heads[:1],
+                                   lam=other.lam, Wtilde1=other.Wtilde1[:, :2])
         with pytest.raises(CacheMismatchError):
             layer_backward(mt_cache, dropped, np.zeros((2, 2)))
+        # One head, with and without recombination, must not mix either.
+        one_head = LayerParams.pack(p.W1, p.W2, p.B, heads=p.heads, lam=p.lam,
+                                    Wtilde1=np.eye(2))
+        with pytest.raises(CacheMismatchError):
+            layer_backward(cache, one_head, np.zeros_like(y))
 
 
 class TestParamPlumbing:
-    def test_dict_round_trip(self, rng):
+    def test_views_round_trip(self, rng):
         for params in (random_bl(rng), random_tabl(rng), random_mtabl(rng, k=3)):
-            rebuilt = params_from_dict(params, params_to_dict(params))
-            for (n1, v1), (n2, v2) in zip(param_items(params), param_items(rebuilt)):
+            rebuilt = params.like(params.flat.copy())
+            assert rebuilt.layout == params.layout
+            for (n1, v1), (n2, v2) in zip(params.named_blocks(), rebuilt.named_blocks()):
                 assert n1 == n2
-                assert np.array_equal(np.asarray(v1), np.asarray(v2))
+                assert v1.tobytes() == v2.tobytes()
+            # The named fields are views of the flat vector, in layout order.
+            fields = [params.W1, params.W2, params.B, *params.heads]
+            fields += [params.Wtilde1] if params.Wtilde1 is not None else []
+            fields += [params.lam] if params.heads else []
+            assert np.concatenate([np.ravel(f) for f in fields]).tobytes() == \
+                params.flat.tobytes()
+            assert all(np.shares_memory(f, params.flat) for f in fields)
 
-    def test_clone_is_deep(self, rng):
-        p = random_mtabl(rng, k=2)
-        q = clone_params(p)
-        q.heads[0][0, 0] += 1.0
-        q.base.W1[0, 0] += 1.0
-        assert p.heads[0][0, 0] != q.heads[0][0, 0]
-        assert p.base.W1[0, 0] != q.base.W1[0, 0]
+    def test_layout_names_follow_the_paper(self):
+        assert [n for n, _ in layer_layout((4, 5), (3, 2), 0, False)] == ["W1", "W2", "B"]
+        assert [n for n, _ in layer_layout((4, 5), (3, 2), 1, False)] == \
+            ["W1", "W2", "B", "W", "lam"]
+        assert [n for n, _ in layer_layout((4, 5), (3, 2), 2, True)] == \
+            ["W1", "W2", "B", "head0", "head1", "Wtilde1", "lam"]
+        assert dict(layer_layout((4, 5), (3, 2), 2, True))["Wtilde1"] == (3, 6)
+
+    def test_clone_is_deep(self):
+        spec = topology("A", input_dims=(4, 3), attention_kind="mtabl", heads=2)
+        p = init_network_params(spec, 0)
+        q = p.copy()
+        q[0].heads[0][0, 0] += 1.0
+        q[0].W1[0, 0] += 1.0
+        q[0].lam[()] = 0.25
+        assert p[0].heads[0][0, 0] != q[0].heads[0][0, 0]
+        assert p[0].W1[0, 0] != q[0].W1[0, 0]
+        assert float(p[0].lam) == 0.5
+        assert not np.shares_memory(p.flat, q.flat)
+
+    def test_fields_are_frozen(self, rng):
+        p = random_tabl(rng)
+        with pytest.raises(AttributeError):
+            p.lam = 0.1

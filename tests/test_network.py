@@ -3,7 +3,7 @@ import pytest
 
 from mtabl.data import SeriesSample
 from mtabl.errors import ConfigurationError, DimensionError
-from mtabl.layers import tabl_forward
+from mtabl.layers import layer_forward
 from mtabl.network import (
     LayerSpec,
     NetworkSpec,
@@ -74,7 +74,7 @@ class TestForwardBackward:
         params = init_network_params(spec, 7)
         x = rng.normal(size=(6, 4))
         y_net, caches = network_forward(x, spec, params)
-        y_layer, _ = tabl_forward(x, params[0], "softmax")
+        y_layer, _ = layer_forward(x, params[0], "softmax")
         assert np.array_equal(y_net, y_layer)
         assert len(caches) == 1
 
@@ -124,16 +124,40 @@ class TestForwardBackward:
         assert set(preds) <= {0, 1, 2}
 
 
+class TestParamsLayout:
+    def test_layers_are_views_of_one_vector(self):
+        spec = topology("C", input_dims=(8, 6), attention_kind="mtabl", heads=3,
+                        hidden_dims=[(5, 6), (4, 3)])
+        params = init_network_params(spec, 0)
+        sizes = [p.flat.size for p in params]
+        assert sum(sizes) == params.flat.size
+        assert np.concatenate([p.flat for p in params]).tobytes() == params.flat.tobytes()
+        assert all(np.shares_memory(p.flat, params.flat) for p in params)
+        assert [len(p.heads) for p in params] == [0, 0, 3]
+        names = [name for name, _ in params.named_blocks()]
+        assert names[:3] == ["layer0/W1", "layer0/W2", "layer0/B"]
+        assert names[-3:] == ["layer2/head2", "layer2/Wtilde1", "layer2/lam"]
+
+    def test_bl_layers_report_inert_lam(self):
+        # BL has no mixing coefficient; it reads as 0.0, never as None.
+        spec = topology("B", input_dims=(8, 6), attention_kind="tabl")
+        params = init_network_params(spec, 0)
+        assert params[0].lam == 0.0 and params[0].heads == ()
+        assert float(params[1].lam) == 0.5
+
+    def test_wrong_vector_length_rejected(self):
+        spec = spec_a()
+        params = init_network_params(spec, 0)
+        with pytest.raises(DimensionError):
+            params.like(np.zeros(params.flat.size + 1))
+
+
 class TestInit:
     def test_deterministic_per_seed(self):
         spec = topology("C", input_dims=(8, 6), attention_kind="mtabl", heads=3)
         a = init_network_params(spec, 42)
         b = init_network_params(spec, 42)
-        for pa, pb in zip(a, b):
-            from mtabl.layers import param_items
-
-            for (_, va), (_, vb) in zip(param_items(pa), param_items(pb)):
-                assert np.array_equal(np.asarray(va), np.asarray(vb))
+        assert a.flat.tobytes() == b.flat.tobytes()
 
     def test_attention_layers_start_at_half_mixing(self):
         spec = topology("B", input_dims=(8, 6), attention_kind="mtabl", heads=2)

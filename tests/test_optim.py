@@ -1,11 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mtabl.data import Dataset, SeriesSample, synth_generate
 from mtabl.errors import ConfigurationError, DivergenceError
-from mtabl.layers import param_items, params_to_dict
 from mtabl.losses import cross_entropy
 from mtabl.network import (
     init_network_params,
@@ -26,15 +29,9 @@ def spec_for(ds, kind="mtabl", heads=2, name="A"):
                     heads=heads)
 
 
-def params_equal(a, b):
-    for pa, pb in zip(a, b):
-        for (_, va), (_, vb) in zip(param_items(pa), param_items(pb)):
-            if isinstance(va, float):
-                if va != vb:
-                    return False
-            elif not np.array_equal(va, vb):
-                return False
-    return True
+def filled_like(params, value):
+    """Gradients in the parameter layout, every entry ``value``."""
+    return params.like(np.full_like(params.flat, value))
 
 
 class TestStep:
@@ -44,13 +41,9 @@ class TestStep:
         params = init_network_params(spec, 0)
         cfg = OptimConfig(seed=0)
         state = TrainState.initial(params, cfg)
-        zero_grads = [
-            {name: 0.0 if isinstance(v, float) else np.zeros_like(v)
-             for name, v in params_to_dict(p).items()}
-            for p in params
-        ]
-        new_params, _ = step(params, zero_grads, state, cfg)
-        assert params_equal(params, new_params)
+        before = params.flat.copy()
+        new_params, _ = step(params, filled_like(params, 0.0), state, cfg)
+        assert new_params.flat.tobytes() == before.tobytes()
 
     def test_lam_projected_onto_unit_interval(self):
         ds = tiny_dataset()
@@ -58,15 +51,11 @@ class TestStep:
         params = init_network_params(spec, 0)
         cfg = OptimConfig(algorithm="sgd-momentum", learning_rate=1.0, momentum=0.0)
         state = TrainState.initial(params, cfg)
-        grads = [
-            {name: 0.0 if isinstance(v, float) else np.zeros_like(v)
-             for name, v in params_to_dict(p).items()}
-            for p in params
-        ]
-        grads[0]["lam"] = -0.8  # raw update would push lam to 1.3
+        grads = filled_like(params, 0.0)
+        grads[0].lam[()] = -0.8  # raw update would push lam to 1.3
         new_params, state = step(params, grads, state, cfg)
         assert new_params[0].lam == 1.0
-        grads[0]["lam"] = 5.0
+        grads[0].lam[()] = 5.0
         new_params, _ = step(new_params, grads, state, cfg)
         assert new_params[0].lam == 0.0
 
@@ -78,16 +67,11 @@ class TestStep:
         params = init_network_params(spec, 3)
         cfg = OptimConfig(learning_rate=0.05)
         state = TrainState.initial(params, cfg)
-        grads = [
-            {name: 1.0 if isinstance(v, float) else np.ones_like(v)
-             for name, v in params_to_dict(p).items()}
-            for p in params
-        ]
-        before = params[0].base.W1.copy()
-        lam_before = params[0].lam
-        new_params, _ = step(params, grads, state, cfg)
+        before = params[0].W1.copy()
+        lam_before = float(params[0].lam)
+        new_params, _ = step(params, filled_like(params, 1.0), state, cfg)
         expected = 0.05 / (1.0 + cfg.epsilon)
-        assert np.abs((before - new_params[0].base.W1) - expected).max() <= 1e-15
+        assert np.abs((before - new_params[0].W1) - expected).max() <= 1e-15
         assert abs((lam_before - new_params[0].lam) - expected) <= 1e-15
 
     def test_sgd_single_step_hand_oracle(self):
@@ -104,14 +88,14 @@ class TestStep:
                                     grad_wrt_preactivation=True)
         cfg = OptimConfig(algorithm="sgd-momentum", learning_rate=0.1, momentum=0.9)
         state = TrainState.initial(params, cfg)
+        before = params.copy()
         new_params, _ = step(params, grads, state, cfg)
-        for p, g, q in zip(params, grads, new_params):
-            for name, value in params_to_dict(p).items():
-                expected = np.asarray(value) - 0.1 * np.asarray(g[name])
-                if name == "lam":
-                    expected = min(max(float(expected), 0.0), 1.0)
-                got = params_to_dict(q)[name]
-                assert np.abs(np.asarray(got) - expected).max() <= 1e-12, name
+        for (name, value), (_, g), (_, got) in zip(before.named_blocks(), grads.named_blocks(),
+                                                   new_params.named_blocks()):
+            expected = value - 0.1 * g
+            if name.endswith("lam"):
+                expected = min(max(float(expected), 0.0), 1.0)
+            assert np.abs(got - expected).max() <= 1e-12, name
 
     def test_fixed_diagonal_reprojected(self):
         ds = tiny_dataset()
@@ -121,11 +105,8 @@ class TestStep:
         params = init_network_params(spec, 0)
         cfg = OptimConfig(algorithm="sgd-momentum", learning_rate=1.0, momentum=0.0)
         state = TrainState.initial(params, cfg)
-        grads = [
-            {name: 0.0 if isinstance(v, float) else np.ones_like(v)
-             for name, v in params_to_dict(p).items()}
-            for p in params
-        ]
+        grads = filled_like(params, 1.0)
+        grads[0].lam[()] = 0.0
         new_params, _ = step(params, grads, state, cfg)
         for w in new_params[0].heads:
             assert np.array_equal(np.diag(w), np.full(t, 1.0 / t))
@@ -149,10 +130,8 @@ class TestBatchGradients:
             per_sample.append(g)
             losses.append(l)
         assert abs(loss - np.mean(losses)) <= 1e-12
-        for i in range(len(params)):
-            for name in grads[i]:
-                stack = np.stack([np.asarray(g[i][name]) for g in per_sample])
-                assert np.abs(np.asarray(grads[i][name]) - stack.mean(axis=0)).max() <= 1e-12
+        mean = np.stack([g.flat for g in per_sample]).mean(axis=0)
+        assert np.abs(grads.flat - mean).max() <= 1e-12
 
     def test_empty_batch_rejected(self):
         ds = tiny_dataset()
@@ -167,17 +146,21 @@ class TestTrain:
         ds = tiny_dataset(n=18)
         spec = spec_for(ds)
         initial = init_network_params(spec, 5)
-        snapshot = [params_to_dict(p) for p in initial]
+        snapshot = initial.flat.copy()
         cfg = OptimConfig(learning_rate=0.0, max_epochs=3, batch_size=6, seed=5)
         trained, records = train(spec, ds, cfg, initial_params=initial)
         assert len(records) == 3
-        for p, before in zip(trained, snapshot):
-            after = params_to_dict(p)
-            for name, value in before.items():
-                if isinstance(value, float):
-                    assert after[name] == value
-                else:
-                    assert after[name].tobytes() == value.tobytes()
+        assert trained.flat.tobytes() == snapshot.tobytes()
+
+    def test_initial_params_are_not_mutated(self):
+        ds = tiny_dataset(n=18)
+        spec = spec_for(ds)
+        initial = init_network_params(spec, 5)
+        snapshot = initial.flat.copy()
+        cfg = OptimConfig(learning_rate=0.05, max_epochs=2, batch_size=6, seed=5)
+        trained, _ = train(spec, ds, cfg, initial_params=initial)
+        assert initial.flat.tobytes() == snapshot.tobytes()
+        assert trained.flat.tobytes() != snapshot.tobytes()
 
     def test_deterministic_trajectories(self):
         ds = tiny_dataset(n=21)
@@ -186,21 +169,16 @@ class TestTrain:
 
         def run():
             snapshots = []
+            # Parameters are updated in place, so each snapshot is a copy.
             train(spec, ds, cfg,
-                  on_step=lambda params, state: snapshots.append(
-                      [params_to_dict(p) for p in params]))
+                  on_step=lambda params, state: snapshots.append(params.flat.copy()))
             return snapshots
 
         a, b = run(), run()
         assert len(a) == len(b) > 0
+        assert len({sa.tobytes() for sa in a}) == len(a)  # every step moved
         for sa, sb in zip(a, b):
-            for pa, pb in zip(sa, sb):
-                for name in pa:
-                    va, vb = pa[name], pb[name]
-                    if isinstance(va, float):
-                        assert va == vb
-                    else:
-                        assert va.tobytes() == vb.tobytes()
+            assert sa.tobytes() == sb.tobytes()
 
     def test_lam_stays_in_unit_interval_every_step(self):
         ds = tiny_dataset(n=24)
@@ -224,9 +202,9 @@ class TestTrain:
         ds = tiny_dataset(n=12, val=False)
         spec = spec_for(ds, kind="tabl", heads=1)
         params = init_network_params(spec, 0)
-        params[0].base.W1[:] = 1e300
-        params[0].W[:] = 0.0
-        params[0].base.W2[:] = 1e10
+        params[0].W1[:] = 1e300
+        params[0].heads[0][:] = 0.0
+        params[0].W2[:] = 1e10
         cfg = OptimConfig(max_epochs=1, batch_size=4, seed=0)
         with pytest.raises(DivergenceError, match=r"epoch 1, batch 0.*layer 0"):
             train(spec, ds, cfg, initial_params=params)
@@ -236,10 +214,24 @@ class TestTrain:
         ds = tiny_dataset(n=12, val=False)
         spec = spec_for(ds, kind="tabl", heads=1)
         params = init_network_params(spec, 0)
-        params[0].base.W1[:] = 1e308  # score products overflow, masks go NaN
+        params[0].W1[:] = 1e308  # score products overflow, masks go NaN
         cfg = OptimConfig(max_epochs=1, batch_size=4, seed=0)
         with pytest.raises(DivergenceError, match="attention"):
             train(spec, ds, cfg, initial_params=params)
+
+    def test_divergence_errors_do_not_depend_on_assert(self):
+        # Both divergence tests again, with assert statements compiled out.
+        tests = [f"{__file__}::TestTrain::test_divergence_reported_with_location",
+                 f"{__file__}::TestTrain::test_divergence_via_overflowing_attention_scores"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "2 passed" in proc.stdout
 
     def test_learning_rate_decays_after_patience(self):
         # A vanishing rate freezes the validation metric, so the best epoch

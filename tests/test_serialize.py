@@ -1,10 +1,16 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mtabl.errors import FormatError
-from mtabl.layers import param_items
 from mtabl.network import init_network_params, topology
 from mtabl.serialize import (
+    MAGIC,
+    VERSION,
     load_checkpoint,
     read_container,
     save_checkpoint,
@@ -55,6 +61,75 @@ class TestContainer:
             read_container(path)
 
 
+def _with_header(header) -> bytes:
+    body = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return MAGIC + struct.pack("<II", VERSION, len(body)) + body
+
+
+class TestHeaderValidation:
+    @pytest.mark.parametrize("header", [
+        [],
+        {"kind": "test", "meta": {}},
+        {"kind": "test", "blocks": []},
+        {"kind": 3, "meta": {}, "blocks": []},
+        {"kind": "test", "meta": [], "blocks": []},
+        {"kind": "test", "meta": {}, "blocks": {}},
+        {"kind": "test", "meta": {}, "blocks": [7]},
+        {"kind": "test", "meta": {}, "blocks": [{"rows": 1, "cols": 1, "dtype": "f8"}]},
+        {"kind": "test", "meta": {}, "blocks": [
+            {"name": "a", "rows": 0, "cols": 1, "dtype": "f8"},
+            {"name": "a", "rows": 0, "cols": 1, "dtype": "f8"}]},
+        {"kind": "test", "meta": {}, "blocks": [
+            {"name": "a", "rows": -1, "cols": 2, "dtype": "f8"}]},
+        {"kind": "test", "meta": {}, "blocks": [
+            {"name": "a", "rows": 1.0, "cols": 2, "dtype": "f8"}]},
+        {"kind": "test", "meta": {}, "blocks": [
+            {"name": "a", "rows": True, "cols": 2, "dtype": "f8"}]},
+        {"kind": "test", "meta": {}, "blocks": [
+            {"name": "a", "rows": 1, "cols": 2, "dtype": "f4"}]},
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.mtabl"
+        path.write_bytes(_with_header(header) + b"\x00" * 64)
+        with pytest.raises(FormatError):
+            read_container(path)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_containers_raise_only_format_error(self, tmp_path, data):
+        path = tmp_path / "ck.mtabl"
+        spec = topology("B", input_dims=(4, 3), attention_kind="mtabl", heads=2,
+                        hidden_dims=[(3, 2)])
+        save_checkpoint(path, spec, init_network_params(spec, 0), meta={"seed": 0})
+        raw = path.read_bytes()
+        header_end = len(MAGIC) + 8 + struct.unpack_from("<I", raw, len(MAGIC) + 4)[0]
+        how = data.draw(st.sampled_from(["truncate", "flip", "garbage", "json"]))
+        if how == "truncate":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif how == "flip":
+            at = data.draw(st.integers(0, header_end - 1))
+            raw = bytearray(raw)
+            raw[at] ^= 1 << data.draw(st.integers(0, 7))
+            raw = bytes(raw)
+        elif how == "garbage":
+            raw = _with_header(data.draw(st.binary(max_size=200))) + raw[header_end:]
+        else:
+            value = data.draw(st.recursive(
+                st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(),
+                lambda inner: st.lists(inner, max_size=3)
+                | st.dictionaries(st.sampled_from(
+                    ["kind", "meta", "blocks", "name", "rows", "cols", "dtype", "spec"]),
+                    inner, max_size=4),
+                max_leaves=12))
+            raw = _with_header(value) + raw[header_end:]
+        path.write_bytes(raw)
+        try:
+            load_checkpoint(path)
+        except FormatError:
+            pass
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("kind,heads", [("tabl", 1), ("mtabl", 4)])
     def test_round_trip_bit_exact(self, tmp_path, kind, heads):
@@ -65,23 +140,38 @@ class TestCheckpoint:
         spec2, params2, meta = load_checkpoint(path)
         assert spec2 == spec
         assert meta == {"seed": 77}
+        assert params2.flat.tobytes() == params.flat.tobytes()
         for p, q in zip(params, params2):
-            for (n1, v1), (n2, v2) in zip(param_items(p), param_items(q)):
+            for (n1, v1), (n2, v2) in zip(p.named_blocks(), q.named_blocks()):
                 assert n1 == n2
-                if isinstance(v1, float):
-                    assert v1 == v2
-                else:
-                    assert v1.tobytes() == v2.tobytes()
+                assert v1.tobytes() == v2.tobytes()
 
     def test_missing_block(self, tmp_path):
         spec = topology("A", input_dims=(6, 4))
-        params = init_network_params(spec, 1)
         path = tmp_path / "ck.mtabl"
-        save_checkpoint(path, spec, params)
+        save_checkpoint(path, spec, init_network_params(spec, 1))
         meta, blocks = read_container(path, expect_kind="checkpoint")
-        del blocks["layer00/W"]
-        from mtabl.serialize import write_container as wc
-
-        wc(path, "checkpoint", meta, list(blocks.items()))
+        write_container(path, "checkpoint", meta, [("other", blocks["params"])])
         with pytest.raises(FormatError, match="missing block"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_vector_length_must_match_spec(self, tmp_path, delta):
+        spec = topology("A", input_dims=(6, 4), attention_kind="mtabl", heads=2)
+        path = tmp_path / "ck.mtabl"
+        save_checkpoint(path, spec, init_network_params(spec, 1))
+        meta, blocks = read_container(path, expect_kind="checkpoint")
+        n = blocks["params"].shape[1]
+        write_container(path, "checkpoint", meta, [("params", np.zeros((1, n + delta)))])
+        with pytest.raises(FormatError, match="parameter vector"):
+            load_checkpoint(path)
+
+    def test_integer_vector_rejected(self, tmp_path):
+        spec = topology("A", input_dims=(6, 4))
+        path = tmp_path / "ck.mtabl"
+        save_checkpoint(path, spec, init_network_params(spec, 1))
+        meta, blocks = read_container(path, expect_kind="checkpoint")
+        ints = np.zeros(blocks["params"].shape, dtype=np.int64)
+        write_container(path, "checkpoint", meta, [("params", ints)])
+        with pytest.raises(FormatError):
             load_checkpoint(path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mtabl.data import SeriesSample
-from mtabl.layers import BLParams, layer_backward, layer_forward
+from mtabl.layers import LayerParams, layer_backward, layer_forward
 from mtabl.network import init_network_params, topology
 from mtabl.verify import (
     check_reduction,
@@ -21,8 +21,8 @@ class TestGradcheckLayer:
     def test_bl_identity_quadratic_is_exact(self, rng):
         # Per-coordinate the loss is a polynomial of degree two, so the
         # central difference equals the derivative up to rounding.
-        p = BLParams(W1=rng.normal(size=(3, 4)), W2=rng.normal(size=(5, 2)),
-                     B=rng.normal(size=(3, 2)))
+        p = LayerParams.pack(W1=rng.normal(size=(3, 4)), W2=rng.normal(size=(5, 2)),
+                             B=rng.normal(size=(3, 2)))
         x = rng.normal(size=(4, 5))
         report = gradcheck_layer(p, "identity", x, target=rng.normal(size=(3, 2)))
         assert report.passed
@@ -51,11 +51,12 @@ class TestGradcheckLayer:
         assert clean.passed
         # Double one entry of the W1 gradient; only a genuinely nonzero
         # coordinate can be detected.
-        i, j = np.unravel_index(np.abs(analytic["W1"]).argmax(), analytic["W1"].shape)
-        corrupted = dict(analytic)
-        corrupted["W1"] = analytic["W1"].copy()
-        corrupted["W1"][i, j] *= 2.0
+        i, j = np.unravel_index(np.abs(analytic.W1).argmax(), analytic.W1.shape)
+        corrupted = analytic.like(analytic.flat.copy())
+        corrupted.W1[i, j] *= 2.0
+        before = params.flat.copy()
         report = compare_to_finite_differences(loss_fn, params, corrupted)
+        assert params.flat.tobytes() == before.tobytes()  # perturbations undone
         assert not report.passed
         worst = report.worst_block()
         assert worst.name == "W1"
@@ -64,7 +65,7 @@ class TestGradcheckLayer:
     def test_boundary_lam_marked_untestable_not_failed(self):
         rng = np.random.default_rng(5)
         params, activation, x = random_layer_case("tabl", rng)
-        params.lam = 1.0  # +step leaves the admissible range
+        params.lam[()] = 1.0  # +step leaves the admissible range
         report = gradcheck_layer(params, activation, x)
         assert "lam[0,0]" in report.untestable
         assert "lam" not in report.blocks
@@ -80,7 +81,9 @@ class TestGradcheckNetwork:
         sample = SeriesSample(x=rng.normal(size=(5, 6)), label=1)
         report = gradcheck(spec, params, sample)
         assert report.passed, report.to_text()
-        assert sum(name.startswith("layer0/head") for name in report.blocks) == heads
+        assert list(report.blocks) == (["layer0/W1", "layer0/W2", "layer0/B"]
+                                       + [f"layer0/head{k}" for k in range(heads)]
+                                       + ["layer0/Wtilde1", "layer0/lam"])
 
     def test_deep_topology(self):
         rng = np.random.default_rng(2)
@@ -90,8 +93,9 @@ class TestGradcheckNetwork:
         sample = SeriesSample(x=rng.normal(size=(6, 5)), label=0)
         report = gradcheck(spec, params, sample)
         assert report.passed, report.to_text()
-        layers = {name.split("/")[0] for name in report.blocks}
-        assert layers == {"layer0", "layer1", "layer2"}
+        assert list(report.blocks) == [
+            "layer0/W1", "layer0/W2", "layer0/B", "layer1/W1", "layer1/W2", "layer1/B",
+            "layer2/W1", "layer2/W2", "layer2/B", "layer2/W", "layer2/lam"]
 
 
 class TestReduction:
@@ -101,6 +105,27 @@ class TestReduction:
         assert report.max_forward_diff <= 1e-12
         assert report.max_grad_diff <= 1e-12
         assert report.control_separated
+
+    def test_identity_recombination_is_bit_exact(self):
+        # One head with Wtilde1 = I against one head without recombination.
+        rng = np.random.default_rng(4)
+        base = dict(W1=rng.normal(size=(3, 4)), W2=rng.normal(size=(5, 2)),
+                    B=rng.normal(size=(3, 2)))
+        w = rng.normal(size=(5, 5))
+        plain = LayerParams.pack(**base, heads=[w], lam=0.4)
+        recombined = LayerParams.pack(**base, heads=[w], Wtilde1=np.eye(3), lam=0.4)
+        for _ in range(20):
+            x, grad_y = rng.normal(size=(4, 5)), rng.normal(size=(3, 2))
+            y1, c1 = layer_forward(x, plain)
+            y2, c2 = layer_forward(x, recombined)
+            assert y1.tobytes() == y2.tobytes()
+            g1, gx1 = layer_backward(c1, plain, grad_y)
+            g2, gx2 = layer_backward(c2, recombined, grad_y)
+            assert gx1.tobytes() == gx2.tobytes()
+            for name in ("W1", "W2", "B", "lam"):
+                assert np.asarray(getattr(g1, name)).tobytes() == \
+                    np.asarray(getattr(g2, name)).tobytes(), name
+            assert g1.heads[0].tobytes() == g2.heads[0].tobytes()
 
     def test_many_seeds(self):
         for seed in range(5):
@@ -139,6 +164,22 @@ class TestComplexity:
             measured = measure_multiplications(12, 7, 4, 2, k)
             assert measured["attention_scores"] / est.attention_scores == 1.0
             assert measured["head_recombination"] / est.head_recombination == 1.0
+
+    def test_counts_pinned_for_k_1_to_8(self):
+        # Per-step counts at the paper's output shape and topology C's
+        # attention shape: projection D'*D*T, scores K*D'*T*T, mixing
+        # (2K+1)*D'*T, recombination D'*D'*K*T, output D'*T*T'.
+        for d, t, d_out, t_out in ((40, 10, 3, 1), (120, 5, 3, 1)):
+            for k in range(1, 9):
+                expected = {
+                    "feature_projection": d_out * d * t,
+                    "attention_mixing": (2 * k + 1) * d_out * t,
+                    "attention_scores": k * d_out * t * t,
+                    "head_recombination": d_out * d_out * k * t,
+                    "temporal_projection": d_out * t * t_out,
+                }
+                expected["total"] = sum(expected.values())
+                assert measure_multiplications(d, t, d_out, t_out, k) == expected
 
     def test_measured_total_close_to_estimate(self):
         # The mixing step costs 2K*D'*T + D'*T in this implementation
