@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
 )
 from .layers import LayerCache, LayerParams, layer_backward, layer_forward, layer_layout
-from .linalg import Matrix, as_matrix, count_multiplications, softmax_rows
+from .linalg import Matrix, count_multiplications, softmax_rows
 from .losses import cross_entropy, inverse_frequency_weights, uniform_weights
 from .metrics import EvalReport, confusion_matrix, evaluate
 from .network import (
@@ -68,7 +68,7 @@ __all__ = [
     "EvalReport", "FormatError", "GradCheckReport", "LayerCache", "LayerParams",
     "LayerSpec", "Matrix", "MtablError", "NetworkParams", "NetworkSpec", "OptimConfig",
     "ParseError", "RawDayMatrix", "ReductionReport", "SeriesSample",
-    "TrainState", "as_matrix", "batch_gradients", "check_reduction",
+    "TrainState", "batch_gradients", "check_reduction",
     "complexity_estimate", "confusion_matrix", "count_multiplications",
     "cross_entropy", "draw_gradcheck_sample", "evaluate", "gradcheck",
     "gradcheck_layer",

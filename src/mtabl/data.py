@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +32,6 @@ MIN_ROWS = N_FEATURES + N_LABEL_ROWS
 # Raw annotation -> class index. The files encode up/stationary/down as
 # 1/2/3; everything downstream uses 0/1/2.
 RAW_LABEL_TO_CLASS = {1: 0, 2: 1, 3: 2}
-CLASS_NAMES = ("up", "stationary", "down")
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,7 @@ def _diagnose_text_grid(text: str, path) -> None:
 
 def load_day(path, *, transposed: bool = False) -> RawDayMatrix:
     """Parse one whitespace-separated day file."""
-    with open(path) as fh:
-        text = fh.read()
+    text = Path(path).read_text()
     try:
         with warnings.catch_warnings():
             # An empty grid becomes a FormatError below; numpy's own
@@ -160,14 +159,11 @@ def windowize(day: RawDayMatrix, window: int, horizon: int = 10) -> list[SeriesS
             "no samples produced"
         )
         return []
-    label_row = _horizon_row(day, horizon)
+    labels = day.values[_horizon_row(day, horizon), window - 1:]
     features = day.values[:N_FEATURES]
-    samples = []
-    for i in range(n - window + 1):
-        x = np.ascontiguousarray(features[:, i:i + window])
-        label = _to_class(day.values[label_row, i + window - 1], day.source)
-        samples.append(SeriesSample(x=x, label=label))
-    return samples
+    return [SeriesSample(x=np.ascontiguousarray(features[:, i:i + window]),
+                         label=_to_class(raw, day.source))
+            for i, raw in enumerate(labels)]
 
 
 def normalize(dataset: Dataset) -> Dataset:
@@ -332,29 +328,47 @@ def save_dataset(path, dataset: Dataset) -> None:
     write_container(path, "dataset", meta, blocks)
 
 
+def _checked_block(path, blocks: dict, name: str, dtype, shape) -> np.ndarray:
+    block = blocks.get(name)
+    if block is None or block.dtype != dtype or block.shape != shape:
+        found = "missing" if block is None else f"{block.dtype} {block.shape}"
+        raise FormatError(f"{path}: block {name!r} is {found}, expected {np.dtype(dtype)} {shape}")
+    return block
+
+
 def load_dataset(path) -> Dataset:
+    """Read a cache written by :func:`save_dataset`; metadata that does not
+    match the blocks (dims, counts, labels, statistics) raises FormatError."""
     from .serialize import read_container
 
     meta, blocks = read_container(path, expect_kind="dataset")
-    d, t = meta["sample_dims"]
+    dims, counts = meta.get("sample_dims"), meta.get("counts")
+    provenance, has_stats = meta.get("provenance", {}), meta.get("has_stats", False)
+    if not (isinstance(dims, list) and len(dims) == 2
+            and all(type(v) is int and v > 0 for v in dims)):
+        raise FormatError(f"{path}: bad sample_dims {dims!r}")
+    if not (isinstance(counts, dict) and isinstance(provenance, dict)
+            and type(has_stats) is bool):
+        raise FormatError(f"{path}: counts, provenance or has_stats malformed")
+    d, t = dims
     parts = {}
     for name in ("train", "validation", "test"):
-        count = meta["counts"].get(name, 0)
-        if count == 0:
+        count = counts.get(name, 0)
+        if type(count) is not int or count < 0:
+            raise FormatError(f"{path}: bad {name} count {count!r}")
+        if count == 0 and f"{name}/x" not in blocks and f"{name}/labels" not in blocks:
             parts[name] = []
             continue
-        stacked = blocks[f"{name}/x"]
-        labels = blocks[f"{name}/labels"][:, 0]
-        parts[name] = [
-            SeriesSample(x=np.ascontiguousarray(stacked[i * d:(i + 1) * d]),
-                         label=int(labels[i]))
-            for i in range(count)
-        ]
+        stacked = _checked_block(path, blocks, f"{name}/x", np.float64, (count * d, t))
+        labels = _checked_block(path, blocks, f"{name}/labels", np.int64, (count, 1))[:, 0]
+        if not np.isin(labels, (0, 1, 2)).all():
+            raise FormatError(f"{path}: {name} labels outside 0, 1, 2")
+        parts[name] = [SeriesSample(x=x, label=int(label))
+                       for x, label in zip(stacked.reshape(count, d, t), labels)]
     mean = std = None
-    if meta.get("has_stats"):
-        mean = blocks["stats/mean"][:, 0]
-        std = blocks["stats/std"][:, 0]
-    return Dataset(
-        train=parts["train"], validation=parts["validation"], test=parts["test"],
-        feature_mean=mean, feature_std=std, provenance=meta["provenance"],
-    )
+    if has_stats:
+        mean = _checked_block(path, blocks, "stats/mean", np.float64, (d, 1))[:, 0]
+        std = _checked_block(path, blocks, "stats/std", np.float64, (d, 1))[:, 0]
+    elif "stats/mean" in blocks or "stats/std" in blocks:
+        raise FormatError(f"{path}: statistics blocks present but has_stats is false")
+    return Dataset(**parts, feature_mean=mean, feature_std=std, provenance=provenance)

@@ -21,6 +21,13 @@ The mixing coefficient lam is constrained to [0, 1]; at lam=0 the attention
 path is inert and the layer reduces to BL. Backward passes are exact
 analytic gradients, derived by hand; there is no autodiff anywhere.
 
+A batch of B windows is one feature-major (D, B, T) array, window b being
+``X[:, b, :]``. Each product is then one 2-D GEMM over a reshape, such as
+``W1 @ X.reshape(D, B*T)`` or ``xbar.reshape(D'*B, T) @ W_k``, and each
+parameter gradient sums over the batch inside its GEMM. A (D, T) window
+takes the same path without the batch axis; its outputs, caches and
+masks stay 2-D.
+
 Parameters live in one contiguous float64 vector: :class:`LayerParams`
 holds named views into it, laid out by :func:`layer_layout`, and
 gradients come in the same layout. Forward passes never mutate the
@@ -155,8 +162,7 @@ class LayerCache:
     x: Matrix
     xbar: Matrix
     masks: list[Matrix]
-    mixed: list[Matrix]
-    stacked: Matrix | None
+    stacked: Matrix | None  # the mixed heads [mix_1; ...; mix_K] when recombined
     xtilde: Matrix
     z: Matrix
     y: Matrix
@@ -168,13 +174,13 @@ def apply_activation(z: Matrix, kind: str) -> Matrix:
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "softmax":
-        if z.shape[1] != 1:
+        # Over the feature axis, one column per window.
+        if z.shape[-1] != 1:
             raise ConfigurationError(
                 f"softmax activation needs a single output column, got shape {z.shape}"
             )
-        col = z[:, 0]
-        expd = np.exp(col - col.max())
-        return (expd / expd.sum())[:, None]
+        expd = np.exp(z - z.max(axis=0))
+        return expd / expd.sum(axis=0)
     raise ConfigurationError(f"unknown activation {kind!r}")
 
 
@@ -187,27 +193,40 @@ def activation_backward(grad_y: Matrix, cache: LayerCache) -> Matrix:
         return grad_y * (cache.z > 0.0)
     if kind == "softmax":
         y = cache.y
-        inner = float(y[:, 0] @ grad_y[:, 0])
-        return y * (grad_y - inner)
+        return y * (grad_y - np.sum(y * grad_y, axis=0))
     raise ConfigurationError(f"unknown activation {kind!r}")
 
 
 def _check_mask(a: Matrix) -> None:
-    # Written so that a NaN row fails the comparison too.
-    if not np.abs(a.sum(axis=1) - 1.0).max() <= MASK_ROW_SUM_TOL:
+    # Every row of every window; written so that a NaN row fails too.
+    if not np.abs(a.sum(axis=-1) - 1.0).max() <= MASK_ROW_SUM_TOL:
         raise DivergenceError(
             "attention mask rows do not sum to 1 (non-finite attention scores)"
         )
 
 
-def layer_forward(x: Matrix, p: LayerParams, activation: str = "identity"):
-    """Forward pass of one layer; returns the output and its cache."""
-    if x.shape != (p.W1.shape[1], p.W2.shape[0]):
+def _cols(a: np.ndarray) -> Matrix:
+    """(D, [B,] T) as (D, B*T): the feature axis against everything else."""
+    return a.reshape(a.shape[0], -1)
+
+
+def _rows(a: np.ndarray) -> Matrix:
+    """(D, [B,] T) as (D*B, T): the time axis against everything else."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity"):
+    """Forward pass over one (D, T) window or a (D, B, T) batch.
+
+    Returns the output, (D', T') or (D', B, T'), and its cache.
+    """
+    (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
+    if x.ndim not in (2, 3) or (x.shape[0], x.shape[-1]) != (d, t):
         raise DimensionError(
             f"input {x.shape} does not fit W1 {p.W1.shape} and W2 {p.W2.shape}"
         )
     with scope(SCOPE_PROJECT):
-        xbar = matmul(p.W1, x)
+        xbar = matmul(p.W1, _cols(x)).reshape((d_out,) + x.shape[1:])
     masks, mixed, stacked, xtilde = [], [], None, xbar
     if p.heads:
         lam = p.lam
@@ -217,7 +236,7 @@ def layer_forward(x: Matrix, p: LayerParams, activation: str = "identity"):
             carry = scale(xbar, 1.0 - lam)  # shared by every head
         for w in p.heads:
             with scope(SCOPE_ATTENTION):
-                e = matmul(xbar, w)
+                e = matmul(_rows(xbar), w).reshape(xbar.shape)
             a = softmax_rows(e)
             _check_mask(a)
             with scope(SCOPE_MIX):
@@ -226,17 +245,15 @@ def layer_forward(x: Matrix, p: LayerParams, activation: str = "identity"):
         if p.Wtilde1 is None:
             xtilde = mixed[0]
         else:
-            stacked = np.vstack(mixed)
+            stacked = np.concatenate(mixed)
             with scope(SCOPE_RECOMBINE):
-                xtilde = matmul(p.Wtilde1, stacked)
+                xtilde = matmul(p.Wtilde1, _cols(stacked)).reshape(xbar.shape)
     with scope(SCOPE_OUTPUT):
-        z = matmul(xtilde, p.W2) + p.B
+        z = matmul(_rows(xtilde), p.W2).reshape(xbar.shape[:-1] + (t_out,))
+        z += p.B if x.ndim == 2 else p.B[:, None]
     y = apply_activation(z, activation)
-    cache = LayerCache(
-        activation=activation, x=x, xbar=xbar, masks=masks,
-        mixed=mixed, stacked=stacked, xtilde=xtilde, z=z, y=y,
-    )
-    return y, cache
+    return y, LayerCache(activation=activation, x=x, xbar=xbar, masks=masks,
+                         stacked=stacked, xtilde=xtilde, z=z, y=y)
 
 
 def _check_cache(cache: LayerCache, params: LayerParams, grad_y: Matrix) -> None:
@@ -244,7 +261,7 @@ def _check_cache(cache: LayerCache, params: LayerParams, grad_y: Matrix) -> None
         raise CacheMismatchError(
             f"upstream gradient {grad_y.shape} does not match output {cache.y.shape}"
         )
-    if cache.xbar.shape != (params.W1.shape[0], cache.x.shape[1]):
+    if cache.xbar.shape != (params.W1.shape[0],) + cache.x.shape[1:]:
         raise CacheMismatchError("cached projection does not match W1")
     if (len(cache.masks) != len(params.heads)
             or (cache.stacked is None) != (params.Wtilde1 is None)):
@@ -254,16 +271,9 @@ def _check_cache(cache: LayerCache, params: LayerParams, grad_y: Matrix) -> None
         )
 
 
-def _t(a: Matrix) -> Matrix:
-    # A contiguous copy, not a transposed view: numpy multiplies a view by
-    # a single row or column through another BLAS kernel, which rounds
-    # differently, and seeded training results are pinned bit for bit.
-    return np.ascontiguousarray(a.T)
-
-
 def _softmax_rows_backward(grad_a: Matrix, a: Matrix) -> Matrix:
     # Row-wise Jacobian of the softmax: de = a * (da - sum(da * a, row))
-    inner = np.sum(grad_a * a, axis=1, keepdims=True)
+    inner = np.sum(grad_a * a, axis=-1, keepdims=True)
     return a * (grad_a - inner)
 
 
@@ -273,29 +283,27 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
     """Exact gradients of a scalar loss w.r.t. every parameter and the input.
 
     ``grad_y`` is dL/dy, or dL/dz when ``grad_wrt_preactivation`` is set
-    (the fused softmax + cross-entropy path supplies the latter). The
-    parameter gradients are added into ``grads``, which has the layout of
-    ``params`` (a zeroed one when omitted), so a batch can sum its samples
-    in one buffer. Returns ``(grads, grad_x)``.
+    (the fused softmax + cross-entropy path supplies the latter), in the
+    shape of the output. The parameter gradients, summed over the windows
+    of a batch, are added into ``grads``, which has the layout of
+    ``params`` (a zeroed one when omitted). Returns ``(grads, grad_x)``.
     """
     _check_cache(cache, params, grad_y)
     if grads is None:
         grads = params.like(np.zeros_like(params.flat))
     dz = grad_y if grad_wrt_preactivation else activation_backward(grad_y, cache)
-    # Local names for the in-place adds: the frozen fields cannot be rebound.
-    g_b, g_w2, g_w1 = grads.B, grads.W2, grads.W1
-    g_b += dz
-    g_w2 += matmul(_t(cache.xtilde), dz)
-    dxtilde = matmul(dz, _t(params.W2))
+    # In-place adds through the views: the frozen fields cannot be rebound.
+    grads.B[...] += dz if dz.ndim == 2 else dz.sum(axis=1)
+    grads.W2[...] += matmul(_rows(cache.xtilde).T, _rows(dz))
+    dxtilde = matmul(_rows(dz), params.W2.T).reshape(cache.xtilde.shape)
 
     dxbar = dxtilde
     if params.heads:
         if params.Wtilde1 is None:
             dmixed = [dxtilde]
         else:
-            g_wt = grads.Wtilde1
-            g_wt += matmul(dxtilde, _t(cache.stacked))
-            dstacked = matmul(_t(params.Wtilde1), dxtilde)
+            grads.Wtilde1[...] += matmul(_cols(dxtilde), _cols(cache.stacked).T)
+            dstacked = matmul(params.Wtilde1.T, _cols(dxtilde)).reshape(cache.stacked.shape)
             d_out = cache.xbar.shape[0]
             dmixed = [dstacked[k * d_out:(k + 1) * d_out] for k in range(len(params.heads))]
 
@@ -309,11 +317,10 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
             da = lam * (dmix * xbar)
             dxbar += lam * (dmix * a)
             de = _softmax_rows_backward(da, a)
-            g_w += matmul(_t(xbar), de)
-            dxbar += matmul(de, _t(w))
-        g_lam = grads.lam
-        g_lam += dlam
+            g_w += matmul(_rows(xbar).T, _rows(de))
+            dxbar += matmul(_rows(de), w.T).reshape(xbar.shape)
+        grads.lam[...] += dlam
 
-    g_w1 += matmul(dxbar, _t(cache.x))
-    grad_x = matmul(_t(params.W1), dxbar)
+    grads.W1[...] += matmul(_cols(dxbar), _cols(cache.x).T)
+    grad_x = matmul(params.W1.T, _cols(dxbar)).reshape(cache.x.shape)
     return grads, grad_x

@@ -1,11 +1,13 @@
 """Dense float64 matrix kernel.
 
-A "matrix" throughout this package is a 2-D float64 numpy array, often a
-view (a transpose, or a block of a flat parameter vector); ``rows`` and
-``cols`` are ``shape[0]`` and ``shape[1]``. Every operation validates
-shapes eagerly and raises :class:`DimensionError` on
-mismatch, so shape bugs surface at the call site instead of deep inside a
-layer.
+:func:`matmul` multiplies 2-D float64 arrays, often views (a transpose, a
+block of a flat parameter vector, or a batch of windows reshaped to 2-D
+by the layers); ``rows`` and ``cols`` are ``shape[0]`` and ``shape[1]``.
+The elementwise operations and the row softmax take arrays of any rank;
+a "row" is the last axis, so a (D, B, T) batch of windows has D*B rows.
+Every operation validates shapes eagerly and raises
+:class:`DimensionError` on mismatch, so shape bugs surface at the call
+site instead of deep inside a layer.
 
 The module also provides an opt-in multiplication counter used by the
 complexity verification tools: inside a ``count_multiplications()`` block
@@ -23,19 +25,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DimensionError
 
 Matrix = np.ndarray
-
-
-def as_matrix(values, *, require_finite: bool = False) -> Matrix:
-    """Coerce nested sequences or an array to a 2-D C-contiguous float64 array."""
-    m = np.ascontiguousarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if require_finite and not np.isfinite(m).all():
-        raise DataError("matrix contains non-finite entries")
-    return m
 
 
 class MultiplicationCounter:
@@ -92,7 +84,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def hadamard(a: Matrix, b: Matrix) -> Matrix:
-    """Elementwise product of two same-shape matrices."""
+    """Elementwise product of two same-shape arrays."""
     if a.shape != b.shape:
         raise DimensionError(f"hadamard: shapes differ, {a.shape} vs {b.shape}")
     _tick(a.size)
@@ -105,11 +97,11 @@ def scale(a: Matrix, s: float) -> Matrix:
 
 
 def softmax_rows(e: Matrix) -> Matrix:
-    """Row-wise softmax, stabilized by subtracting each row's maximum.
+    """Softmax over the last axis, stabilized by subtracting each row's maximum.
 
     Each output row sums to 1; the shift leaves the result unchanged
     mathematically and prevents overflow for large scores.
     """
-    shifted = e - e.max(axis=1, keepdims=True)
+    shifted = e - e.max(axis=-1, keepdims=True)
     expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
+    return expd / expd.sum(axis=-1, keepdims=True)

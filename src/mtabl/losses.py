@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DataError, DimensionError
@@ -16,25 +14,44 @@ N_CLASSES = 3
 PROB_FLOOR = 1e-300
 
 
-def cross_entropy(probs: Matrix, label: int, class_weights=None):
-    """Loss and its fused gradient for one sample.
+class CrossEntropy(tuple):
+    """``(loss, grad)`` from :func:`cross_entropy`; ``clamped`` counts the
+    true-class probabilities that were floored before the log."""
 
-    ``probs`` is the (3, 1) softmax output of the network. The returned
-    gradient is taken with respect to the pre-softmax scores, folding the
-    softmax Jacobian into the cross-entropy derivative: w * (probs - onehot).
-    Feed it to the network backward with ``grad_wrt_preactivation=True``.
+    def __new__(cls, loss: float, grad: Matrix, clamped: int):
+        result = super().__new__(cls, (loss, grad))
+        result.clamped = clamped
+        return result
+
+
+def cross_entropy(probs: Matrix, label, class_weights=None) -> CrossEntropy:
+    """Summed loss and its fused gradient for one window or a batch.
+
+    ``probs`` is the softmax output of the network: (3, 1) with an int
+    ``label``, or (3, B, 1) with an array of B labels. The loss is summed
+    over the windows. The gradient, shaped like ``probs``, is taken with
+    respect to the pre-softmax scores, folding the softmax Jacobian into
+    the cross-entropy derivative: w * (probs - onehot). Feed it to the
+    network backward with ``grad_wrt_preactivation=True``.
     """
-    if probs.shape != (N_CLASSES, 1):
-        raise DimensionError(f"probs must be ({N_CLASSES}, 1), got {probs.shape}")
-    if label not in (0, 1, 2):
-        raise DataError(f"label must be 0, 1 or 2, got {label!r}")
-    w = 1.0 if class_weights is None else float(class_weights[label])
-    p = max(float(probs[label, 0]), PROB_FLOOR)
-    loss = -w * math.log(p)
-    onehot = np.zeros((N_CLASSES, 1))
-    onehot[label, 0] = 1.0
-    grad_scores = w * (probs - onehot)
-    return loss, grad_scores
+    labels = np.asarray(label)
+    if probs.shape != (N_CLASSES,) + labels.shape + (1,):
+        raise DimensionError(
+            f"probs must be ({N_CLASSES}, 1) for one label or ({N_CLASSES}, B, 1) "
+            f"for B labels, got {probs.shape} for label shape {labels.shape}"
+        )
+    if not np.isin(labels, (0, 1, 2)).all():
+        raise DataError(f"labels must be 0, 1 or 2, got {label!r}")
+    columns = probs.reshape(N_CLASSES, -1)  # one column per window
+    classes, windows = labels.reshape(-1).astype(np.intp), np.arange(labels.size)
+    weights = uniform_weights() if class_weights is None else np.asarray(class_weights)
+    w = weights[classes].astype(np.float64)
+    p = columns[classes, windows]
+    loss = -float(np.sum(w * np.log(np.maximum(p, PROB_FLOOR))))
+    onehot = np.zeros_like(columns)
+    onehot[classes, windows] = 1.0
+    grad = (w * (columns - onehot)).reshape(probs.shape)
+    return CrossEntropy(loss, grad, int(np.count_nonzero(p < PROB_FLOOR)))
 
 
 def inverse_frequency_weights(labels) -> np.ndarray:

@@ -58,27 +58,14 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(
-            confusion=np.asarray(d["confusion"], dtype=np.int64),
-            n_samples=d["n_samples"],
-            accuracy=d["accuracy"],
-            per_class_precision=tuple(d["per_class_precision"]),
-            per_class_recall=tuple(d["per_class_recall"]),
-            per_class_f1=tuple(d["per_class_f1"]),
-            macro_precision=d["macro_precision"],
-            macro_recall=d["macro_recall"],
-            macro_f1=d["macro_f1"],
-        )
+        fields = {k: tuple(v) if k.startswith("per_class") else v for k, v in d.items()}
+        return cls(**{**fields, "confusion": np.asarray(d["confusion"], dtype=np.int64)})
 
     def to_text(self) -> str:
         """Flat key=value block, one entry per line."""
-        lines = [
-            f"n_samples={self.n_samples}",
-            f"accuracy={self.accuracy:.6f}",
-            f"macro_precision={self.macro_precision:.6f}",
-            f"macro_recall={self.macro_recall:.6f}",
-            f"macro_f1={self.macro_f1:.6f}",
-        ]
+        lines = [f"n_samples={self.n_samples}"] + [
+            f"{key}={getattr(self, key):.6f}"
+            for key in ("accuracy", "macro_precision", "macro_recall", "macro_f1")]
         for c in range(N_CLASSES):
             lines.append(f"precision_{c}={self.per_class_precision[c]:.6f}")
             lines.append(f"recall_{c}={self.per_class_recall[c]:.6f}")

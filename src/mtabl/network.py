@@ -2,7 +2,9 @@
 forward/backward over a stack of bilinear layers.
 
 A network is an ordered list of layer descriptors whose shapes chain, with
-the attention layer last producing a (3, 1) column of class probabilities.
+the attention layer last producing a (3, 1) column of class probabilities
+per window. Inputs are one (D, T) window or a feature-major (D, B, T)
+batch (see :mod:`mtabl.layers`).
 Shape mismatches are configuration errors raised at construction, never at
 run time. A network's parameters are one float64 vector whose layout
 follows from the spec (:class:`NetworkParams`).
@@ -11,7 +13,7 @@ follows from the spec (:class:`NetworkParams`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,6 +34,10 @@ KIND_MTABL = "mtabl"
 LAYER_KINDS = (KIND_BL, KIND_TABL, KIND_MTABL)
 
 N_CLASSES = 3
+
+# Windows per forward pass in predict_labels: caches live for one chunk
+# only, so memory does not grow with the number of samples.
+_PREDICT_CHUNK = 256
 
 # Hidden shapes for the two- and three-layer topologies; overridable.
 DEFAULT_HIDDEN = {
@@ -94,28 +100,14 @@ class NetworkSpec:
 
     def shapes(self) -> list[tuple[int, int]]:
         """Shape at every layer boundary, input first."""
-        chain = [self.input_dims]
-        for layer in self.layers:
-            chain.append(layer.out_dims)
-        return chain
+        return [self.input_dims] + [layer.out_dims for layer in self.layers]
 
     def layouts(self) -> list:
         return [layer.layout(dims) for layer, dims in zip(self.layers, self.shapes())]
 
     def to_dict(self) -> dict:
-        return {
-            "input_dims": list(self.input_dims),
-            "layers": [
-                {
-                    "kind": l.kind,
-                    "out_dims": list(l.out_dims),
-                    "activation": l.activation,
-                    "heads": l.heads,
-                    "fix_attention_diag": l.fix_attention_diag,
-                }
-                for l in self.layers
-            ],
-        }
+        return {"input_dims": list(self.input_dims),
+                "layers": [{**asdict(l), "out_dims": list(l.out_dims)} for l in self.layers]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
@@ -152,17 +144,11 @@ def topology(name: str, *, input_dims: tuple[int, int] = (40, 10),
         raise ConfigurationError(
             f"topology {name} takes {len(DEFAULT_HIDDEN[name])} hidden layers, got {len(hidden)}"
         )
-    layers = [
-        LayerSpec(kind=KIND_BL, out_dims=tuple(dims), activation="relu")
-        for dims in hidden
-    ]
-    layers.append(
-        LayerSpec(
-            kind=attention_kind, out_dims=(N_CLASSES, 1), activation="softmax",
-            heads=heads if attention_kind == KIND_MTABL else 1,
-            fix_attention_diag=fix_attention_diag,
-        )
-    )
+    layers = [LayerSpec(kind=KIND_BL, out_dims=tuple(dims), activation="relu")
+              for dims in hidden]
+    layers.append(LayerSpec(kind=attention_kind, out_dims=(N_CLASSES, 1),
+                            activation="softmax", fix_attention_diag=fix_attention_diag,
+                            heads=heads if attention_kind == KIND_MTABL else 1))
     return NetworkSpec(input_dims=input_dims, layers=tuple(layers))
 
 
@@ -242,9 +228,15 @@ def init_network_params(spec: NetworkSpec, seed_or_rng) -> NetworkParams:
     return NetworkParams(spec, np.concatenate([p.flat for p in layers]))
 
 
-def network_forward(x: Matrix, spec: NetworkSpec, params: list):
-    """Run the stack; returns the (3, 1) class probabilities and all caches."""
-    if x.shape != spec.input_dims:
+def stack_windows(samples) -> np.ndarray:
+    """The samples' (D, T) windows as one feature-major (D, B, T) batch."""
+    return np.stack([s.x for s in samples], axis=1)
+
+
+def network_forward(x: np.ndarray, spec: NetworkSpec, params: list):
+    """Run the stack on one (D, T) window or a (D, B, T) batch; returns the
+    class probabilities, (3, 1) or (3, B, 1), and every layer's cache."""
+    if x.ndim not in (2, 3) or (x.shape[0], x.shape[-1]) != spec.input_dims:
         raise DimensionError(f"input {x.shape} does not match network input {spec.input_dims}")
     caches = []
     out = x
@@ -254,19 +246,15 @@ def network_forward(x: Matrix, spec: NetworkSpec, params: list):
     return out, caches
 
 
-def network_backward(spec: NetworkSpec, params: NetworkParams, caches: list, grad,
-                     grads: NetworkParams | None = None, *,
+def network_backward(spec: NetworkSpec, params: NetworkParams, caches: list, grad, *,
                      grad_wrt_preactivation: bool = False):
-    """Reverse the stack; returns the parameter gradients and dL/dx.
-
-    The gradients are added into ``grads`` (a zeroed vector of the
-    parameter layout when omitted). With ``grad_wrt_preactivation`` the
+    """Reverse the stack; returns the parameter gradients, summed over the
+    windows of a batch, and dL/dx. With ``grad_wrt_preactivation`` the
     incoming gradient is taken with respect to the final layer's
     pre-activation scores, as produced by the fused softmax cross-entropy
     backward.
     """
-    if grads is None:
-        grads = params.like(np.zeros_like(params.flat))
+    grads = params.like(np.zeros_like(params.flat))
     upstream = grad
     last = len(params) - 1
     for i in range(last, -1, -1):
@@ -278,11 +266,13 @@ def network_backward(spec: NetworkSpec, params: NetworkParams, caches: list, gra
 
 
 def predict_labels(spec: NetworkSpec, params: list, samples) -> list[int]:
-    """Hard class decisions for a list of samples."""
+    """Hard class decisions for a list of samples, batched in fixed chunks."""
     out = []
-    for sample in samples:
-        probs, _ = network_forward(sample.x, spec, params)
-        out.append(int(np.argmax(probs[:, 0])))
+    for start in range(0, len(samples), _PREDICT_CHUNK):
+        # Index the result so that no chunk's caches outlive its forward.
+        probs = network_forward(stack_windows(samples[start:start + _PREDICT_CHUNK]),
+                                spec, params)[0]
+        out += np.argmax(probs[:, :, 0], axis=0).tolist()
     return out
 
 

@@ -17,7 +17,7 @@ verifies:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -353,9 +353,7 @@ class ComplexityEstimate:
     head_recombination: int
 
     def terms(self) -> tuple[int, ...]:
-        return (self.feature_projection, self.temporal_projection,
-                self.bias_activation, self.attention_scores,
-                self.attention_mixing, self.head_recombination)
+        return astuple(self)[1:]  # every field after head_count
 
     @property
     def total(self) -> int:

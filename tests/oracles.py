@@ -3,10 +3,14 @@
 Everything here is deliberately written with plain Python loops and
 ``math`` so it shares no code with the library: matrix products by the
 naive triple loop, the layer forwards step by scalar step, and the
-classification metrics recomputed directly from the raw pair list.
+classification metrics recomputed directly from the raw pair list. The
+one exception is :func:`per_window_gradients`, the window-by-window
+training step that the batched one replaced, kept as its reference.
 """
 
 import math
+
+import numpy as np
 
 
 def matmul_loops(a, b):
@@ -108,3 +112,22 @@ def metrics_bruteforce(predictions, labels):
         "macro_recall": sum(per_class[c][1] for c in range(3)) / 3,
         "macro_f1": sum(per_class[c][2] for c in range(3)) / 3,
     }
+
+
+def per_window_gradients(spec, params, batch, class_weights=None):
+    """Mean loss, mean gradient vector and clamp count of a batch, one
+    (D, T) window at a time through the library's single-window path."""
+    from mtabl.losses import PROB_FLOOR, cross_entropy
+    from mtabl.network import network_backward, network_forward
+
+    total = np.zeros_like(params.flat)
+    loss_sum, clamped = 0.0, 0
+    for sample in batch:
+        probs, caches = network_forward(sample.x, spec, params)
+        clamped += int(probs[sample.label, 0] < PROB_FLOOR)
+        loss, grad_scores = cross_entropy(probs, sample.label, class_weights)
+        grads, _ = network_backward(spec, params, caches, grad_scores,
+                                    grad_wrt_preactivation=True)
+        total += grads.flat
+        loss_sum += loss
+    return loss_sum / len(batch), total / len(batch), clamped

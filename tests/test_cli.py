@@ -10,10 +10,20 @@ import pytest
 
 from mtabl.cli import main
 from mtabl.data import load_dataset
+from mtabl.serialize import read_container, write_container
 
 
 def run(argv):
     return main(argv)
+
+
+def cli_subprocess(*argv):
+    """The command line in a fresh interpreter, with this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "mtabl.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def write_days(day_dir, n=4, events=30):
@@ -156,15 +166,23 @@ class TestEvalCommand:
         raw = checkpoint.read_bytes()
         # A list where the header object belongs.
         checkpoint.write_bytes(raw[:8] + raw[8:12] + (2).to_bytes(4, "little") + b"[]")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "mtabl.cli", "eval",
-                               "--checkpoint", str(checkpoint)],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = cli_subprocess("eval", "--checkpoint", str(checkpoint))
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert "data error" in proc.stderr
+
+    def test_inconsistent_dataset_cache_exits_3_without_traceback(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(train_args(out, seeds=1, epochs=1)) == 0
+        cache = out / "dataset.mtabl"
+        meta, blocks = read_container(cache, expect_kind="dataset")
+        blocks["test/labels"][0, 0] = 7  # a label the model cannot have seen
+        write_container(cache, "dataset", meta, list(blocks.items()))
+        proc = cli_subprocess("eval", "--checkpoint", str(out / "seed0" / "checkpoint.mtabl"),
+                              "--dataset-cache", str(cache))
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "data error" in proc.stderr and "labels" in proc.stderr
 
 
 class TestGradcheckCommand:

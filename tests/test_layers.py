@@ -124,8 +124,8 @@ class TestTABLForward:
             attended = cache.xbar * cache.masks[0]
             lo = np.minimum(cache.xbar, attended)
             hi = np.maximum(cache.xbar, attended)
-            assert (cache.mixed[0] >= lo - 1e-12).all()
-            assert (cache.mixed[0] <= hi + 1e-12).all()
+            assert (cache.xtilde >= lo - 1e-12).all()  # one head: xtilde is mix_1
+            assert (cache.xtilde <= hi + 1e-12).all()
 
     def test_projection_is_homogeneous_in_input(self, rng):
         p = random_tabl(rng)

@@ -72,6 +72,38 @@ class TestCrossEntropy:
             cross_entropy(column([0.3, 0.3, 0.4]), 3)
 
 
+class TestBatchedCrossEntropy:
+    def test_sums_the_per_window_losses(self, rng):
+        raw = rng.uniform(0.01, 1.0, (3, 9, 1))
+        probs = raw / raw.sum(axis=0)
+        labels = rng.integers(0, 3, 9)
+        weights = np.array([0.7, 1.5, 0.8])
+        result = cross_entropy(probs, labels, weights)
+        loss, grad = result
+        singles = [cross_entropy(probs[:, b], int(labels[b]), weights) for b in range(9)]
+        assert abs(loss - sum(l for l, _ in singles)) <= 1e-12
+        assert grad.shape == probs.shape
+        for b, (_, g) in enumerate(singles):
+            assert np.array_equal(grad[:, b], g)
+        assert result.clamped == 0
+
+    def test_counts_floored_probabilities(self):
+        probs = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.0, 0.0, 0.0]])[:, :, None]
+        result = cross_entropy(probs, np.array([0, 2, 2]))
+        assert result.clamped == 2
+        assert math.isfinite(result[0])
+        assert cross_entropy(column([1e-320, 0.5, 0.5]), 0).clamped == 1
+
+    def test_bad_batched_inputs(self):
+        probs = np.full((3, 4, 1), 1 / 3)
+        with pytest.raises(DimensionError):
+            cross_entropy(probs, np.array([0, 1, 2]))
+        with pytest.raises(DimensionError):
+            cross_entropy(probs, 0)
+        with pytest.raises(DataError):
+            cross_entropy(probs, np.array([0, 1, 2, 7]))
+
+
 class TestClassWeights:
     def test_inverse_frequency_mean_one(self):
         w = inverse_frequency_weights([0, 0, 0, 1, 1, 2])

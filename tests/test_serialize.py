@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mtabl.data import load_dataset, normalize, save_dataset, synth_generate
 from mtabl.errors import FormatError
 from mtabl.network import init_network_params, topology
 from mtabl.serialize import (
@@ -175,3 +176,83 @@ class TestCheckpoint:
         write_container(path, "checkpoint", meta, [("params", ints)])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+
+def _dataset_cache(path):
+    """A small normalized dataset cache; returns its meta and blocks."""
+    save_dataset(path, normalize(synth_generate(30, n_features=4, window=5, seed=0)))
+    return read_container(path, expect_kind="dataset")
+
+
+def _set(mapping, key, value):
+    mapping[key] = value
+
+
+class TestDatasetValidation:
+    @pytest.mark.parametrize("corrupt", [
+        lambda meta, blocks: meta.pop("sample_dims"),
+        lambda meta, blocks: _set(meta, "sample_dims", [3, 5]),
+        lambda meta, blocks: _set(meta, "sample_dims", [4.0, 5]),
+        lambda meta, blocks: _set(meta, "counts", [21, 4, 5]),
+        lambda meta, blocks: _set(meta["counts"], "train", meta["counts"]["train"] + 1),
+        lambda meta, blocks: _set(meta["counts"], "test", -1),
+        lambda meta, blocks: blocks.pop("test/x"),
+        lambda meta, blocks: _set(blocks, "train/x", blocks["train/x"][:, :-1]),
+        lambda meta, blocks: _set(blocks, "train/labels", blocks["train/labels"][:-1]),
+        lambda meta, blocks: _set(blocks, "train/labels", blocks["train/labels"] * 1.0),
+        lambda meta, blocks: blocks["validation/labels"].__setitem__((0, 0), 7),
+        lambda meta, blocks: blocks["test/labels"].__setitem__((1, 0), -1),
+        lambda meta, blocks: _set(meta, "has_stats", False),
+        lambda meta, blocks: blocks.pop("stats/std"),
+        lambda meta, blocks: _set(blocks, "stats/mean", blocks["stats/mean"][:2]),
+        lambda meta, blocks: _set(meta, "provenance", "days"),
+    ])
+    def test_metadata_must_match_the_blocks(self, tmp_path, corrupt):
+        path = tmp_path / "ds.mtabl"
+        meta, blocks = _dataset_cache(path)
+        corrupt(meta, blocks)
+        write_container(path, "dataset", meta, list(blocks.items()))
+        with pytest.raises(FormatError):
+            load_dataset(path)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_metadata_raises_only_format_error(self, tmp_path, data):
+        path = tmp_path / "ds.mtabl"
+        meta, blocks = _dataset_cache(path)
+        value = st.none() | st.booleans() | st.integers(-2, 40) | st.text(max_size=3)
+        value = st.recursive(value, lambda inner: st.lists(inner, max_size=3)
+                             | st.dictionaries(st.sampled_from(
+                                 ["train", "validation", "test", "files"]), inner, max_size=3),
+                             max_leaves=6)
+        for _ in range(data.draw(st.integers(1, 3))):
+            how = data.draw(st.sampled_from(["meta", "count", "drop", "label"]))
+            if how == "meta":
+                key = data.draw(st.sampled_from(
+                    ["sample_dims", "counts", "has_stats", "provenance"]))
+                if data.draw(st.booleans()):
+                    meta.pop(key, None)
+                else:
+                    meta[key] = data.draw(value)
+            elif how == "count" and isinstance(meta.get("counts"), dict):
+                part = data.draw(st.sampled_from(["train", "validation", "test"]))
+                meta["counts"][part] = data.draw(value)
+            elif how == "drop" and blocks:
+                blocks.pop(data.draw(st.sampled_from(sorted(blocks))))
+            elif how == "label":
+                name = data.draw(st.sampled_from(["train", "validation", "test"]))
+                labels = blocks.get(f"{name}/labels")
+                if labels is not None and labels.size:
+                    labels[data.draw(st.integers(0, len(labels) - 1)), 0] = \
+                        data.draw(st.integers(-3, 5))
+        write_container(path, "dataset", meta, list(blocks.items()))
+        try:
+            loaded = load_dataset(path)
+        except FormatError:
+            return
+        # Whatever loads must be consistent with what it claims.
+        for _, part in loaded.partitions():
+            for sample in part:
+                assert sample.x.shape == tuple(meta["sample_dims"])
+                assert sample.label in (0, 1, 2)
