@@ -6,7 +6,9 @@ movement class at horizons 10/20/30/50/100 events, encoded 1/2/3 for
 up/stationary/down. This demo fabricates ten small day files with a
 plantable signal, then runs the whole pipeline: parse, window, split by
 day, z-score with training statistics, train, evaluate, checkpoint, and
-reload the checkpoint to reproduce the evaluation.
+reload the checkpoint to reproduce the evaluation. A partition stores its
+days side by side as one event series plus window starts; a batch is a
+view into it, gathered only when the network needs it.
 """
 
 import tempfile
@@ -55,6 +57,8 @@ with tempfile.TemporaryDirectory() as tmp:
                     window=WINDOW, horizon=10)
     print(f"windowed dataset: {len(ds.train)} train / {len(ds.validation)} "
           f"validation / {len(ds.test)} test samples of shape {ds.sample_dims()}")
+    print(f"each partition keeps every event once: the training days form one "
+          f"{ds.train.series.shape} series with {len(ds.train.starts)} window starts")
     print(f"feature means were standardized from the 6 training days only; "
           f"first-row std {ds.feature_std[0]:.3f}")
 

@@ -12,6 +12,7 @@ from .data import (
     Dataset,
     RawDayMatrix,
     SeriesSample,
+    Windows,
     load_day,
     load_dataset,
     normalize,
@@ -78,5 +79,5 @@ __all__ = [
     "network_forward", "normalize", "predict_labels", "save_checkpoint",
     "save_dataset", "softmax_rows", "split_days", "step", "synth_generate",
     "tabl_complexity_total", "topology", "train",
-    "uniform_weights", "windowize",
+    "uniform_weights", "Windows", "windowize",
 ]

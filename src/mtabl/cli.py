@@ -53,24 +53,11 @@ OPTIM_KEYS = ("algorithm", "learning_rate", "beta1", "beta2", "epsilon", "moment
               "batch_size", "max_epochs", "lr_decay", "lr_patience", "class_weighting")
 
 RUN_DEFAULTS = {
-    "topology": "A",
-    "layer": "tabl",
-    "heads": 1,
-    "horizon": 10,
-    "window": 10,
-    "data": None,
-    "synth": False,
-    "synth_samples": 240,
-    "synth_features": 8,
-    "synth_difficulty": "single",
-    "synth_seed": 0,
-    "seeds": [0],
-    "train_days": 6,
-    "val_days": 1,
-    "test_days": 3,
-    "transposed": False,
-    "fix_attention_diag": False,
-    "out": "runs/latest",
+    "topology": "A", "layer": "tabl", "heads": 1, "horizon": 10, "window": 10,
+    "data": None, "synth": False, "synth_samples": 240, "synth_features": 8,
+    "synth_difficulty": "single", "synth_seed": 0, "seeds": [0],
+    "train_days": 6, "val_days": 1, "test_days": 3, "transposed": False,
+    "fix_attention_diag": False, "out": "runs/latest",
 }
 
 
@@ -210,6 +197,13 @@ def _build_network(cfg: dict, input_dims) -> NetworkSpec:
     )
 
 
+def _day_files(directory) -> list[str]:
+    day_dir = Path(directory)
+    if not day_dir.is_dir():
+        raise DataError(f"data directory not found: {day_dir}")
+    return sorted(str(p) for p in day_dir.iterdir() if p.is_file())
+
+
 def _build_dataset(cfg: dict) -> data_mod.Dataset:
     if cfg["synth"]:
         return data_mod.synth_generate(
@@ -217,12 +211,8 @@ def _build_dataset(cfg: dict) -> data_mod.Dataset:
             window=cfg["window"], seed=cfg["synth_seed"],
             difficulty=cfg["synth_difficulty"],
         )
-    day_dir = Path(cfg["data"])
-    if not day_dir.is_dir():
-        raise DataError(f"data directory not found: {day_dir}")
-    files = sorted(str(p) for p in day_dir.iterdir() if p.is_file())
     return data_mod.split_days(
-        files, cfg["train_days"], cfg["val_days"], cfg["test_days"],
+        _day_files(cfg["data"]), cfg["train_days"], cfg["val_days"], cfg["test_days"],
         window=cfg["window"], horizon=cfg["horizon"], transposed=cfg["transposed"],
     )
 
@@ -250,6 +240,8 @@ def cmd_train(args) -> int:
         "feature_std": None if dataset.feature_std is None else dataset.feature_std.tolist(),
     }
 
+    split_name = next(name for name, part in dataset.partitions()[::-1] if part)
+    eval_split = getattr(dataset, split_name)
     test_reports = []
     for seed in cfg["seeds"]:
         run_dir = out_dir / f"seed{seed}"
@@ -262,11 +254,7 @@ def cmd_train(args) -> int:
                 log_file.flush()
 
             params, _ = train(spec, dataset, optim_cfg, log_sink=sink)
-        eval_split = dataset.test or dataset.validation or dataset.train
-        split_name = ("test" if dataset.test else
-                      "validation" if dataset.validation else "train")
-        preds = predict_labels(spec, params, eval_split)
-        report = evaluate(preds, [s.label for s in eval_split])
+        report = evaluate(predict_labels(spec, params, eval_split), eval_split.labels)
         test_reports.append(report)
         save_checkpoint(
             run_dir / "checkpoint.mtabl", spec, params,
@@ -295,13 +283,10 @@ def cmd_eval(args) -> int:
     spec, params, meta = load_checkpoint(args.checkpoint)
     cache = args.dataset_cache or meta.get("dataset_cache")
     if args.data:
-        day_dir = Path(args.data)
-        if not day_dir.is_dir():
-            raise DataError(f"data directory not found: {day_dir}")
+        files = _day_files(args.data)
         if "window" not in meta:
             raise DataError("checkpoint does not record its preprocessing; "
                             "use --dataset-cache")
-        files = sorted(str(p) for p in day_dir.iterdir() if p.is_file())
         dataset = data_mod.split_days(
             files, 0, 0, len(files), window=meta["window"], horizon=meta["horizon"],
             transposed=meta["transposed"], apply_normalization=False,
@@ -313,11 +298,10 @@ def cmd_eval(args) -> int:
         dataset = data_mod.load_dataset(cache)
     else:
         raise DataError("no dataset: pass --dataset-cache or --data")
-    samples = getattr(dataset, args.split)
-    if not samples:
+    windows = getattr(dataset, args.split)
+    if not windows:
         raise DataError(f"dataset has no {args.split} samples")
-    preds = predict_labels(spec, params, samples)
-    report = evaluate(preds, [s.label for s in samples])
+    report = evaluate(predict_labels(spec, params, windows), windows.labels)
     print(report.to_text())
     if args.out:
         out_dir = Path(args.out)
@@ -351,8 +335,7 @@ def cmd_complexity(args) -> int:
     header = ["K"] + ["feature_proj", "temporal_proj", "bias_act",
                       "attention", "mixing", "recombination", "total"]
     if args.measure:
-        header.append("measured_attention")
-        header.append("measured_recombination")
+        header += ["measured_attention", "measured_recombination"]
     print("\t".join(header))
     for k in range(lo, hi + 1):
         est = complexity_estimate(d, t, d_out, t_out, k)
@@ -387,13 +370,8 @@ def cmd_synth(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "train": cmd_train,
-        "eval": cmd_eval,
-        "gradcheck": cmd_gradcheck,
-        "complexity": cmd_complexity,
-        "synth": cmd_synth,
-    }
+    handlers = {"train": cmd_train, "eval": cmd_eval, "gradcheck": cmd_gradcheck,
+                "complexity": cmd_complexity, "synth": cmd_synth}
     try:
         return handlers[args.command](args)
     except (ConfigurationError, ConstraintError, DimensionError) as err:

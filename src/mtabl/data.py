@@ -9,8 +9,14 @@ flips the parsed grid before validation.
 
 Windowing slides a length-T view over the columns and takes the label of
 the window's newest event at the requested horizon. Day files are assigned
-whole to one partition, so train/validation/test never share a day, and
-z-score statistics come from the training partition only.
+whole to one partition, so train/validation/test never share a day.
+
+A partition (:class:`Windows`) holds its days side by side as one (D, E)
+event series plus an int64 start and label per window; no window crosses
+a day, and each event is stored once however many windows cover it.
+Synthetic windows are each their own length-T day. Z-score statistics
+are the mean and std of every feature over the training series' events,
+each event counted once.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DataError, FormatError, ParseError
 from .linalg import Matrix
@@ -29,9 +36,9 @@ HORIZONS = (10, 20, 30, 50, 100)
 N_LABEL_ROWS = len(HORIZONS)
 MIN_ROWS = N_FEATURES + N_LABEL_ROWS
 
-# Raw annotation -> class index. The files encode up/stationary/down as
-# 1/2/3; everything downstream uses 0/1/2.
-RAW_LABEL_TO_CLASS = {1: 0, 2: 1, 3: 2}
+# The files encode up/stationary/down as 1/2/3; everything downstream
+# uses the class index 0/1/2, the raw value minus one.
+RAW_LABELS = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -62,11 +69,67 @@ class SeriesSample:
     label: int
 
 
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """Window i is ``series[:, starts[i]:starts[i] + window]``, class ``labels[i]``.
+
+    An int index gives one :class:`SeriesSample` viewing the series; a
+    slice, index array or mask gives Windows over the same series, whose
+    ``x`` gathers them into one feature-major (D, B, T) batch.
+    """
+
+    series: Matrix
+    starts: np.ndarray
+    labels: np.ndarray
+    window: int
+
+    @classmethod
+    def separate(cls, x: np.ndarray, labels) -> "Windows":
+        """The windows of a (D, B, T) batch laid end to end, each its own day."""
+        d, b, t = x.shape
+        return cls(np.ascontiguousarray(x).reshape(d, b * t),
+                   np.arange(b, dtype=np.int64) * t, np.asarray(labels, np.int64), t)
+
+    @classmethod
+    def join(cls, days=(), dims: tuple[int, int] = (0, 0)) -> "Windows":
+        """Days side by side in one series, each day's starts shifted with
+        it; ``dims`` is the windows' (D, T), and no days give an empty one."""
+        none = np.empty(0, np.int64)
+        offsets = np.cumsum([0] + [day.series.shape[1] for day in days])
+        return cls(np.hstack([np.empty((dims[0], 0))] + [day.series for day in days]),
+                   np.hstack([none] + [day.starts + o for day, o in zip(days, offsets)]),
+                   np.hstack([none] + [day.labels for day in days]), dims[1])
+
+    @property
+    def x(self) -> np.ndarray:
+        if not self:
+            return np.empty((self.series.shape[0], 0, self.window))
+        # Indexing the sliding view copies only the selected windows.
+        return sliding_window_view(self.series, self.window, axis=1)[:, self.starts]
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, idx):
+        if isinstance(idx, (int, np.integer)):
+            start = self.starts[idx]
+            return SeriesSample(self.series[:, start:start + self.window],
+                                int(self.labels[idx]))
+        return Windows(self.series, self.starts[idx], self.labels[idx], self.window)
+
+    def __setitem__(self, i: int, sample: SeriesSample) -> None:
+        self[i].x[...] = sample.x  # into the series, shared with overlapping windows
+        self.labels[i] = sample.label
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 @dataclass
 class Dataset:
-    train: list[SeriesSample] = field(default_factory=list)
-    validation: list[SeriesSample] = field(default_factory=list)
-    test: list[SeriesSample] = field(default_factory=list)
+    train: Windows = field(default_factory=Windows.join)
+    validation: Windows = field(default_factory=Windows.join)
+    test: Windows = field(default_factory=Windows.join)
     feature_mean: np.ndarray | None = None
     feature_std: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
@@ -78,11 +141,11 @@ class Dataset:
     def sample_dims(self) -> tuple[int, int]:
         for _, part in self.partitions():
             if part:
-                return part[0].x.shape
+                return part.series.shape[0], part.window
         raise ConfigurationError("dataset has no samples")
 
     def labels(self, partition: str = "train") -> list[int]:
-        return [s.label for s in getattr(self, partition)]
+        return getattr(self, partition).labels.tolist()
 
 
 def _diagnose_text_grid(text: str, path) -> None:
@@ -137,18 +200,11 @@ def _horizon_row(day: RawDayMatrix, horizon: int) -> int:
     return day.n_rows - N_LABEL_ROWS + HORIZONS.index(horizon)
 
 
-def _to_class(raw: float, source: str) -> int:
-    value = int(raw)
-    if value != raw or value not in RAW_LABEL_TO_CLASS:
-        raise DataError(f"{source}: unknown label value {raw!r}")
-    return RAW_LABEL_TO_CLASS[value]
+def windowize(day: RawDayMatrix, window: int, horizon: int = 10) -> Windows:
+    """Slide a length-``window`` view over the day; one window per position.
 
-
-def windowize(day: RawDayMatrix, window: int, horizon: int = 10) -> list[SeriesSample]:
-    """Slide a length-``window`` view over the day; one sample per position.
-
-    Sample i covers columns i..i+window-1 and takes the horizon label of
-    its last column, so a day with N events yields N - window + 1 samples.
+    Window i covers columns i..i+window-1 and takes the horizon label of
+    its last column, so a day with N events yields N - window + 1 windows.
     """
     if window < 1:
         raise ConfigurationError(f"window must be positive, got {window}")
@@ -158,35 +214,31 @@ def windowize(day: RawDayMatrix, window: int, horizon: int = 10) -> list[SeriesS
             f"{day.source or 'day'}: {n} events is shorter than window {window}, "
             "no samples produced"
         )
-        return []
-    labels = day.values[_horizon_row(day, horizon), window - 1:]
-    features = day.values[:N_FEATURES]
-    return [SeriesSample(x=np.ascontiguousarray(features[:, i:i + window]),
-                         label=_to_class(raw, day.source))
-            for i, raw in enumerate(labels)]
+        return Windows.join([], (N_FEATURES, window))
+    raw = day.values[_horizon_row(day, horizon), window - 1:]
+    unknown = ~np.isin(raw, RAW_LABELS)
+    if unknown.any():
+        raise DataError(f"{day.source}: unknown label value {float(raw[unknown][0])!r}")
+    return Windows(day.values[:N_FEATURES], np.arange(len(raw), dtype=np.int64),
+                   raw.astype(np.int64) - 1, window)
 
 
 def normalize(dataset: Dataset) -> Dataset:
-    """Z-score every feature row using training-partition statistics.
-
-    All partitions are transformed with the training mean and std;
-    near-constant rows (std below 1e-12) are centered but not scaled.
-    """
+    """Z-score every feature row with the mean and std of the training
+    series' events; near-constant rows (std below 1e-12) are centered but
+    not scaled."""
     if not dataset.train:
         raise ConfigurationError("cannot normalize: training partition is empty")
-    stacked = np.stack([s.x for s in dataset.train])  # (n, D, T)
-    return standardize(dataset, stacked.mean(axis=(0, 2)), stacked.std(axis=(0, 2)))
+    series = dataset.train.series
+    return standardize(dataset, series.mean(axis=1), series.std(axis=1))
 
 
 def standardize(dataset: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:
     """Apply given z-score statistics, such as those a checkpoint carries."""
-    divisor = np.where(std < 1e-12, 1.0, std)
+    divisor = np.where(std < 1e-12, 1.0, std)[:, None]
 
-    def transform(samples):
-        return [
-            SeriesSample(x=(s.x - mean[:, None]) / divisor[:, None], label=s.label)
-            for s in samples
-        ]
+    def transform(part: Windows) -> Windows:
+        return replace(part, series=(part.series - mean[:, None]) / divisor)
 
     return replace(
         dataset,
@@ -215,15 +267,13 @@ def split_days(files, train_days: int, val_days: int, test_days: int, *,
         raise ConfigurationError(
             f"split needs {needed} day files, only {len(files)} supplied"
         )
-    bounds = (train_days, train_days + val_days, needed)
-    parts: list[list[SeriesSample]] = [[], [], []]
-    for i, path in enumerate(files[:needed]):
-        day = load_day(path, transposed=transposed)
-        samples = windowize(day, window=window, horizon=horizon)
-        slot = 0 if i < bounds[0] else (1 if i < bounds[1] else 2)
-        parts[slot].extend(samples)
+    days = [windowize(load_day(path, transposed=transposed), window=window, horizon=horizon)
+            for path in files[:needed]]
+    bounds = (0, train_days, train_days + val_days, needed)
+    train, validation, test = (Windows.join(days[lo:hi], (N_FEATURES, window))
+                               for lo, hi in zip(bounds, bounds[1:]))
     dataset = Dataset(
-        train=parts[0], validation=parts[1], test=parts[2],
+        train=train, validation=validation, test=test,
         provenance={
             "files": files[:needed], "window": window, "horizon": horizon,
             "split": [train_days, val_days, test_days], "transposed": transposed,
@@ -268,11 +318,12 @@ def synth_generate(n_samples: int, n_features: int = 8, window: int = 10,
     marked_rows = max(1, n_features // 2)
     non_anchor = [t for t in range(window) if t not in anchors]
 
-    labels = np.arange(n_samples) % 3
+    labels = np.arange(n_samples, dtype=np.int64) % 3
     rng.shuffle(labels)
-    samples = []
-    for label in labels:
-        x = rng.normal(0.0, noise, (n_features, window))
+    batch = np.empty((n_features, n_samples, window))
+    for i, label in enumerate(labels):
+        x = batch[:, i]
+        x[...] = rng.normal(0.0, noise, (n_features, window))
         if difficulty == "single":
             x[:marked_rows, anchors[label]] += signal
         else:
@@ -283,14 +334,13 @@ def synth_generate(n_samples: int, n_features: int = 8, window: int = 10,
                                   replace=False)
                 for col in cols:
                     x[:marked_rows, col] += 0.75 * signal
-        samples.append(SeriesSample(x=x, label=int(label)))
 
     n_train = round(split[0] * n_samples)
-    n_val = round(split[1] * n_samples)
+    bounds = (0, n_train, n_train + round(split[1] * n_samples), n_samples)
+    train, validation, test = (Windows.separate(batch[:, lo:hi], labels[lo:hi])
+                               for lo, hi in zip(bounds, bounds[1:]))
     return Dataset(
-        train=samples[:n_train],
-        validation=samples[n_train:n_train + n_val],
-        test=samples[n_train + n_val:],
+        train=train, validation=validation, test=test,
         provenance={
             "synthetic": True, "n_samples": n_samples, "n_features": n_features,
             "window": window, "seed": seed, "difficulty": difficulty,
@@ -301,27 +351,22 @@ def synth_generate(n_samples: int, n_features: int = 8, window: int = 10,
 
 
 def save_dataset(path, dataset: Dataset) -> None:
-    """Binary dataset cache; reloading reproduces the samples bit-exactly."""
+    """Binary dataset cache of every partition's series, window starts and
+    labels; reloading reproduces the windows bit-exactly."""
     from .serialize import write_container
 
+    dims = dataset.sample_dims()
     blocks = []
-    counts = {}
-    dims = None
     for name, part in dataset.partitions():
-        counts[name] = len(part)
         if part:
-            dims = part[0].x.shape
-            blocks.append((f"{name}/x", np.vstack([s.x for s in part])))
-            blocks.append((f"{name}/labels",
-                           np.array([[s.label] for s in part], dtype=np.int64)))
-    if dims is None:
-        raise ConfigurationError("refusing to save a dataset with no samples")
+            blocks += [(f"{name}/series", part.series), (f"{name}/starts", part.starts[:, None]),
+                       (f"{name}/labels", part.labels[:, None])]
     if dataset.feature_mean is not None:
-        blocks.append(("stats/mean", dataset.feature_mean[:, None]))
-        blocks.append(("stats/std", dataset.feature_std[:, None]))
+        blocks += [("stats/mean", dataset.feature_mean[:, None]),
+                   ("stats/std", dataset.feature_std[:, None])]
     meta = {
         "sample_dims": list(dims),
-        "counts": counts,
+        "counts": {name: len(part) for name, part in dataset.partitions()},
         "provenance": dataset.provenance,
         "has_stats": dataset.feature_mean is not None,
     }
@@ -329,8 +374,10 @@ def save_dataset(path, dataset: Dataset) -> None:
 
 
 def _checked_block(path, blocks: dict, name: str, dtype, shape) -> np.ndarray:
+    """The named block, if its dtype and shape match; None in ``shape`` is any size."""
     block = blocks.get(name)
-    if block is None or block.dtype != dtype or block.shape != shape:
+    if block is None or block.dtype != dtype or any(
+            want not in (None, got) for want, got in zip(shape, block.shape)):
         found = "missing" if block is None else f"{block.dtype} {block.shape}"
         raise FormatError(f"{path}: block {name!r} is {found}, expected {np.dtype(dtype)} {shape}")
     return block
@@ -338,7 +385,8 @@ def _checked_block(path, blocks: dict, name: str, dtype, shape) -> np.ndarray:
 
 def load_dataset(path) -> Dataset:
     """Read a cache written by :func:`save_dataset`; metadata that does not
-    match the blocks (dims, counts, labels, statistics) raises FormatError."""
+    match the blocks (dims, counts, window starts, labels, statistics)
+    raises FormatError."""
     from .serialize import read_container
 
     meta, blocks = read_container(path, expect_kind="dataset")
@@ -356,15 +404,18 @@ def load_dataset(path) -> Dataset:
         count = counts.get(name, 0)
         if type(count) is not int or count < 0:
             raise FormatError(f"{path}: bad {name} count {count!r}")
-        if count == 0 and f"{name}/x" not in blocks and f"{name}/labels" not in blocks:
-            parts[name] = []
+        keys = [f"{name}/{block}" for block in ("series", "starts", "labels")]
+        if count == 0 and not any(key in blocks for key in keys):
+            parts[name] = Windows.join([], (d, t))
             continue
-        stacked = _checked_block(path, blocks, f"{name}/x", np.float64, (count * d, t))
-        labels = _checked_block(path, blocks, f"{name}/labels", np.int64, (count, 1))[:, 0]
+        series = _checked_block(path, blocks, keys[0], np.float64, (d, None))
+        starts = _checked_block(path, blocks, keys[1], np.int64, (count, 1))[:, 0]
+        labels = _checked_block(path, blocks, keys[2], np.int64, (count, 1))[:, 0]
+        if not ((starts >= 0) & (starts <= series.shape[1] - t)).all():
+            raise FormatError(f"{path}: {name} window starts outside its series")
         if not np.isin(labels, (0, 1, 2)).all():
             raise FormatError(f"{path}: {name} labels outside 0, 1, 2")
-        parts[name] = [SeriesSample(x=x, label=int(label))
-                       for x, label in zip(stacked.reshape(count, d, t), labels)]
+        parts[name] = Windows(series, starts, labels, t)
     mean = std = None
     if has_stats:
         mean = _checked_block(path, blocks, "stats/mean", np.float64, (d, 1))[:, 0]

@@ -60,7 +60,7 @@ def inverse_frequency_weights(labels) -> np.ndarray:
     Classes absent from ``labels`` are treated as having a single sample so
     the weights stay finite.
     """
-    counts = np.bincount(list(labels), minlength=N_CLASSES)[:N_CLASSES]
+    counts = np.bincount(np.asarray(labels, dtype=np.int64), minlength=N_CLASSES)[:N_CLASSES]
     counts = np.maximum(counts, 1).astype(np.float64)
     raw = 1.0 / counts
     return raw / raw.mean()

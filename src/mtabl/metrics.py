@@ -21,14 +21,13 @@ N_CLASSES = 3
 
 def confusion_matrix(predictions, labels) -> np.ndarray:
     """3x3 count grid, rows are the true class, columns the predicted one."""
-    counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for pred, true in zip(predictions, labels):
-        if true not in (0, 1, 2):
-            raise DataError(f"label outside {{0,1,2}}: {true!r}")
-        if pred not in (0, 1, 2):
-            raise DataError(f"prediction outside {{0,1,2}}: {pred!r}")
-        counts[true, pred] += 1
-    return counts
+    labels, predictions = np.asarray(labels), np.asarray(predictions)
+    for name, values in (("label", labels), ("prediction", predictions)):
+        outside = ~np.isin(values, (0, 1, 2))
+        if outside.any():
+            raise DataError(f"{name} outside {{0,1,2}}: {values[outside][0].item()!r}")
+    cells = N_CLASSES * labels.astype(np.int64) + predictions.astype(np.int64)
+    return np.bincount(cells, minlength=N_CLASSES * N_CLASSES).reshape(N_CLASSES, N_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -44,17 +43,11 @@ class EvalReport:
     macro_f1: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "accuracy": self.accuracy,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "per_class_precision": list(self.per_class_precision),
-            "per_class_recall": list(self.per_class_recall),
-            "per_class_f1": list(self.per_class_f1),
-            "confusion": self.confusion.tolist(),
-        }
+        scalars = ("n_samples", "accuracy", "macro_precision", "macro_recall", "macro_f1")
+        per_class = ("per_class_precision", "per_class_recall", "per_class_f1")
+        return {**{k: getattr(self, k) for k in scalars},
+                **{k: list(getattr(self, k)) for k in per_class},
+                "confusion": self.confusion.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
@@ -76,38 +69,26 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _safe_ratio(num: float, den: float) -> float:
-    return num / den if den > 0 else 0.0
+def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Per-class ``num / den``, 0 where ``den`` is 0."""
+    return np.divide(num, den, out=np.zeros(N_CLASSES), where=den > 0)
 
 
 def evaluate(predictions, labels) -> EvalReport:
     """Confusion matrix plus accuracy and macro precision/recall/F1."""
-    predictions = list(predictions)
-    labels = list(labels)
+    predictions, labels = np.asarray(predictions), np.asarray(labels)
     if len(predictions) != len(labels):
         raise ConfigurationError(
             f"got {len(predictions)} predictions for {len(labels)} labels"
         )
-    if not labels:
+    if not len(labels):
         raise ConfigurationError("cannot evaluate an empty prediction list")
     counts = confusion_matrix(predictions, labels)
-    n = len(labels)
-    precision, recall, f1 = [], [], []
-    for c in range(N_CLASSES):
-        tp = float(counts[c, c])
-        p = _safe_ratio(tp, float(counts[:, c].sum()))
-        r = _safe_ratio(tp, float(counts[c, :].sum()))
-        precision.append(p)
-        recall.append(r)
-        f1.append(_safe_ratio(2.0 * p * r, p + r))
-    return EvalReport(
-        confusion=counts,
-        n_samples=n,
-        accuracy=float(np.trace(counts)) / n,
-        per_class_precision=tuple(precision),
-        per_class_recall=tuple(recall),
-        per_class_f1=tuple(f1),
-        macro_precision=sum(precision) / N_CLASSES,
-        macro_recall=sum(recall) / N_CLASSES,
-        macro_f1=sum(f1) / N_CLASSES,
-    )
+    tp = np.diag(counts).astype(np.float64)
+    precision = _safe_ratio(tp, counts.sum(axis=0))
+    recall = _safe_ratio(tp, counts.sum(axis=1))
+    f1 = _safe_ratio(2.0 * precision * recall, precision + recall)
+    per_class = [tuple(v.tolist()) for v in (precision, recall, f1)]
+    # Fields in order: per-class precision/recall/F1, then their macro means.
+    return EvalReport(counts, len(labels), float(np.trace(counts)) / len(labels),
+                      *per_class, *(sum(v) / N_CLASSES for v in per_class))

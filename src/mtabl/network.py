@@ -111,16 +111,10 @@ class NetworkSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
-        layers = tuple(
-            LayerSpec(
-                kind=l["kind"],
-                out_dims=tuple(l["out_dims"]),
-                activation=l["activation"],
-                heads=l.get("heads", 1),
-                fix_attention_diag=l.get("fix_attention_diag", False),
-            )
-            for l in d["layers"]
-        )
+        layers = tuple(LayerSpec(kind=l["kind"], out_dims=tuple(l["out_dims"]),
+                                 activation=l["activation"], heads=l.get("heads", 1),
+                                 fix_attention_diag=l.get("fix_attention_diag", False))
+                       for l in d["layers"])
         return cls(input_dims=tuple(d["input_dims"]), layers=layers)
 
 
@@ -228,11 +222,6 @@ def init_network_params(spec: NetworkSpec, seed_or_rng) -> NetworkParams:
     return NetworkParams(spec, np.concatenate([p.flat for p in layers]))
 
 
-def stack_windows(samples) -> np.ndarray:
-    """The samples' (D, T) windows as one feature-major (D, B, T) batch."""
-    return np.stack([s.x for s in samples], axis=1)
-
-
 def network_forward(x: np.ndarray, spec: NetworkSpec, params: list):
     """Run the stack on one (D, T) window or a (D, B, T) batch; returns the
     class probabilities, (3, 1) or (3, B, 1), and every layer's cache."""
@@ -265,13 +254,13 @@ def network_backward(spec: NetworkSpec, params: NetworkParams, caches: list, gra
     return grads, upstream
 
 
-def predict_labels(spec: NetworkSpec, params: list, samples) -> list[int]:
-    """Hard class decisions for a list of samples, batched in fixed chunks."""
+def predict_labels(spec: NetworkSpec, params: list, windows) -> list[int]:
+    """Hard class decisions for :class:`~mtabl.data.Windows`, batched in
+    fixed chunks."""
     out = []
-    for start in range(0, len(samples), _PREDICT_CHUNK):
+    for start in range(0, len(windows), _PREDICT_CHUNK):
         # Index the result so that no chunk's caches outlive its forward.
-        probs = network_forward(stack_windows(samples[start:start + _PREDICT_CHUNK]),
-                                spec, params)[0]
+        probs = network_forward(windows[start:start + _PREDICT_CHUNK].x, spec, params)[0]
         out += np.argmax(probs[:, :, 0], axis=0).tolist()
     return out
 

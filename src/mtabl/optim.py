@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, Windows
 from .errors import ConfigurationError, DivergenceError
 from .losses import cross_entropy, inverse_frequency_weights, uniform_weights
 from .metrics import EvalReport, evaluate
@@ -32,7 +32,6 @@ from .network import (
     network_backward,
     network_forward,
     predict_labels,
-    stack_windows,
 )
 
 ALGORITHMS = ("adam", "sgd-momentum")
@@ -81,13 +80,8 @@ class TrainState:
 
     @classmethod
     def initial(cls, params: NetworkParams, cfg: OptimConfig) -> "TrainState":
-        return cls(
-            step_count=0,
-            learning_rate=cfg.learning_rate,
-            first_moment=np.zeros_like(params.flat),
-            second_moment=np.zeros_like(params.flat),
-            velocity=np.zeros_like(params.flat),
-        )
+        zeros = [np.zeros_like(params.flat) for _ in range(3)]
+        return cls(0, cfg.learning_rate, *zeros)
 
 
 @dataclass
@@ -102,12 +96,9 @@ class EpochRecord:
     def to_dict(self) -> dict:
         d = {k: v for k, v in vars(self).items() if k != "val_report"}
         if self.val_report is not None:
-            d.update(
-                val_accuracy=self.val_report.accuracy,
-                val_precision=self.val_report.macro_precision,
-                val_recall=self.val_report.macro_recall,
-                val_f1=self.val_report.macro_f1,
-            )
+            r = self.val_report
+            d.update(val_accuracy=r.accuracy, val_precision=r.macro_precision,
+                     val_recall=r.macro_recall, val_f1=r.macro_f1)
         return d
 
 
@@ -155,8 +146,10 @@ def _first_nonfinite_layer(spec: NetworkSpec, caches) -> str:
     return "loss"
 
 
-def batch_gradients(spec: NetworkSpec, params: NetworkParams, batch, class_weights):
-    """Mean loss and mean gradients over one batch, in one batched pass.
+def batch_gradients(spec: NetworkSpec, params: NetworkParams, batch: Windows,
+                    class_weights):
+    """Mean loss and mean gradients over one batch of windows, in one
+    batched pass.
 
     Returns (loss, grads, clamp_events) where grads is in the parameter
     layout and clamp_events counts samples whose true-class probability
@@ -164,8 +157,8 @@ def batch_gradients(spec: NetworkSpec, params: NetworkParams, batch, class_weigh
     """
     if not batch:
         raise ConfigurationError("batch must be nonempty")
-    probs, caches = network_forward(stack_windows(batch), spec, params)
-    result = cross_entropy(probs, np.array([s.label for s in batch]), class_weights)
+    probs, caches = network_forward(batch.x, spec, params)
+    result = cross_entropy(probs, batch.labels, class_weights)
     loss_sum, grad_scores = result
     if not math.isfinite(loss_sum):
         raise DivergenceError(
@@ -181,7 +174,7 @@ def batch_gradients(spec: NetworkSpec, params: NetworkParams, batch, class_weigh
 def _class_weights(cfg: OptimConfig, dataset: Dataset):
     if cfg.class_weighting == "uniform" or not dataset.train:
         return uniform_weights()
-    return inverse_frequency_weights(dataset.labels("train"))
+    return inverse_frequency_weights(dataset.train.labels)
 
 
 def train(spec: NetworkSpec, dataset: Dataset, cfg: OptimConfig, *,
@@ -219,7 +212,7 @@ def train(spec: NetworkSpec, dataset: Dataset, cfg: OptimConfig, *,
         loss_sum = 0.0
         clamp_events = 0
         for start in range(0, n, cfg.batch_size):
-            batch = [dataset.train[i] for i in order[start:start + cfg.batch_size]]
+            batch = dataset.train[order[start:start + cfg.batch_size]]
             try:
                 loss, grads, clamped = batch_gradients(spec, params, batch, weights)
                 step(params, grads, state, cfg)
@@ -235,7 +228,7 @@ def train(spec: NetworkSpec, dataset: Dataset, cfg: OptimConfig, *,
         val_report = None
         if dataset.validation:
             preds = predict_labels(spec, params, dataset.validation)
-            val_report = evaluate(preds, dataset.labels("validation"))
+            val_report = evaluate(preds, dataset.validation.labels)
             metric = val_report.macro_f1
         else:
             metric = -loss_sum / n

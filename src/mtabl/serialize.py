@@ -5,14 +5,16 @@ header, then the raw block payloads in header order. Each block is a 2-D
 array stored little-endian (float64 or int64) with its shape recorded in
 the header, so a save/load round trip is bit-exact. The header is
 validated before any payload is read; every malformed file raises
-:class:`FormatError`.
+:class:`FormatError`. Blocks stream between the file and their arrays:
+a write sends each array's own buffer and a read fills each new array in
+place, so a load holds the payload once.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -20,34 +22,28 @@ from .errors import FormatError
 from .network import NetworkParams, NetworkSpec
 
 MAGIC = b"MTABLBIN"
-VERSION = 1
+VERSION = 2
 
 _DTYPES = {"f8": "<f8", "i8": "<i8"}
 
 
 def write_container(path, kind: str, meta: dict, blocks: list[tuple[str, np.ndarray]]) -> None:
     entries = []
-    payloads = []
     for name, array in blocks:
         if array.ndim != 2:
             raise FormatError(f"block {name!r} must be 2-D, got ndim={array.ndim}")
-        if array.dtype.kind == "f":
-            tag, dtype = "f8", "<f8"
-        elif array.dtype.kind in "iu":
-            tag, dtype = "i8", "<i8"
-        else:
+        if array.dtype.kind not in "fiu":
             raise FormatError(f"block {name!r} has unsupported dtype {array.dtype}")
-        data = np.ascontiguousarray(array, dtype=dtype)
-        entries.append({"name": name, "rows": array.shape[0],
-                        "cols": array.shape[1], "dtype": tag})
-        payloads.append(data.tobytes())
+        entries.append({"name": name, "rows": array.shape[0], "cols": array.shape[1],
+                        "dtype": "f8" if array.dtype.kind == "f" else "i8"})
     header = json.dumps({"kind": kind, "meta": meta, "blocks": entries}).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(header)))
         fh.write(header)
-        for payload in payloads:
-            fh.write(payload)
+        for (_, array), entry in zip(blocks, entries):
+            # A no-op for a contiguous little-endian block of the stored dtype.
+            fh.write(np.ascontiguousarray(array, dtype=_DTYPES[entry["dtype"]]))
 
 
 def _check_header(header, path) -> None:
@@ -64,8 +60,9 @@ def _check_header(header, path) -> None:
             raise FormatError(f"{path}: block name {name!r} is missing or repeated")
         names.add(name)
         for key in ("rows", "cols"):
-            # bool is an int subclass; JSON true must not pass as a size.
-            if type(entry.get(key)) is not int or entry[key] < 0:
+            # bool is an int subclass; JSON true must not pass as a size. The
+            # cap keeps an empty block's other side within what numpy allocates.
+            if type(entry.get(key)) is not int or not 0 <= entry[key] < 2**31:
                 raise FormatError(f"{path}: block {name!r} has bad {key} {entry.get(key)!r}")
         if entry.get("dtype") not in _DTYPES:
             raise FormatError(f"{path}: unknown block dtype {entry.get('dtype')!r}")
@@ -73,34 +70,37 @@ def _check_header(header, path) -> None:
 
 def read_container(path, expect_kind: str | None = None):
     """Returns (meta, ordered dict of name -> array)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + 8:
-        raise FormatError(f"{path}: truncated container")
-    if raw[: len(MAGIC)] != MAGIC:
-        raise FormatError(f"{path}: bad magic, not a container file")
-    version, header_len = struct.unpack_from("<II", raw, len(MAGIC))
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported format version {version}")
-    offset = len(MAGIC) + 8
-    try:
-        header = json.loads(raw[offset:offset + header_len].decode("utf-8"))
-    except (ValueError, RecursionError) as err:  # bad UTF-8 and bad JSON are ValueErrors
-        raise FormatError(f"{path}: corrupt header ({err})") from err
-    _check_header(header, path)
-    offset += header_len
-    if expect_kind is not None and header["kind"] != expect_kind:
-        raise FormatError(
-            f"{path}: container holds {header['kind']!r}, expected {expect_kind!r}"
-        )
-    blocks: dict[str, np.ndarray] = {}
-    for entry in header["blocks"]:
-        rows, cols = entry["rows"], entry["cols"]
-        nbytes = rows * cols * 8
-        if offset + nbytes > len(raw):
-            raise FormatError(f"{path}: truncated payload for block {entry['name']!r}")
-        array = np.frombuffer(raw[offset:offset + nbytes], dtype=_DTYPES[entry["dtype"]])
-        blocks[entry["name"]] = array.reshape(rows, cols).copy()
-        offset += nbytes
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(len(MAGIC) + 8)
+        if len(prefix) < len(MAGIC) + 8:
+            raise FormatError(f"{path}: truncated container")
+        if prefix[: len(MAGIC)] != MAGIC:
+            raise FormatError(f"{path}: bad magic, not a container file")
+        version, header_len = struct.unpack_from("<II", prefix, len(MAGIC))
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported format version {version}")
+        if header_len > size - len(prefix):
+            raise FormatError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (ValueError, RecursionError) as err:  # bad UTF-8 and bad JSON are ValueErrors
+            raise FormatError(f"{path}: corrupt header ({err})") from err
+        _check_header(header, path)
+        if expect_kind is not None and header["kind"] != expect_kind:
+            raise FormatError(
+                f"{path}: container holds {header['kind']!r}, expected {expect_kind!r}"
+            )
+        blocks: dict[str, np.ndarray] = {}
+        for entry in header["blocks"]:
+            # Sizes are checked against the file before anything is allocated.
+            nbytes = entry["rows"] * entry["cols"] * 8
+            array = None
+            if nbytes <= size - fh.tell():
+                array = np.empty((entry["rows"], entry["cols"]), _DTYPES[entry["dtype"]])
+            if array is None or fh.readinto(array) != nbytes:
+                raise FormatError(f"{path}: truncated payload for block {entry['name']!r}")
+            blocks[entry["name"]] = array
     return header["meta"], blocks
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mtabl.network
-from mtabl.data import SeriesSample, synth_generate
+from mtabl.data import Windows, synth_generate
 from mtabl.errors import ConstraintError, DivergenceError
 from mtabl.layers import layer_forward
 from mtabl.linalg import count_multiplications
@@ -25,7 +25,6 @@ from mtabl.network import (
     init_network_params,
     network_forward,
     predict_labels,
-    stack_windows,
     topology,
 )
 from mtabl.optim import OptimConfig, batch_gradients, train
@@ -51,9 +50,13 @@ SPECS = {
 
 
 def windows(n, seed=0, dims=INPUT):
+    """n random windows that share no events, each its own day."""
     rng = np.random.default_rng(seed)
-    return [SeriesSample(x=rng.normal(size=dims), label=int(rng.integers(3)))
-            for _ in range(n)]
+    xs, labels = [], []
+    for _ in range(n):
+        xs.append(rng.normal(size=dims))
+        labels.append(int(rng.integers(3)))
+    return Windows.separate(np.stack(xs, axis=1), labels)
 
 
 def relative_gap(a, b):
@@ -66,7 +69,7 @@ def test_batch_gradients_match_per_window(name, weighting):
     spec = SPECS[name]()
     params = init_network_params(spec, 3)
     batch = windows(37, seed=4)
-    weights = (inverse_frequency_weights([s.label for s in batch])
+    weights = (inverse_frequency_weights(batch.labels)
                if weighting == "inverse" else None)
     loss, grads, clamped = batch_gradients(spec, params, batch, weights)
     ref_loss, ref_grads, ref_clamped = per_window_gradients(spec, params, batch, weights)
@@ -84,7 +87,7 @@ def test_floored_probabilities_are_counted_alike():
     batch = windows(24, seed=2)
     loss, grads, clamped = batch_gradients(spec, params, batch, None)
     ref_loss, ref_grads, ref_clamped = per_window_gradients(spec, params, batch)
-    assert clamped == ref_clamped == sum(s.label != 0 for s in batch) > 0
+    assert clamped == ref_clamped == np.count_nonzero(batch.labels) > 0
     assert np.isfinite(loss) and abs(loss - ref_loss) <= REL_TOL * abs(ref_loss)
     assert relative_gap(grads.flat, ref_grads) <= REL_TOL
 
@@ -106,7 +109,7 @@ def test_multiplication_counts_scale_with_the_batch():
     with count_multiplications() as one:
         network_forward(batch[0].x, spec, params)
     with count_multiplications() as seven:
-        network_forward(stack_windows(batch), spec, params)
+        network_forward(batch.x, spec, params)
     assert set(seven.by_scope) == set(one.by_scope)
     assert all(seven.by_scope[k] == 7 * one.by_scope[k] for k in one.by_scope)
 
@@ -142,7 +145,7 @@ class TestSingleWindowContract:
         spec = SPECS["A/tabl"]()
         (p,) = init_network_params(spec, 0)
         batch = windows(5)
-        _, cache = layer_forward(stack_windows(batch), p, "softmax")
+        _, cache = layer_forward(batch.x, p, "softmax")
         (mask,) = cache.masks
         assert mask.shape == (3, 5, 10)
         for b, sample in enumerate(batch):
@@ -150,6 +153,7 @@ class TestSingleWindowContract:
             assert np.abs(mask[:, b] - one.masks[0]).max() <= 1e-15
 
     def test_predict_labels_takes_lists_and_slices(self, monkeypatch):
+        # Slices and index lists of a partition are partitions too.
         spec = SPECS["A/tabl"]()
         params = init_network_params(spec, 0)
         samples = windows(600)
@@ -165,7 +169,9 @@ class TestSingleWindowContract:
         assert widths == [256, 256, 88]
         assert len(preds) == 600 and all(type(p) is int for p in preds)
         assert predict_labels(spec, params, samples[100:350]) == preds[100:350]
-        assert predict_labels(spec, params, []) == []
+        assert predict_labels(spec, params, samples[[599, 3, 3]]) == [preds[599], preds[3],
+                                                                       preds[3]]
+        assert predict_labels(spec, params, samples[:0]) == []
 
     def test_predict_memory_does_not_grow_with_the_day(self):
         spec = SPECS["C/mtabl5"]()
@@ -186,10 +192,10 @@ class TestSingleWindowContract:
     def test_checks_cover_every_window(self):
         spec = SPECS["A/tabl"]()
         (p,) = init_network_params(spec, 0)
-        x = stack_windows(windows(6))
+        x = windows(6).x
         x[0, 4, 0] = np.nan  # one bad window among six
         with pytest.raises(DivergenceError, match="attention"):
             layer_forward(x, p, "softmax")
         p.lam[()] = 1.5
         with pytest.raises(ConstraintError):
-            layer_forward(stack_windows(windows(6)), p, "softmax")
+            layer_forward(windows(6).x, p, "softmax")

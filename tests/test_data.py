@@ -115,7 +115,7 @@ class TestWindowize:
 
     def test_short_day_warns_and_returns_empty(self):
         with pytest.warns(UserWarning, match="shorter than window"):
-            assert windowize(self.day(5), window=10) == []
+            assert len(windowize(self.day(5), window=10)) == 0
 
     def test_unknown_horizon(self):
         with pytest.raises(ConfigurationError):
@@ -170,13 +170,14 @@ class TestSplitAndNormalize:
             split_days(files, 7, 2, 3)
 
     def test_normalization_statistics(self, tmp_path):
+        # Every training event counts once, however many windows cover it.
         files = self.make_files(tmp_path, n=4)
         ds = split_days(files, 3, 0, 1, window=10)
-        stacked = np.stack([s.x for s in ds.train])
-        row_mean = stacked.mean(axis=(0, 2))
-        row_std = stacked.std(axis=(0, 2))
-        assert np.abs(row_mean).max() <= 1e-9
-        assert np.abs(row_std - 1.0).max() <= 1e-6
+        events = np.hstack([load_day(f).values[:40] for f in files[:3]])
+        assert np.array_equal(ds.feature_mean, events.mean(axis=1))
+        assert np.array_equal(ds.feature_std, events.std(axis=1))
+        assert np.abs(ds.train.series.mean(axis=1)).max() <= 1e-9
+        assert np.abs(ds.train.series.std(axis=1) - 1.0).max() <= 1e-6
 
     def test_constant_feature_centered_not_scaled(self, tmp_path):
         path = tmp_path / "const.txt"
@@ -212,6 +213,66 @@ class TestSplitAndNormalize:
 
         with pytest.raises(ConfigurationError):
             normalize(Dataset())
+
+
+class TestWindows:
+    def partition(self, tmp_path, events=(25, 14, 31)):
+        files = []
+        for i, n in enumerate(events):
+            files.append(tmp_path / f"day{i}.txt")
+            write_day(files[-1], n_events=n, offset=float(i), seed=i)
+        return files, split_days(files, len(events), 0, 0, window=10,
+                                 apply_normalization=False).train
+
+    @pytest.mark.parametrize("which", ["random", "contiguous", "empty", "mask"])
+    def test_batch_gathers_the_single_windows(self, tmp_path, which):
+        _, windows = self.partition(tmp_path)
+        idx = {"random": np.random.default_rng(0).integers(0, len(windows), 20),
+               "contiguous": np.arange(4, 30),
+               "empty": np.arange(0),
+               "mask": np.arange(len(windows)) % 3 == 1}[which]
+        batch = windows[idx]
+        picked = np.arange(len(windows))[idx]
+        expected = (np.stack([windows[i].x for i in picked], axis=1) if len(picked)
+                    else np.empty((40, 0, 10)))
+        assert batch.x.shape == expected.shape
+        assert batch.x.tobytes() == expected.tobytes()
+        assert np.array_equal(batch.labels, windows.labels[idx])
+
+    def test_days_sit_side_by_side_and_windows_stay_inside_one(self, tmp_path):
+        events = (25, 14, 31)
+        files, windows = self.partition(tmp_path, events)
+        assert windows.series.shape == (40, sum(events))
+        assert windows.starts.dtype == windows.labels.dtype == np.int64
+        bounds = np.cumsum((0,) + events)
+        for lo, hi, path in zip(bounds, bounds[1:], files):
+            inside = (windows.starts >= lo) & (windows.starts + 10 <= hi)
+            assert inside.sum() == hi - lo - 10 + 1
+            day = load_day(path)
+            for w, start in zip(windows[inside], windows.starts[inside]):
+                assert np.array_equal(w.x, day.values[:40, start - lo:start - lo + 10])
+        # Every window is inside exactly one day.
+        assert len(windows) == sum(n - 10 + 1 for n in events)
+
+    def test_short_day_contributes_nothing(self, tmp_path):
+        with pytest.warns(UserWarning, match="shorter than window"):
+            _, windows = self.partition(tmp_path, (25, 6, 12))
+        assert windows.series.shape == (40, 37)
+        assert len(windows) == 16 + 3
+
+    def test_single_windows_are_views_and_assignable(self, tmp_path):
+        _, windows = self.partition(tmp_path)
+        sample = windows[5]
+        assert np.shares_memory(sample.x, windows.series)
+        assert windows[-1].label == windows.labels[-1]
+        windows[5] = type(sample)(x=sample.x, label=(sample.label + 1) % 3)
+        assert windows[5].label == (sample.label + 1) % 3
+        assert [s.label for s in windows] == windows.labels.tolist()
+
+    def test_synthetic_windows_are_their_own_days(self):
+        ds = synth_generate(30, n_features=4, window=6, seed=2)
+        assert ds.train.series.shape == (4, 6 * len(ds.train))
+        assert np.array_equal(ds.train.starts, 6 * np.arange(len(ds.train)))
 
 
 class TestSynth:

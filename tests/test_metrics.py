@@ -56,6 +56,17 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate([0, 1], [0, -1])
 
+    def test_ndarray_inputs_match_lists(self, rng):
+        labels = rng.integers(0, 3, 50)
+        preds = rng.integers(0, 3, 50)
+        report = evaluate(preds, labels)
+        assert report.to_dict() == evaluate(preds.tolist(), labels.tolist()).to_dict()
+        assert report.confusion.dtype == np.int64
+
+    def test_out_of_range_prediction_named(self):
+        with pytest.raises(DataError, match="prediction outside .*: 5"):
+            confusion_matrix(np.array([0, 1, 5]), np.array([0, 1, 2]))
+
     @settings(max_examples=60, deadline=None)
     @given(pair_lists)
     def test_matches_bruteforce_oracle(self, pairs):

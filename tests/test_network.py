@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mtabl.data import SeriesSample
+from mtabl.data import Windows
 from mtabl.errors import ConfigurationError, DimensionError
 from mtabl.layers import layer_forward
 from mtabl.network import (
@@ -118,7 +118,7 @@ class TestForwardBackward:
     def test_predict_labels_in_range(self, rng):
         spec = spec_a(kind="mtabl", heads=2)
         params = init_network_params(spec, 5)
-        samples = [SeriesSample(x=rng.normal(size=(6, 4)), label=0) for _ in range(8)]
+        samples = Windows.separate(rng.normal(size=(6, 8, 4)), np.zeros(8))
         preds = predict_labels(spec, params, samples)
         assert len(preds) == 8
         assert set(preds) <= {0, 1, 2}

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtabl.data import Dataset, SeriesSample, synth_generate
+from mtabl.data import Dataset, Windows, synth_generate
 from mtabl.errors import ConfigurationError, DivergenceError
 from mtabl.losses import cross_entropy
 from mtabl.network import (
@@ -78,8 +78,8 @@ class TestStep:
         # One sample, one step, lr 0.1, zero momentum: every parameter
         # moves by exactly -0.1 times its analytic gradient.
         rng = np.random.default_rng(8)
-        sample = SeriesSample(x=rng.normal(size=(4, 5)), label=2)
-        ds = Dataset(train=[sample])
+        ds = Dataset(train=Windows.separate(rng.normal(size=(4, 1, 5)), [2]))
+        sample = ds.train[0]
         spec = spec_for(ds, kind="tabl", heads=1)
         params = init_network_params(spec, 8)
         probs, caches = network_forward(sample.x, spec, params)
@@ -138,7 +138,7 @@ class TestBatchGradients:
         spec = spec_for(ds)
         params = init_network_params(spec, 0)
         with pytest.raises(ConfigurationError):
-            batch_gradients(spec, params, [], None)
+            batch_gradients(spec, params, ds.train[:0], None)
 
 
 class TestTrain:

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,8 @@ class TestHeaderValidation:
             {"name": "a", "rows": True, "cols": 2, "dtype": "f8"}]},
         {"kind": "test", "meta": {}, "blocks": [
             {"name": "a", "rows": 1, "cols": 2, "dtype": "f4"}]},
+        {"kind": "test", "meta": {}, "blocks": [
+            {"name": "a", "rows": 10**30, "cols": 0, "dtype": "f8"}]},
     ])
     def test_malformed_header_rejected(self, tmp_path, header):
         path = tmp_path / "bad.mtabl"
@@ -196,8 +199,8 @@ class TestDatasetValidation:
         lambda meta, blocks: _set(meta, "counts", [21, 4, 5]),
         lambda meta, blocks: _set(meta["counts"], "train", meta["counts"]["train"] + 1),
         lambda meta, blocks: _set(meta["counts"], "test", -1),
-        lambda meta, blocks: blocks.pop("test/x"),
-        lambda meta, blocks: _set(blocks, "train/x", blocks["train/x"][:, :-1]),
+        lambda meta, blocks: blocks.pop("test/series"),
+        lambda meta, blocks: _set(blocks, "train/series", blocks["train/series"][:-1]),
         lambda meta, blocks: _set(blocks, "train/labels", blocks["train/labels"][:-1]),
         lambda meta, blocks: _set(blocks, "train/labels", blocks["train/labels"] * 1.0),
         lambda meta, blocks: blocks["validation/labels"].__setitem__((0, 0), 7),
@@ -206,6 +209,14 @@ class TestDatasetValidation:
         lambda meta, blocks: blocks.pop("stats/std"),
         lambda meta, blocks: _set(blocks, "stats/mean", blocks["stats/mean"][:2]),
         lambda meta, blocks: _set(meta, "provenance", "days"),
+        # Window starts: past the series end, negative, not int64, one short.
+        lambda meta, blocks: blocks["train/starts"].__setitem__(
+            (2, 0), blocks["train/series"].shape[1] - 4),
+        lambda meta, blocks: blocks["test/starts"].__setitem__((0, 0), -1),
+        lambda meta, blocks: _set(blocks, "validation/starts",
+                                  blocks["validation/starts"] * 1.0),
+        lambda meta, blocks: _set(blocks, "train/starts", blocks["train/starts"][:-1]),
+        lambda meta, blocks: blocks.pop("validation/starts"),
     ])
     def test_metadata_must_match_the_blocks(self, tmp_path, corrupt):
         path = tmp_path / "ds.mtabl"
@@ -227,7 +238,7 @@ class TestDatasetValidation:
                                  ["train", "validation", "test", "files"]), inner, max_size=3),
                              max_leaves=6)
         for _ in range(data.draw(st.integers(1, 3))):
-            how = data.draw(st.sampled_from(["meta", "count", "drop", "label"]))
+            how = data.draw(st.sampled_from(["meta", "count", "drop", "label", "start"]))
             if how == "meta":
                 key = data.draw(st.sampled_from(
                     ["sample_dims", "counts", "has_stats", "provenance"]))
@@ -246,6 +257,12 @@ class TestDatasetValidation:
                 if labels is not None and labels.size:
                     labels[data.draw(st.integers(0, len(labels) - 1)), 0] = \
                         data.draw(st.integers(-3, 5))
+            elif how == "start":
+                name = data.draw(st.sampled_from(["train", "validation", "test"]))
+                starts = blocks.get(f"{name}/starts")
+                if starts is not None and starts.size:
+                    starts[data.draw(st.integers(0, len(starts) - 1)), 0] = \
+                        data.draw(st.integers(-3, 200))
         write_container(path, "dataset", meta, list(blocks.items()))
         try:
             loaded = load_dataset(path)
@@ -253,6 +270,30 @@ class TestDatasetValidation:
             return
         # Whatever loads must be consistent with what it claims.
         for _, part in loaded.partitions():
+            assert part.x.shape == (meta["sample_dims"][0], len(part), meta["sample_dims"][1])
             for sample in part:
                 assert sample.x.shape == tuple(meta["sample_dims"])
                 assert sample.label in (0, 1, 2)
+
+    def test_version_1_cache_rejected_by_version(self, tmp_path):
+        path = tmp_path / "ds.mtabl"
+        _dataset_cache(path)
+        raw = bytearray(path.read_bytes())
+        raw[len(MAGIC):len(MAGIC) + 4] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unsupported format version 1"):
+            load_dataset(path)
+
+    def test_load_peak_memory_stays_near_the_cache_size(self, tmp_path):
+        # Blocks are read straight into their arrays, so loading holds the
+        # cache's payload once, not the file's bytes as well.
+        path = tmp_path / "ds.mtabl"
+        save_dataset(path, synth_generate(6000, n_features=40, window=10, seed=0))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 15e6 and peak < 1.1 * size
