@@ -147,9 +147,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
     file_cfg = {}
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.exists():
+        if not path.is_file():
             raise DataError(f"config file not found: {path}")
-        file_cfg = json.loads(path.read_text())
+        try:
+            file_cfg = json.loads(path.read_bytes())
+        except ValueError as err:  # bad UTF-8 and bad JSON are ValueErrors
+            raise ConfigurationError(f"config file {path} is not JSON ({err})") from None
+        if not isinstance(file_cfg, dict):
+            raise ConfigurationError(f"config file {path} must hold a JSON object")
     for key, value in file_cfg.items():
         if key == "optim":
             cfg["optim"].update(value)

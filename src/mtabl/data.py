@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DataError, FormatError, ParseError
 from .linalg import Matrix
@@ -102,10 +101,8 @@ class Windows:
 
     @property
     def x(self) -> np.ndarray:
-        if not self:
-            return np.empty((self.series.shape[0], 0, self.window))
-        # Indexing the sliding view copies only the selected windows.
-        return sliding_window_view(self.series, self.window, axis=1)[:, self.starts]
+        # A C-ordered gather: the layers reshape the batch without a copy.
+        return np.take(self.series, self.starts[:, None] + np.arange(self.window), axis=1)
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -170,7 +167,10 @@ def _diagnose_text_grid(text: str, path) -> None:
 
 def load_day(path, *, transposed: bool = False) -> RawDayMatrix:
     """Parse one whitespace-separated day file."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
     try:
         with warnings.catch_warnings():
             # An empty grid becomes a FormatError below; numpy's own

@@ -21,12 +21,17 @@ The mixing coefficient lam is constrained to [0, 1]; at lam=0 the attention
 path is inert and the layer reduces to BL. Backward passes are exact
 analytic gradients, derived by hand; there is no autodiff anywhere.
 
+The K score matrices W_k are one (K, T, T) block ``heads``, and the heads
+are one more array axis: scores, masks and mixed features are (K, D', T),
+each computed for all heads by one operation.
+
 A batch of B windows is one feature-major (D, B, T) array, window b being
-``X[:, b, :]``. Each product is then one 2-D GEMM over a reshape, such as
-``W1 @ X.reshape(D, B*T)`` or ``xbar.reshape(D'*B, T) @ W_k``, and each
-parameter gradient sums over the batch inside its GEMM. A (D, T) window
-takes the same path without the batch axis; its outputs, caches and
-masks stay 2-D.
+``X[:, b, :]``. Each product is then one GEMM over a reshape, such as
+``W1 @ X.reshape(D, B*T)``, or a stack of them over the heads, such as
+``xbar.reshape(D'*B, T) @ heads``; each parameter gradient sums over the
+batch inside its GEMM. A (D, T) window takes the same path without the
+batch axis, so each head's mask is (D', T) for a window, (D', B, T) for
+a batch.
 
 Parameters live in one contiguous float64 vector: :class:`LayerParams`
 holds named views into it, laid out by :func:`layer_layout`, and
@@ -68,19 +73,18 @@ def layer_layout(in_dims: tuple[int, int], out_dims: tuple[int, int],
                  heads: int, recombine: bool) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """Name and shape of every parameter block of one layer, in storage order.
 
-    W1, W2 and B come first, then the score matrices: ``W`` for a single
-    head without recombination, ``head0`` .. ``head{K-1}`` otherwise. Then
-    ``Wtilde1`` when the heads are recombined, and the scalar ``lam``
-    whenever there is a head.
+    W1, W2 and B come first, then the (K, T, T) block ``heads`` of score
+    matrices, ``Wtilde1`` when the heads are recombined, and the scalar
+    ``lam``; the last three only when there is a head.
     """
     (d, t), (d_out, t_out) = in_dims, out_dims
     if recombine and heads < 1:
         raise ConfigurationError("head recombination needs at least one head")
     if heads > 1 and not recombine:
         raise ConfigurationError(f"{heads} heads need the Wtilde1 recombination")
-    names = ["W"] if heads == 1 and not recombine else [f"head{k}" for k in range(heads)]
     layout = [("W1", (d_out, d)), ("W2", (t, t_out)), ("B", (d_out, t_out))]
-    layout += [(name, (t, t)) for name in names]
+    if heads:
+        layout.append(("heads", (heads, t, t)))
     if recombine:
         layout.append(("Wtilde1", (d_out, d_out * heads)))
     if heads:
@@ -97,8 +101,9 @@ class LayerParams:
     """One layer's weights as named views into the float64 vector ``flat``.
 
     W1 is (D', D), W2 (T, T'), B (D', T'); ``heads`` holds the K score
-    matrices (T, T), ``Wtilde1`` the (D', D'*K) recombination or None, and
-    ``lam`` a 0-d view (the constant 0.0 when K=0). The fields are frozen:
+    matrices as one (K, T, T) block (empty when K=0), ``Wtilde1`` the
+    (D', D'*K) recombination or None, and ``lam`` a 0-d view (the
+    constant 0.0 when K=0). The fields are frozen:
     write through the views, e.g. ``p.lam[()] = 0.3``.
     """
 
@@ -107,7 +112,7 @@ class LayerParams:
     W1: Matrix
     W2: Matrix
     B: Matrix
-    heads: tuple[Matrix, ...]
+    heads: np.ndarray
     Wtilde1: Matrix | None
     lam: np.ndarray | float
 
@@ -120,16 +125,19 @@ class LayerParams:
                 f"float64 ({layout_size(layout)},)"
             )
         blocks = dict(_blocks(flat, layout))
-        heads = tuple(v for name, v in blocks.items() if name == "W" or name.startswith("head"))
-        return cls(flat, tuple(layout), blocks["W1"], blocks["W2"], blocks["B"], heads,
+        t = blocks["W2"].shape[0]
+        return cls(flat, tuple(layout), blocks["W1"], blocks["W2"], blocks["B"],
+                   blocks.get("heads", flat[:0].reshape(0, t, t)),
                    blocks.get("Wtilde1"), blocks.get("lam", 0.0))
 
     @classmethod
     def pack(cls, W1, W2, B, heads=(), Wtilde1=None, lam: float = 0.0) -> "LayerParams":
-        """Copy separate arrays into a new vector; every shape must chain."""
+        """Copy separate arrays, ``heads`` as (K, T, T) or K (T, T) matrices,
+        into a new vector; every shape must chain."""
         (d_out, d), (t, t_out) = np.shape(W1), np.shape(W2)
         layout = layer_layout((d, t), (d_out, t_out), len(heads), Wtilde1 is not None)
-        values = [W1, W2, B, *heads] + [Wtilde1] * (Wtilde1 is not None) + [lam] * bool(heads)
+        given = dict(W1=W1, W2=W2, B=B, heads=heads, Wtilde1=Wtilde1, lam=lam)
+        values = [given[name] for name, _ in layout]
         for (name, shape), value in zip(layout, values):
             if np.shape(value) != shape:
                 raise DimensionError(f"{name} {np.shape(value)} must be {shape}")
@@ -161,7 +169,7 @@ class LayerCache:
     activation: str
     x: Matrix
     xbar: Matrix
-    masks: list[Matrix]
+    masks: np.ndarray  # (K, D', [B,] T), one mask per head
     stacked: Matrix | None  # the mixed heads [mix_1; ...; mix_K] when recombined
     xtilde: Matrix
     z: Matrix
@@ -227,25 +235,22 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity"):
         )
     with scope(SCOPE_PROJECT):
         xbar = matmul(p.W1, _cols(x)).reshape((d_out,) + x.shape[1:])
-    masks, mixed, stacked, xtilde = [], [], None, xbar
-    if p.heads:
+    k = len(p.heads)
+    masks, stacked, xtilde = np.empty((0,) + xbar.shape), None, xbar
+    if k:
         lam = p.lam
         if not 0.0 <= lam <= 1.0:
             raise ConstraintError(f"lam must lie in [0, 1], got {float(lam)}")
+        with scope(SCOPE_ATTENTION):
+            e = matmul(_rows(xbar), p.heads)
+        masks = softmax_rows(e).reshape((k,) + xbar.shape)
+        _check_mask(masks)
         with scope(SCOPE_MIX):
-            carry = scale(xbar, 1.0 - lam)  # shared by every head
-        for w in p.heads:
-            with scope(SCOPE_ATTENTION):
-                e = matmul(_rows(xbar), w).reshape(xbar.shape)
-            a = softmax_rows(e)
-            _check_mask(a)
-            with scope(SCOPE_MIX):
-                mixed.append(scale(hadamard(xbar, a), lam) + carry)
-            masks.append(a)
+            mixed = scale(hadamard(xbar, masks), lam) + scale(xbar, 1.0 - lam)
         if p.Wtilde1 is None:
             xtilde = mixed[0]
         else:
-            stacked = np.concatenate(mixed)
+            stacked = mixed.reshape((k * d_out,) + xbar.shape[1:])
             with scope(SCOPE_RECOMBINE):
                 xtilde = matmul(p.Wtilde1, _cols(stacked)).reshape(xbar.shape)
     with scope(SCOPE_OUTPUT):
@@ -298,28 +303,20 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
     dxtilde = matmul(_rows(dz), params.W2.T).reshape(cache.xtilde.shape)
 
     dxbar = dxtilde
-    if params.heads:
+    k = len(params.heads)
+    if k:
         if params.Wtilde1 is None:
-            dmixed = [dxtilde]
+            dmixed = dxtilde[None]
         else:
             grads.Wtilde1[...] += matmul(_cols(dxtilde), _cols(cache.stacked).T)
-            dstacked = matmul(params.Wtilde1.T, _cols(dxtilde)).reshape(cache.stacked.shape)
-            d_out = cache.xbar.shape[0]
-            dmixed = [dstacked[k * d_out:(k + 1) * d_out] for k in range(len(params.heads))]
+            dmixed = matmul(params.Wtilde1.T, _cols(dxtilde)).reshape(cache.masks.shape)
 
-        xbar = cache.xbar
-        lam = params.lam
-        dxbar = np.zeros_like(xbar)
-        dlam = 0.0
-        for dmix, a, w, g_w in zip(dmixed, cache.masks, params.heads, grads.heads):
-            dlam += float(np.sum(dmix * (xbar * a - xbar)))
-            dxbar += (1.0 - lam) * dmix
-            da = lam * (dmix * xbar)
-            dxbar += lam * (dmix * a)
-            de = _softmax_rows_backward(da, a)
-            g_w += matmul(_rows(xbar).T, _rows(de))
-            dxbar += matmul(_rows(de), w.T).reshape(xbar.shape)
-        grads.lam[...] += dlam
+        xbar, a, lam = cache.xbar, cache.masks, params.lam
+        grads.lam[...] += float(np.sum(dmixed * (xbar * a - xbar)))
+        de = _softmax_rows_backward(lam * (dmixed * xbar), a).reshape(k, -1, xbar.shape[-1])
+        grads.heads[...] += matmul(_rows(xbar).T, de)
+        dheads = matmul(de, params.heads.transpose(0, 2, 1)).reshape(a.shape)
+        dxbar = ((1.0 - lam) * dmixed + lam * (dmixed * a) + dheads).sum(axis=0)
 
     grads.W1[...] += matmul(_cols(dxbar), _cols(cache.x).T)
     grad_x = matmul(params.W1.T, _cols(dxbar)).reshape(cache.x.shape)

@@ -1,10 +1,11 @@
 """Dense float64 matrix kernel.
 
-:func:`matmul` multiplies 2-D float64 arrays, often views (a transpose, a
-block of a flat parameter vector, or a batch of windows reshaped to 2-D
-by the layers); ``rows`` and ``cols`` are ``shape[0]`` and ``shape[1]``.
-The elementwise operations and the row softmax take arrays of any rank;
-a "row" is the last axis, so a (D, B, T) batch of windows has D*B rows.
+:func:`matmul` multiplies float64 matrices over their last two axes,
+often views (a transpose, a block of a flat parameter vector, or a batch
+of windows reshaped to 2-D by the layers); either operand may carry a
+leading stack axis, such as the K attention heads of a layer. The
+elementwise operations and the row softmax take arrays of any rank; a
+"row" is the last axis, so a (D, B, T) batch of windows has D*B rows.
 Every operation validates shapes eagerly and raises
 :class:`DimensionError` on mismatch, so shape bugs surface at the call
 site instead of deep inside a layer.
@@ -76,18 +77,20 @@ def _tick(n: int) -> None:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product, shape (a.rows, b.cols)."""
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: cannot multiply {a.shape} by {b.shape}")
-    _tick(a.shape[0] * a.shape[1] * b.shape[1])
-    return a @ b
+    """Matrix product over the last two axes; a leading stack axis broadcasts."""
+    try:
+        out = a @ b
+    except ValueError as err:
+        raise DimensionError(f"matmul: cannot multiply {a.shape} by {b.shape}") from err
+    _tick(out.size * a.shape[-1])
+    return out
 
 
 def hadamard(a: Matrix, b: Matrix) -> Matrix:
-    """Elementwise product of two same-shape arrays."""
-    if a.shape != b.shape:
+    """Elementwise product; ``a`` may broadcast over leading axes of ``b``."""
+    if a.shape != b.shape[b.ndim - a.ndim:]:
         raise DimensionError(f"hadamard: shapes differ, {a.shape} vs {b.shape}")
-    _tick(a.size)
+    _tick(b.size)
     return a * b
 
 

@@ -31,8 +31,8 @@ def cross_entropy(probs: Matrix, label, class_weights=None) -> CrossEntropy:
     ``label``, or (3, B, 1) with an array of B labels. The loss is summed
     over the windows. The gradient, shaped like ``probs``, is taken with
     respect to the pre-softmax scores, folding the softmax Jacobian into
-    the cross-entropy derivative: w * (probs - onehot). Feed it to the
-    network backward with ``grad_wrt_preactivation=True``.
+    the cross-entropy derivative: w * (probs - onehot), which is what the
+    network backward takes.
     """
     labels = np.asarray(label)
     if probs.shape != (N_CLASSES,) + labels.shape + (1,):

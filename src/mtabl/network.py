@@ -187,15 +187,14 @@ def _uniform_fan(rng: np.random.Generator, rows: int, cols: int, fan_in: int) ->
     return rng.uniform(-bound, bound, (rows, cols))
 
 
-def _attention_matrix(rng: np.random.Generator, t: int, fix_diag: bool) -> Matrix:
+def _attention_heads(rng: np.random.Generator, k: int, t: int, fix_diag: bool) -> np.ndarray:
     # Uniform attention start, 1/T everywhere; the noise breaks the
     # symmetry between heads, which would otherwise receive identical
     # gradients forever.
-    w = np.full((t, t), 1.0 / t)
-    noise = rng.normal(0.0, 0.01, (t, t))
+    noise = rng.normal(0.0, 0.01, (k, t, t))
     if fix_diag:
-        np.fill_diagonal(noise, 0.0)
-    return w + noise
+        noise[:, range(t), range(t)] = 0.0
+    return np.full((t, t), 1.0 / t) + noise
 
 
 def init_layer_params(spec: LayerSpec, in_dims: tuple[int, int],
@@ -205,11 +204,10 @@ def init_layer_params(spec: LayerSpec, in_dims: tuple[int, int],
     d, t = in_dims
     p.W1[...] = _uniform_fan(rng, *p.W1.shape, fan_in=d)
     p.W2[...] = _uniform_fan(rng, *p.W2.shape, fan_in=t)
-    for w in p.heads:
-        w[...] = _attention_matrix(rng, t, spec.fix_attention_diag)
+    p.heads[...] = _attention_heads(rng, len(p.heads), t, spec.fix_attention_diag)
     if p.Wtilde1 is not None:
         p.Wtilde1[...] = _uniform_fan(rng, *p.Wtilde1.shape, fan_in=p.Wtilde1.shape[1])
-    if p.heads:
+    if len(p.heads):
         p.lam[()] = 0.5
     return p
 
@@ -235,21 +233,18 @@ def network_forward(x: np.ndarray, spec: NetworkSpec, params: list):
     return out, caches
 
 
-def network_backward(spec: NetworkSpec, params: NetworkParams, caches: list, grad, *,
-                     grad_wrt_preactivation: bool = False):
+def network_backward(spec: NetworkSpec, params: NetworkParams, caches: list, grad):
     """Reverse the stack; returns the parameter gradients, summed over the
-    windows of a batch, and dL/dx. With ``grad_wrt_preactivation`` the
-    incoming gradient is taken with respect to the final layer's
-    pre-activation scores, as produced by the fused softmax cross-entropy
-    backward.
+    windows of a batch, and dL/dx. The incoming gradient is taken with
+    respect to the final layer's pre-activation scores, as produced by the
+    fused softmax cross-entropy backward.
     """
     grads = params.like(np.zeros_like(params.flat))
     upstream = grad
     last = len(params) - 1
     for i in range(last, -1, -1):
         _, upstream = layer_backward(
-            caches[i], params[i], upstream, grads[i],
-            grad_wrt_preactivation=grad_wrt_preactivation and i == last,
+            caches[i], params[i], upstream, grads[i], grad_wrt_preactivation=i == last,
         )
     return grads, upstream
 
@@ -267,4 +262,4 @@ def predict_labels(spec: NetworkSpec, params: list, windows) -> list[int]:
 
 def attention_lambdas(params: list) -> list[float]:
     """The mixing coefficient of every attention layer, in layer order."""
-    return [float(p.lam) for p in params if p.heads]
+    return [float(p.lam) for p in params if len(p.heads)]

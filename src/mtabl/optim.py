@@ -105,14 +105,14 @@ class EpochRecord:
 def _apply_constraints(params: NetworkParams) -> None:
     """Clamp lam onto [0, 1]; re-pin attention diagonals when frozen."""
     for layer, p in zip(params.spec.layers, params):
-        if p.heads:
+        if len(p.heads):
             lam = min(max(float(p.lam), 0.0), 1.0)
             if not 0.0 <= lam <= 1.0:
                 raise DivergenceError(f"non-finite lam after the update ({lam})")
             p.lam[()] = lam
         if layer.fix_attention_diag:
-            for w in p.heads:
-                np.fill_diagonal(w, 1.0 / w.shape[0])
+            t = p.heads.shape[-1]
+            p.heads[:, range(t), range(t)] = 1.0 / t
 
 
 def step(params: NetworkParams, grads: NetworkParams, state: TrainState, cfg: OptimConfig):
@@ -164,8 +164,7 @@ def batch_gradients(spec: NetworkSpec, params: NetworkParams, batch: Windows,
         raise DivergenceError(
             f"non-finite loss, first bad values in {_first_nonfinite_layer(spec, caches)}"
         )
-    grads, _ = network_backward(spec, params, caches, grad_scores,
-                                grad_wrt_preactivation=True)
+    grads, _ = network_backward(spec, params, caches, grad_scores)
     inv = 1.0 / len(batch)
     grads.flat *= inv
     return loss_sum * inv, grads, result.clamped

@@ -49,7 +49,7 @@ def relative_error(a: float, n: float, floor: float = REL_ERR_FLOOR) -> float:
 class BlockCheck:
     name: str
     max_rel_err: float
-    worst_coord: tuple[int, int]
+    worst_coord: tuple[int, ...]
     analytic_at_worst: float
     numeric_at_worst: float
 
@@ -96,7 +96,8 @@ def compare_to_finite_differences(loss_fn, params, analytic, *,
     gradients in the same layout; ``loss_fn`` maps ``params`` to a scalar.
     Every entry of the flat parameter vector is perturbed by +-step in
     place and restored, and results are reported per named block at the
-    block coordinate (i, j); the scalar lam sits at (0, 0). Coordinates at
+    block coordinate: (i, j) in a matrix, (k, i, j) in the heads block, and
+    (0, 0) for the scalar lam. Coordinates at
     which the loss cannot be evaluated (constraint violations, non-finite
     values) are recorded as untestable instead of failing the check. A
     coordinate whose analytic value agrees with the central difference to
@@ -111,10 +112,10 @@ def compare_to_finite_differences(loss_fn, params, analytic, *,
     flat, grad = params.flat, analytic.flat
     offset = 0
     for name, block in params.named_blocks():
-        cols = block.shape[1] if block.ndim == 2 else 1
         worst = BlockCheck(name, -1.0, (0, 0), 0.0, 0.0)
         for k in range(offset, offset + block.size):
-            i, j = divmod(k - offset, cols)
+            coord = tuple(int(c) for c in np.unravel_index(k - offset, block.shape or (1, 1)))
+            where = f"{name}[{','.join(map(str, coord))}]"
             original = flat[k]
 
             def loss_at(delta):
@@ -127,17 +128,17 @@ def compare_to_finite_differences(loss_fn, params, analytic, *,
             try:
                 up, down = loss_at(step), loss_at(-step)
             except MtablError:
-                report.untestable.append(f"{name}[{i},{j}]")
+                report.untestable.append(where)
                 continue
             if not (math.isfinite(up) and math.isfinite(down)):
-                report.untestable.append(f"{name}[{i},{j}]")
+                report.untestable.append(where)
                 continue
             numeric = (up - down) / (2.0 * step)
             a = float(grad[k])
             resolution = 32.0 * eps * max(abs(up), abs(down), 1.0) / (2.0 * step)
             err = 0.0 if abs(a - numeric) <= resolution else relative_error(a, numeric)
             if err > worst.max_rel_err:
-                worst = BlockCheck(name, err, (i, j), a, numeric)
+                worst = BlockCheck(name, err, coord, a, numeric)
         if worst.max_rel_err >= 0.0:
             report.blocks[name] = worst
         offset += block.size
@@ -178,8 +179,7 @@ def gradcheck(spec: NetworkSpec, params, sample, *,
     """
     probs, caches = network_forward(sample.x, spec, params)
     _, grad_scores = cross_entropy(probs, sample.label)
-    grads, _ = network_backward(spec, params, caches, grad_scores,
-                                grad_wrt_preactivation=True)
+    grads, _ = network_backward(spec, params, caches, grad_scores)
 
     def loss_fn(p):
         out, _ = network_forward(sample.x, spec, p)
@@ -319,7 +319,7 @@ def check_reduction(seed: int = 0, n_inputs: int = 100, tol: float = 1e-12) -> R
         g_avg, _ = layer_backward(cache_avg, averaged, grad_y)
         max_fwd = max(max_fwd, float(np.abs(y_single - y_avg).max()))
         max_grad = max(max_grad, _grad_diff(g_single, g_avg))
-        head_sum = sum(g_avg.heads)
+        head_sum = g_avg.heads.sum(axis=0)
         max_grad = max(max_grad, float(np.abs(head_sum - g_single.heads[0]).max()))
 
         y_ctrl, _ = layer_forward(x, perturbed)

@@ -126,8 +126,7 @@ def per_window_gradients(spec, params, batch, class_weights=None):
         probs, caches = network_forward(sample.x, spec, params)
         clamped += int(probs[sample.label, 0] < PROB_FLOOR)
         loss, grad_scores = cross_entropy(probs, sample.label, class_weights)
-        grads, _ = network_backward(spec, params, caches, grad_scores,
-                                    grad_wrt_preactivation=True)
+        grads, _ = network_backward(spec, params, caches, grad_scores)
         total += grads.flat
         loss_sum += loss
     return loss_sum / len(batch), total / len(batch), clamped

@@ -110,6 +110,26 @@ class TestTrainCommand:
     def test_requires_some_dataset(self, tmp_path):
         assert run(["train", "--out", str(tmp_path / "x")]) == 2
 
+    def test_non_utf8_day_file_is_format_error(self, tmp_path, capsys):
+        day_dir = tmp_path / "days"
+        write_days(day_dir)
+        (day_dir / "day1.txt").write_bytes(b"1.0 2.0\n\xff\xfe 3.0\n")
+        code = run(["train", "--data", str(day_dir), "--train-days", "2",
+                    "--val-days", "1", "--test-days", "1", "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "day1.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,code", [("[1, 2]", 2), ("{not json", 2), (None, 3)],
+                             ids=["json-list", "not-json", "directory"])
+    def test_bad_config_file(self, tmp_path, capsys, content, code):
+        config = tmp_path / "config.json"
+        if content is None:
+            config.mkdir()
+        else:
+            config.write_text(content)
+        assert run(["train", "--config", str(config), "--out", str(tmp_path / "x")]) == code
+        assert "config" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_reproduces_training_report_bit_exactly(self, tmp_path, capsys):

@@ -237,6 +237,8 @@ class TestWindows:
                     else np.empty((40, 0, 10)))
         assert batch.x.shape == expected.shape
         assert batch.x.tobytes() == expected.tobytes()
+        # Laid out (D, B, T) in memory, so the layers reshape it without a copy.
+        assert batch.x.flags.c_contiguous
         assert np.array_equal(batch.labels, windows.labels[idx])
 
     def test_days_sit_side_by_side_and_windows_stay_inside_one(self, tmp_path):

@@ -110,7 +110,7 @@ class TestTABLForward:
 
     def test_wrong_attention_shape(self, rng):
         base = random_base(rng, t=3)
-        with pytest.raises(DimensionError, match="W"):
+        with pytest.raises(DimensionError, match=r"heads \(1, 2, 2\) must be \(1, 3, 3\)"):
             LayerParams.pack(**base, heads=[np.zeros((2, 2))], lam=0.5)
 
     def test_mask_rows_sum_to_one(self, rng):
@@ -149,7 +149,7 @@ class TestMTABLForward:
         x = rng.normal(size=(3, 4))
         single = random_tabl(rng, d=3, t=4, d_out=2, t_out=2)
         multi = LayerParams.pack(
-            single.W1, single.W2, single.B, heads=single.heads * 3,
+            single.W1, single.W2, single.B, heads=np.concatenate([single.heads] * 3),
             lam=single.lam, Wtilde1=np.hstack([np.eye(2)] * 3) / 3.0,
         )
         y_single, _ = layer_forward(x, single)
@@ -264,7 +264,7 @@ class TestParamPlumbing:
             # The named fields are views of the flat vector, in layout order.
             fields = [params.W1, params.W2, params.B, *params.heads]
             fields += [params.Wtilde1] if params.Wtilde1 is not None else []
-            fields += [params.lam] if params.heads else []
+            fields += [params.lam] if len(params.heads) else []
             assert np.concatenate([np.ravel(f) for f in fields]).tobytes() == \
                 params.flat.tobytes()
             assert all(np.shares_memory(f, params.flat) for f in fields)
@@ -272,10 +272,23 @@ class TestParamPlumbing:
     def test_layout_names_follow_the_paper(self):
         assert [n for n, _ in layer_layout((4, 5), (3, 2), 0, False)] == ["W1", "W2", "B"]
         assert [n for n, _ in layer_layout((4, 5), (3, 2), 1, False)] == \
-            ["W1", "W2", "B", "W", "lam"]
+            ["W1", "W2", "B", "heads", "lam"]
         assert [n for n, _ in layer_layout((4, 5), (3, 2), 2, True)] == \
-            ["W1", "W2", "B", "head0", "head1", "Wtilde1", "lam"]
+            ["W1", "W2", "B", "heads", "Wtilde1", "lam"]
+        assert dict(layer_layout((4, 5), (3, 2), 1, False))["heads"] == (1, 5, 5)
+        assert dict(layer_layout((4, 5), (3, 2), 2, True))["heads"] == (2, 5, 5)
         assert dict(layer_layout((4, 5), (3, 2), 2, True))["Wtilde1"] == (3, 6)
+
+    def test_heads_keep_the_per_head_storage_order(self, rng):
+        # Head k sits where the k-th separately stored (T, T) block did,
+        # right after W1, W2 and B, so older checkpoints load unchanged.
+        t = 3
+        p = random_mtabl(rng, d=2, t=t, d_out=2, t_out=2, k=3)
+        o = p.W1.size + p.W2.size + p.B.size
+        assert p.heads.shape == (3, t, t)
+        for k in range(3):
+            assert np.array_equal(p.heads[k].ravel(), p.flat[o + k * t * t:o + (k + 1) * t * t])
+            assert np.shares_memory(p.heads[k], p.flat[o + k * t * t:o + (k + 1) * t * t])
 
     def test_clone_is_deep(self):
         spec = topology("A", input_dims=(4, 3), attention_kind="mtabl", heads=2)

@@ -48,6 +48,15 @@ class TestMatmul:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
             matmul(np.zeros((2, 3)), np.zeros((2, 2)))
+        with pytest.raises(DimensionError, match=r"\(2, 3, 4\).*\(3, 4, 2\)"):
+            matmul(np.zeros((2, 3, 4)), np.zeros((3, 4, 2)))
+
+    def test_stack_axis_multiplies_each_matrix(self, rng):
+        a, b = rng.normal(size=(5, 4)), rng.normal(size=(3, 4, 2))
+        out = matmul(a, b)
+        assert out.shape == (3, 5, 2)
+        for k in range(3):
+            assert out[k].tobytes() == matmul(a, b[k]).tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
@@ -77,6 +86,12 @@ class TestHadamard:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             hadamard(np.zeros((2, 2)), np.zeros((2, 3)))
+        with pytest.raises(DimensionError):
+            hadamard(np.zeros((3, 2, 2)), np.zeros((2, 2)))
+
+    def test_first_operand_broadcasts_over_leading_axes(self, rng):
+        a, b = rng.normal(size=(2, 3)), rng.normal(size=(4, 2, 3))
+        assert np.array_equal(hadamard(a, b), np.stack([a * m for m in b]))
 
     @settings(max_examples=25, deadline=None)
     @given(small_matrices())
@@ -141,6 +156,10 @@ class TestMultiplicationCounter:
         with count_multiplications() as counter:
             matmul(np.zeros((3, 4)), np.zeros((4, 2)))
         assert counter.total == 3 * 4 * 2
+        with count_multiplications() as counter:
+            matmul(np.zeros((3, 4)), np.zeros((5, 4, 2)))
+            hadamard(np.zeros((3, 2)), np.zeros((5, 3, 2)))
+        assert counter.total == 5 * 3 * 4 * 2 + 5 * 3 * 2
 
     def test_scopes_attribute_counts(self):
         a = np.zeros((2, 2))

@@ -102,8 +102,7 @@ class TestForwardBackward:
         label = 2
         probs, caches = network_forward(x, spec, params)
         _, grad_scores = cross_entropy(probs, label)
-        _, grad_x = network_backward(spec, params, caches, grad_scores,
-                                     grad_wrt_preactivation=True)
+        _, grad_x = network_backward(spec, params, caches, grad_scores)
         step = 1e-6
         for i in range(x.shape[0]):
             for j in range(x.shape[1]):
@@ -136,13 +135,14 @@ class TestParamsLayout:
         assert [len(p.heads) for p in params] == [0, 0, 3]
         names = [name for name, _ in params.named_blocks()]
         assert names[:3] == ["layer0/W1", "layer0/W2", "layer0/B"]
-        assert names[-3:] == ["layer2/head2", "layer2/Wtilde1", "layer2/lam"]
+        assert names[-3:] == ["layer2/heads", "layer2/Wtilde1", "layer2/lam"]
+        assert params[2].heads.shape == (3, 3, 3)
 
     def test_bl_layers_report_inert_lam(self):
         # BL has no mixing coefficient; it reads as 0.0, never as None.
         spec = topology("B", input_dims=(8, 6), attention_kind="tabl")
         params = init_network_params(spec, 0)
-        assert params[0].lam == 0.0 and params[0].heads == ()
+        assert params[0].lam == 0.0 and params[0].heads.shape == (0, 6, 6)
         assert float(params[1].lam) == 0.5
 
     def test_wrong_vector_length_rejected(self):

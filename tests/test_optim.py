@@ -84,8 +84,7 @@ class TestStep:
         params = init_network_params(spec, 8)
         probs, caches = network_forward(sample.x, spec, params)
         _, grad_scores = cross_entropy(probs, sample.label)
-        grads, _ = network_backward(spec, params, caches, grad_scores,
-                                    grad_wrt_preactivation=True)
+        grads, _ = network_backward(spec, params, caches, grad_scores)
         cfg = OptimConfig(algorithm="sgd-momentum", learning_rate=0.1, momentum=0.9)
         state = TrainState.initial(params, cfg)
         before = params.copy()
@@ -125,8 +124,7 @@ class TestBatchGradients:
         for s in batch:
             probs, caches = network_forward(s.x, spec, params)
             l, gs = cross_entropy(probs, s.label)
-            g, _ = network_backward(spec, params, caches, gs,
-                                    grad_wrt_preactivation=True)
+            g, _ = network_backward(spec, params, caches, gs)
             per_sample.append(g)
             losses.append(l)
         assert abs(loss - np.mean(losses)) <= 1e-12

@@ -62,6 +62,22 @@ class TestGradcheckLayer:
         assert worst.name == "W1"
         assert worst.worst_coord == (i, j)
 
+    def test_corrupted_head_flagged_at_head_coordinate(self):
+        params, activation, x = random_layer_case("mtabl", np.random.default_rng(8), heads=3)
+        y0, cache = layer_forward(x, params, activation)
+        analytic, _ = layer_backward(cache, params, y0)
+
+        def loss_fn(p):
+            y, _ = layer_forward(x, p, activation)
+            return 0.5 * float(np.sum(y ** 2))
+
+        k, i, j = np.unravel_index(np.abs(analytic.heads).argmax(), analytic.heads.shape)
+        corrupted = analytic.like(analytic.flat.copy())
+        corrupted.heads[k, i, j] *= 2.0
+        worst = compare_to_finite_differences(loss_fn, params, corrupted).worst_block()
+        assert worst.name == "heads"
+        assert worst.worst_coord == (k, i, j)
+
     def test_boundary_lam_marked_untestable_not_failed(self):
         rng = np.random.default_rng(5)
         params, activation, x = random_layer_case("tabl", rng)
@@ -81,9 +97,9 @@ class TestGradcheckNetwork:
         sample = SeriesSample(x=rng.normal(size=(5, 6)), label=1)
         report = gradcheck(spec, params, sample)
         assert report.passed, report.to_text()
-        assert list(report.blocks) == (["layer0/W1", "layer0/W2", "layer0/B"]
-                                       + [f"layer0/head{k}" for k in range(heads)]
-                                       + ["layer0/Wtilde1", "layer0/lam"])
+        assert list(report.blocks) == ["layer0/W1", "layer0/W2", "layer0/B", "layer0/heads",
+                                       "layer0/Wtilde1", "layer0/lam"]
+        assert len(report.blocks["layer0/heads"].worst_coord) == 3
 
     def test_deep_topology(self):
         rng = np.random.default_rng(2)
@@ -95,7 +111,7 @@ class TestGradcheckNetwork:
         assert report.passed, report.to_text()
         assert list(report.blocks) == [
             "layer0/W1", "layer0/W2", "layer0/B", "layer1/W1", "layer1/W2", "layer1/B",
-            "layer2/W1", "layer2/W2", "layer2/B", "layer2/W", "layer2/lam"]
+            "layer2/W1", "layer2/W2", "layer2/B", "layer2/heads", "layer2/lam"]
 
 
 class TestReduction:
