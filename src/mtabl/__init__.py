@@ -32,7 +32,7 @@ from .errors import (
     MtablError,
     ParseError,
 )
-from .layers import LayerCache, LayerParams, layer_backward, layer_forward, layer_layout
+from .layers import LayerCache, LayerParams, Workspace, layer_backward, layer_forward, layer_layout
 from .linalg import Matrix, count_multiplications, softmax_rows
 from .losses import cross_entropy, inverse_frequency_weights, uniform_weights
 from .metrics import EvalReport, confusion_matrix, evaluate
@@ -79,5 +79,5 @@ __all__ = [
     "network_forward", "normalize", "predict_labels", "save_checkpoint",
     "save_dataset", "softmax_rows", "split_days", "step", "synth_generate",
     "tabl_complexity_total", "topology", "train",
-    "uniform_weights", "Windows", "windowize",
+    "uniform_weights", "Windows", "windowize", "Workspace",
 ]

@@ -101,8 +101,20 @@ class Windows:
 
     @property
     def x(self) -> np.ndarray:
-        # A C-ordered gather: the layers reshape the batch without a copy.
-        return np.take(self.series, self.starts[:, None] + np.arange(self.window), axis=1)
+        return self.gather()
+
+    def gather(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The windows as one C-ordered (D, B, T) batch, which the layers
+        reshape without a copy; written into ``out`` when given."""
+        index = self.starts[:, None] + np.arange(self.window)
+        if out is None:
+            return np.take(self.series, index, axis=1)
+        if len(self) and not (0 <= self.starts.min()
+                              and self.starts.max() <= self.series.shape[1] - self.window):
+            raise IndexError(f"window starts outside a series of {self.series.shape[1]} events")
+        # Checked above, so "wrap" never wraps; unlike "raise" it writes
+        # straight into ``out`` instead of through a temporary copy.
+        return np.take(self.series, index, axis=1, out=out, mode="wrap")
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -350,15 +362,38 @@ def synth_generate(n_samples: int, n_features: int = 8, window: int = 10,
     )
 
 
+def _covered(part: Windows) -> Windows:
+    """The same windows over only the series columns they cover, their
+    starts shifted to match; ``part`` itself when they cover every column."""
+    n, starts = part.series.shape[1], part.starts
+    steps = np.diff(starts)
+    # Sorted windows with no gap between neighbours, from the first column
+    # to the last, cover them all: the windows of a whole partition.
+    if starts[0] == 0 and starts[-1] + part.window == n and (
+            (0 <= steps) & (steps <= part.window)).all():
+        return part
+    depth = np.cumsum(np.bincount(starts, minlength=n + 1)
+                      - np.bincount(starts + part.window, minlength=n + 1))[:n]
+    covered = depth > 0
+    if covered.all():
+        return part
+    # A window's columns are all kept, so they stay consecutive.
+    column = np.cumsum(covered) - 1
+    return Windows(part.series[:, covered], column[part.starts], part.labels, part.window)
+
+
 def save_dataset(path, dataset: Dataset) -> None:
     """Binary dataset cache of every partition's series, window starts and
-    labels; reloading reproduces the windows bit-exactly."""
+    labels; reloading reproduces the windows bit-exactly. Only the series
+    columns some window covers are written, so the cache of a subset of
+    windows is the size of that subset."""
     from .serialize import write_container
 
     dims = dataset.sample_dims()
     blocks = []
     for name, part in dataset.partitions():
         if part:
+            part = _covered(part)
             blocks += [(f"{name}/series", part.series), (f"{name}/starts", part.starts[:, None]),
                        (f"{name}/labels", part.labels[:, None])]
     if dataset.feature_mean is not None:

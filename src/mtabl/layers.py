@@ -38,10 +38,16 @@ holds named views into it, laid out by :func:`layer_layout`, and
 gradients come in the same layout. Forward passes never mutate the
 parameters, so concurrent forward/backward over different samples with
 shared parameters is safe.
+
+Given a :class:`Workspace`, a pass writes its outputs, cache and large
+temporaries into the workspace's buffers (``out=`` of the same operations
+in the same order, so bit-identical results) instead of fresh arrays,
+which a training loop would fault in again every step.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -153,6 +159,65 @@ class LayerParams:
         return _blocks(self.flat, self.layout)
 
 
+class Workspace:
+    """Buffers that one caller reuses across the passes of a network.
+
+    One flat float64 array per key; :meth:`take` returns its leading
+    elements reshaped (a short last batch gets a contiguous prefix) and
+    replaces it by a larger array when asked for more. ``Workspace()``
+    keys buffers by layer and role, so a training step keeps every layer's
+    cache for the backward; :meth:`layer` is the view a layer's forward
+    writes through. ``Workspace(sizes)`` is for forward passes that need
+    only their output: all layers share one buffer per role, cut from one
+    block, which glibc keeps between calls once it has freed one that size.
+    Its buffers never grow: asking for a role it lacks, or for more than
+    ``sizes`` gave it, raises :class:`DimensionError`.
+
+    A result lives until a pass writes its key again: a layer's output and
+    cache until the next forward through its view (any view, if shared) or
+    a backward through a workspace, which writes dL/dxtilde over
+    ``xtilde``. ``network_backward`` gives all layers the unkeyed view, so
+    they share the backward roles ``grad`` (dL/dz, then dL/dx, over the
+    upstream gradient when that is the previous dL/dx) and ``dmixed``. A
+    pass without a workspace touches none.
+    """
+
+    def __init__(self, sizes: dict[str, int] | None = None):
+        self._layer: int | None = None
+        self._shared = sizes is not None
+        self._buffers = {}
+        if sizes:
+            block, start = np.empty(sum(sizes.values())), 0
+            for role, size in sizes.items():
+                self._buffers[None, role] = block[start:start + size]
+                start += size
+
+    def layer(self, i: int) -> "Workspace":
+        """The view of layer ``i``: the same buffers, under keys of its own
+        unless the workspace is shared."""
+        if self._shared:
+            return self
+        view = copy.copy(self)
+        view._layer = i
+        return view
+
+    def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The buffer of ``role`` in this view, as a C-ordered array of ``shape``."""
+        size = math.prod(shape)
+        key = (self._layer, role)
+        flat = self._buffers.get(key)
+        if flat is None or flat.size < size:
+            if self._shared:
+                raise DimensionError(f"workspace has no room for {role} {shape}")
+            flat = self._buffers[key] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
+def buffer(ws: Workspace | None, role: str, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``ws.take(role, shape)``, or None (a fresh result) without a workspace."""
+    return None if ws is None else ws.take(role, shape)
+
+
 def _blocks(flat: np.ndarray, layout) -> list[tuple[str, np.ndarray]]:
     out, offset = [], 0
     for name, shape in layout:
@@ -172,36 +237,38 @@ class LayerCache:
     masks: np.ndarray  # (K, D', [B,] T), one mask per head
     stacked: Matrix | None  # the mixed heads [mix_1; ...; mix_K] when recombined
     xtilde: Matrix
-    z: Matrix
+    z: Matrix  # with a workspace, y overwrites it: the backward reads only z > 0
     y: Matrix
 
 
-def apply_activation(z: Matrix, kind: str) -> Matrix:
+def apply_activation(z: Matrix, kind: str, out: Matrix | None = None) -> Matrix:
+    """``act(z)``, into ``out`` when given; identity returns ``z`` itself."""
     if kind == "identity":
         return z
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if kind == "softmax":
         # Over the feature axis, one column per window.
         if z.shape[-1] != 1:
             raise ConfigurationError(
                 f"softmax activation needs a single output column, got shape {z.shape}"
             )
-        expd = np.exp(z - z.max(axis=0))
-        return expd / expd.sum(axis=0)
+        expd = np.exp(np.subtract(z, z.max(axis=0), out=out), out=out)
+        return np.divide(expd, expd.sum(axis=0), out=expd)
     raise ConfigurationError(f"unknown activation {kind!r}")
 
 
-def activation_backward(grad_y: Matrix, cache: LayerCache) -> Matrix:
-    """Pull the upstream gradient back through the activation: dL/dy -> dL/dz."""
+def activation_backward(grad_y: Matrix, cache: LayerCache, out: Matrix | None = None) -> Matrix:
+    """Pull the upstream gradient back through the activation: dL/dy -> dL/dz,
+    into ``out`` when given (which may be ``grad_y``); identity returns ``grad_y``."""
     kind = cache.activation
     if kind == "identity":
         return grad_y
     if kind == "relu":
-        return grad_y * (cache.z > 0.0)
+        return np.multiply(grad_y, cache.z > 0.0, out=out)
     if kind == "softmax":
         y = cache.y
-        return y * (grad_y - np.sum(y * grad_y, axis=0))
+        return np.multiply(y, grad_y - np.sum(y * grad_y, axis=0), out=out)
     raise ConfigurationError(f"unknown activation {kind!r}")
 
 
@@ -223,18 +290,22 @@ def _rows(a: np.ndarray) -> Matrix:
     return a.reshape(-1, a.shape[-1])
 
 
-def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity"):
+def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
+                  ws: Workspace | None = None):
     """Forward pass over one (D, T) window or a (D, B, T) batch.
 
-    Returns the output, (D', T') or (D', B, T'), and its cache.
+    Returns the output, (D', T') or (D', B, T'), and its cache, in ``ws``
+    (one layer's view of a workspace) when given.
     """
     (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
     if x.ndim not in (2, 3) or (x.shape[0], x.shape[-1]) != (d, t):
         raise DimensionError(
             f"input {x.shape} does not fit W1 {p.W1.shape} and W2 {p.W2.shape}"
         )
+    n = x.size // d  # windows times time steps
     with scope(SCOPE_PROJECT):
-        xbar = matmul(p.W1, _cols(x)).reshape((d_out,) + x.shape[1:])
+        xbar = matmul(p.W1, _cols(x), buffer(ws, "xbar", (d_out, n)))
+        xbar = xbar.reshape((d_out,) + x.shape[1:])
     k = len(p.heads)
     masks, stacked, xtilde = np.empty((0,) + xbar.shape), None, xbar
     if k:
@@ -242,23 +313,41 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity"):
         if not 0.0 <= lam <= 1.0:
             raise ConstraintError(f"lam must lie in [0, 1], got {float(lam)}")
         with scope(SCOPE_ATTENTION):
-            e = matmul(_rows(xbar), p.heads)
-        masks = softmax_rows(e).reshape((k,) + xbar.shape)
+            e = matmul(_rows(xbar), p.heads, buffer(ws, "masks", (k, d_out * n // t, t)))
+        masks = softmax_rows(e, e).reshape((k,) + xbar.shape)
         _check_mask(masks)
         with scope(SCOPE_MIX):
-            mixed = scale(hadamard(xbar, masks), lam) + scale(xbar, 1.0 - lam)
+            mixed = hadamard(xbar, masks, buffer(ws, "mixed", masks.shape))
+            mixed = scale(mixed, lam, mixed)
+            mixed += scale(xbar, 1.0 - lam)
         if p.Wtilde1 is None:
             xtilde = mixed[0]
         else:
             stacked = mixed.reshape((k * d_out,) + xbar.shape[1:])
             with scope(SCOPE_RECOMBINE):
-                xtilde = matmul(p.Wtilde1, _cols(stacked)).reshape(xbar.shape)
+                xtilde = matmul(p.Wtilde1, _cols(stacked), buffer(ws, "xtilde", (d_out, n)))
+            xtilde = xtilde.reshape(xbar.shape)
     with scope(SCOPE_OUTPUT):
-        z = matmul(_rows(xtilde), p.W2).reshape(xbar.shape[:-1] + (t_out,))
+        z = matmul(_rows(xtilde), p.W2, buffer(ws, "z", (d_out * n // t, t_out)))
+        z = z.reshape(xbar.shape[:-1] + (t_out,))
         z += p.B if x.ndim == 2 else p.B[:, None]
-    y = apply_activation(z, activation)
+    y = apply_activation(z, activation, buffer(ws, "z", z.shape))
     return y, LayerCache(activation=activation, x=x, xbar=xbar, masks=masks,
                          stacked=stacked, xtilde=xtilde, z=z, y=y)
+
+
+def forward_sizes(p: LayerParams, windows: int) -> dict[str, int]:
+    """Elements :func:`layer_forward` takes from a workspace per role for a
+    batch of ``windows``. A ``Workspace`` sized by them raises when the
+    forward asks for more, so the two cannot drift apart unnoticed."""
+    (d_out, _), (t, t_out) = p.W1.shape, p.W2.shape
+    n, k = windows * d_out, len(p.heads)
+    sizes = {"xbar": n * t, "z": n * t_out}
+    if k:
+        sizes.update(masks=k * n * t, mixed=k * n * t)
+    if p.Wtilde1 is not None:
+        sizes["xtilde"] = n * t
+    return sizes
 
 
 def _check_cache(cache: LayerCache, params: LayerParams, grad_y: Matrix) -> None:
@@ -284,23 +373,30 @@ def _softmax_rows_backward(grad_a: Matrix, a: Matrix) -> Matrix:
 
 def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
                    grads: LayerParams | None = None, *,
-                   grad_wrt_preactivation: bool = False):
+                   grad_wrt_preactivation: bool = False, ws: Workspace | None = None,
+                   input_grad: bool = True):
     """Exact gradients of a scalar loss w.r.t. every parameter and the input.
 
     ``grad_y`` is dL/dy, or dL/dz when ``grad_wrt_preactivation`` is set
     (the fused softmax + cross-entropy path supplies the latter), in the
     shape of the output. The parameter gradients, summed over the windows
     of a batch, are added into ``grads``, which has the layout of
-    ``params`` (a zeroed one when omitted). Returns ``(grads, grad_x)``.
+    ``params`` (a zeroed one when omitted). Returns ``(grads, grad_x)``,
+    ``grad_x`` None when ``input_grad`` is false. With a workspace, dL/dz
+    and then ``grad_x`` go to its ``grad`` buffer, over ``grad_y`` when
+    that is where it lies, and dL/dxtilde over ``cache.xtilde``.
     """
     _check_cache(cache, params, grad_y)
     if grads is None:
         grads = params.like(np.zeros_like(params.flat))
-    dz = grad_y if grad_wrt_preactivation else activation_backward(grad_y, cache)
+    dz = grad_y if grad_wrt_preactivation else activation_backward(
+        grad_y, cache, buffer(ws, "grad", grad_y.shape))
     # In-place adds through the views: the frozen fields cannot be rebound.
     grads.B[...] += dz if dz.ndim == 2 else dz.sum(axis=1)
     grads.W2[...] += matmul(_rows(cache.xtilde).T, _rows(dz))
-    dxtilde = matmul(_rows(dz), params.W2.T).reshape(cache.xtilde.shape)
+    # Nothing reads xtilde after dW2, so a workspace backward writes over it.
+    dxtilde = matmul(_rows(dz), params.W2.T, None if ws is None else _rows(cache.xtilde))
+    dxtilde = dxtilde.reshape(cache.xtilde.shape)
 
     dxbar = dxtilde
     k = len(params.heads)
@@ -309,7 +405,9 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
             dmixed = dxtilde[None]
         else:
             grads.Wtilde1[...] += matmul(_cols(dxtilde), _cols(cache.stacked).T)
-            dmixed = matmul(params.Wtilde1.T, _cols(dxtilde)).reshape(cache.masks.shape)
+            dmixed = matmul(params.Wtilde1.T, _cols(dxtilde),
+                            buffer(ws, "dmixed", _cols(cache.stacked).shape))
+            dmixed = dmixed.reshape(cache.masks.shape)
 
         xbar, a, lam = cache.xbar, cache.masks, params.lam
         grads.lam[...] += float(np.sum(dmixed * (xbar * a - xbar)))
@@ -319,5 +417,8 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
         dxbar = ((1.0 - lam) * dmixed + lam * (dmixed * a) + dheads).sum(axis=0)
 
     grads.W1[...] += matmul(_cols(dxbar), _cols(cache.x).T)
-    grad_x = matmul(params.W1.T, _cols(dxbar)).reshape(cache.x.shape)
-    return grads, grad_x
+    if not input_grad:
+        return grads, None
+    # dz is dead by now, so dL/dx may take its buffer.
+    grad_x = matmul(params.W1.T, _cols(dxbar), buffer(ws, "grad", _cols(cache.x).shape))
+    return grads, grad_x.reshape(cache.x.shape)

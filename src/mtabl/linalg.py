@@ -10,13 +10,18 @@ Every operation validates shapes eagerly and raises
 :class:`DimensionError` on mismatch, so shape bugs surface at the call
 site instead of deep inside a layer.
 
+Every operation takes an optional ``out`` array for its result, as
+numpy's ufuncs do; the module itself keeps no buffers (see
+:class:`mtabl.layers.Workspace`).
+
 The module also provides an opt-in multiplication counter used by the
 complexity verification tools: inside a ``count_multiplications()`` block
 each operation reports how many scalar multiplications it performs,
 attributed to the innermost active ``scope(label)``. Counting mode uses
 module-level state and is not thread-safe; with counting disabled all
-operations are pure functions and their results are safe to share across
-threads.
+operations are pure functions: they write nothing but their result, into
+``out`` when one is given, and are safe to call from several threads on
+distinct ``out`` arrays.
 """
 
 from __future__ import annotations
@@ -76,35 +81,37 @@ def _tick(n: int) -> None:
         _counter._add(n, _scope_label)
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
+def matmul(a: Matrix, b: Matrix, out: Matrix | None = None) -> Matrix:
     """Matrix product over the last two axes; a leading stack axis broadcasts."""
     try:
-        out = a @ b
+        out = np.matmul(a, b, out=out)
     except ValueError as err:
-        raise DimensionError(f"matmul: cannot multiply {a.shape} by {b.shape}") from err
+        shapes = f"{a.shape} by {b.shape}" + ("" if out is None else f" into {out.shape}")
+        raise DimensionError(f"matmul: cannot multiply {shapes}") from err
     _tick(out.size * a.shape[-1])
     return out
 
 
-def hadamard(a: Matrix, b: Matrix) -> Matrix:
+def hadamard(a: Matrix, b: Matrix, out: Matrix | None = None) -> Matrix:
     """Elementwise product; ``a`` may broadcast over leading axes of ``b``."""
     if a.shape != b.shape[b.ndim - a.ndim:]:
         raise DimensionError(f"hadamard: shapes differ, {a.shape} vs {b.shape}")
     _tick(b.size)
-    return a * b
+    return np.multiply(a, b, out=out)
 
 
-def scale(a: Matrix, s: float) -> Matrix:
+def scale(a: Matrix, s: float, out: Matrix | None = None) -> Matrix:
     _tick(a.size)
-    return a * s
+    return np.multiply(a, s, out=out)
 
 
-def softmax_rows(e: Matrix) -> Matrix:
+def softmax_rows(e: Matrix, out: Matrix | None = None) -> Matrix:
     """Softmax over the last axis, stabilized by subtracting each row's maximum.
 
     Each output row sums to 1; the shift leaves the result unchanged
-    mathematically and prevents overflow for large scores.
+    mathematically and prevents overflow for large scores. ``out`` may be
+    ``e`` itself.
     """
-    shifted = e - e.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=-1, keepdims=True)
+    expd = np.subtract(e, e.max(axis=-1, keepdims=True), out=out)
+    np.exp(expd, out=expd)
+    return np.divide(expd, expd.sum(axis=-1, keepdims=True), out=expd)

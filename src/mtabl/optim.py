@@ -27,7 +27,9 @@ from .metrics import EvalReport, evaluate
 from .network import (
     NetworkParams,
     NetworkSpec,
+    Workspace,
     attention_lambdas,
+    gather,
     init_network_params,
     network_backward,
     network_forward,
@@ -147,9 +149,10 @@ def _first_nonfinite_layer(spec: NetworkSpec, caches) -> str:
 
 
 def batch_gradients(spec: NetworkSpec, params: NetworkParams, batch: Windows,
-                    class_weights):
+                    class_weights, ws: Workspace | None = None):
     """Mean loss and mean gradients over one batch of windows, in one
-    batched pass.
+    batched pass, whose batch, caches and scratch live in ``ws`` when one
+    is given (and are overwritten by the next call with it).
 
     Returns (loss, grads, clamp_events) where grads is in the parameter
     layout and clamp_events counts samples whose true-class probability
@@ -157,14 +160,14 @@ def batch_gradients(spec: NetworkSpec, params: NetworkParams, batch: Windows,
     """
     if not batch:
         raise ConfigurationError("batch must be nonempty")
-    probs, caches = network_forward(batch.x, spec, params)
+    probs, caches = network_forward(gather(batch, ws), spec, params, ws)
     result = cross_entropy(probs, batch.labels, class_weights)
     loss_sum, grad_scores = result
     if not math.isfinite(loss_sum):
         raise DivergenceError(
             f"non-finite loss, first bad values in {_first_nonfinite_layer(spec, caches)}"
         )
-    grads, _ = network_backward(spec, params, caches, grad_scores)
+    grads, _ = network_backward(spec, params, caches, grad_scores, ws)
     inv = 1.0 / len(batch)
     grads.flat *= inv
     return loss_sum * inv, grads, result.clamped
@@ -186,6 +189,8 @@ def train(spec: NetworkSpec, dataset: Dataset, cfg: OptimConfig, *,
     epochs. ``log_sink`` receives every EpochRecord as it is produced;
     ``on_step`` is called with (params, state) after every optimizer step;
     the parameters are updated in place, so copy them to keep a snapshot.
+    Every step reuses one :class:`~mtabl.layers.Workspace`, so a step
+    allocates no batch-sized arrays once the first has run.
     """
     if not dataset.train:
         raise ConfigurationError("training partition is empty")
@@ -205,6 +210,7 @@ def train(spec: NetworkSpec, dataset: Dataset, cfg: OptimConfig, *,
     stale = 0
     records: list[EpochRecord] = []
     n = len(dataset.train)
+    ws = Workspace()
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(n)
@@ -213,7 +219,7 @@ def train(spec: NetworkSpec, dataset: Dataset, cfg: OptimConfig, *,
         for start in range(0, n, cfg.batch_size):
             batch = dataset.train[order[start:start + cfg.batch_size]]
             try:
-                loss, grads, clamped = batch_gradients(spec, params, batch, weights)
+                loss, grads, clamped = batch_gradients(spec, params, batch, weights, ws)
                 step(params, grads, state, cfg)
             except DivergenceError as err:
                 raise DivergenceError(

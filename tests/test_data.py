@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from mtabl.data import (
     MIN_ROWS,
     RawDayMatrix,
+    Windows,
     load_dataset,
     load_day,
     normalize,
@@ -241,6 +244,18 @@ class TestWindows:
         assert batch.x.flags.c_contiguous
         assert np.array_equal(batch.labels, windows.labels[idx])
 
+    def test_gather_into_a_buffer_and_out_of_range_starts(self, tmp_path):
+        _, windows = self.partition(tmp_path)
+        batch = windows[[3, 40, 3]]
+        out = np.empty((40, 3, 10))
+        assert batch.gather(out) is out
+        assert out.tobytes() == batch.x.tobytes()
+        n = windows.series.shape[1]
+        for starts in ([0, n - 9], [-1]):
+            bad = Windows(windows.series, np.array(starts), np.zeros(len(starts), np.int64), 10)
+            with pytest.raises(IndexError, match="outside"):
+                bad.gather(out[:, :len(starts)])
+
     def test_days_sit_side_by_side_and_windows_stay_inside_one(self, tmp_path):
         events = (25, 14, 31)
         files, windows = self.partition(tmp_path, events)
@@ -346,6 +361,35 @@ class TestDatasetCache:
                 assert s.x.tobytes() == t.x.tobytes()
                 assert s.label == t.label
         assert loaded.provenance == ds.provenance
+
+    def test_subset_cache_holds_only_its_windows(self, tmp_path):
+        ds = synth_generate(3000, n_features=40, window=10, seed=0)
+        full, sub = tmp_path / "full.mtabl", tmp_path / "sub.mtabl"
+        save_dataset(full, ds)
+        subset = replace(ds, train=ds.train[:10], validation=ds.validation[5:15],
+                         test=ds.test[[7, 3, 3]])
+        save_dataset(sub, subset)
+        window_bytes = 40 * 10 * 8
+        assert full.stat().st_size > 3000 * window_bytes
+        assert sub.stat().st_size < 2 * 23 * window_bytes
+        # Every column of the full dataset is covered, so it is written whole.
+        assert load_dataset(full).train.series.tobytes() == ds.train.series.tobytes()
+        loaded = load_dataset(sub)
+        for name, part in subset.partitions():
+            assert getattr(loaded, name).x.tobytes() == part.x.tobytes()
+            assert getattr(loaded, name).labels.tolist() == part.labels.tolist()
+
+    def test_overlapping_subset_keeps_shared_columns_once(self, tmp_path):
+        path = tmp_path / "d.txt"
+        write_day(path, n_events=60)
+        ds = split_days([path], 1, 0, 0, window=10)
+        picked = replace(ds, train=ds.train[[30, 2, 5, 2]])
+        cache = tmp_path / "cache.mtabl"
+        save_dataset(cache, picked)
+        loaded = load_dataset(cache).train
+        assert loaded.series.shape == (40, 23)  # columns 2..14 and 30..39
+        assert loaded.starts.tolist() == [13, 0, 3, 0]
+        assert loaded.x.tobytes() == picked.train.x.tobytes()
 
     def test_round_trip_with_stats(self, tmp_path):
         files_dir = tmp_path / "days"
