@@ -11,7 +11,7 @@ are consecutive time steps, to an output of shape (D', T'):
 
 The paper's three layer kinds are head counts of this one layer:
 
-  BL     K=0: no attention, xtilde = xbar
+  BL     K=0: no attention, y = act(W1 @ X @ W2 + B)
   TABL   K=1 without recombination: xtilde = mix_1
   MTABL  K heads sharing xbar and lam; the mixed features are stacked on
          the feature axis into a (D'*K, T) block and projected back to D'
@@ -20,6 +20,17 @@ The paper's three layer kinds are head counts of this one layer:
 The mixing coefficient lam is constrained to [0, 1]; at lam=0 the attention
 path is inert and the layer reduces to BL. Backward passes are exact
 analytic gradients, derived by hand; there is no autodiff anywhere.
+
+Attention needs xbar = W1 @ X before W2 applies. BL has nothing between
+the two products, so it takes whichever association costs fewer
+multiplications per window (:func:`temporal_first`): W1 @ (X @ W2) when
+
+  d*t*t' + d'*d*t'  <  d'*d*t + d'*t*t',
+
+else (W1 @ X) @ W2, as the paper writes it. The temporal-first forward
+counts U = X @ W2 under the temporal-projection scope and W1 @ U under
+the feature-projection scope, and its cache holds U in place of xbar and
+xtilde. The two orders differ only in rounding.
 
 The K score matrices W_k are one (K, T, T) block ``heads``, and the heads
 are one more array axis: scores, masks and mixed features are (K, D', T),
@@ -176,10 +187,11 @@ class Workspace:
     A result lives until a pass writes its key again: a layer's output and
     cache until the next forward through its view (any view, if shared) or
     a backward through a workspace, which writes dL/dxtilde over
-    ``xtilde``. ``network_backward`` gives all layers the unkeyed view, so
-    they share the backward roles ``grad`` (dL/dz, then dL/dx, over the
-    upstream gradient when that is the previous dL/dx) and ``dmixed``. A
-    pass without a workspace touches none.
+    ``xtilde`` (dL/du over ``u`` in a temporal-first layer).
+    ``network_backward`` gives all layers the unkeyed view, so they share
+    the backward roles ``grad`` (dL/dz, then dL/dx, over the upstream
+    gradient when that is the previous dL/dx) and ``dmixed``. A pass
+    without a workspace touches none.
     """
 
     def __init__(self, sizes: dict[str, int] | None = None):
@@ -229,16 +241,20 @@ def _blocks(flat: np.ndarray, layout) -> list[tuple[str, np.ndarray]]:
 
 @dataclass
 class LayerCache:
-    """Every intermediate the backward pass needs, kept per forward call."""
+    """Every intermediate the backward pass needs, kept per forward call.
+
+    A temporal-first BL layer keeps ``u`` = x @ W2, and no xbar or xtilde.
+    """
 
     activation: str
     x: Matrix
-    xbar: Matrix
+    xbar: Matrix | None
     masks: np.ndarray  # (K, D', [B,] T), one mask per head
     stacked: Matrix | None  # the mixed heads [mix_1; ...; mix_K] when recombined
-    xtilde: Matrix
+    xtilde: Matrix | None
     z: Matrix  # with a workspace, y overwrites it: the backward reads only z > 0
     y: Matrix
+    u: Matrix | None = None
 
 
 def apply_activation(z: Matrix, kind: str, out: Matrix | None = None) -> Matrix:
@@ -290,6 +306,14 @@ def _rows(a: np.ndarray) -> Matrix:
     return a.reshape(-1, a.shape[-1])
 
 
+def temporal_first(p: LayerParams) -> bool:
+    """Whether the layer multiplies W1 @ (X @ W2): it has no heads, and that
+    order takes fewer multiplications per window than (W1 @ X) @ W2."""
+    (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
+    return (not len(p.heads)
+            and d * t * t_out + d_out * d * t_out < d_out * d * t + d_out * t * t_out)
+
+
 def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
                   ws: Workspace | None = None):
     """Forward pass over one (D, T) window or a (D, B, T) batch.
@@ -303,45 +327,58 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
             f"input {x.shape} does not fit W1 {p.W1.shape} and W2 {p.W2.shape}"
         )
     n = x.size // d  # windows times time steps
-    with scope(SCOPE_PROJECT):
-        xbar = matmul(p.W1, _cols(x), buffer(ws, "xbar", (d_out, n)))
-        xbar = xbar.reshape((d_out,) + x.shape[1:])
     k = len(p.heads)
-    masks, stacked, xtilde = np.empty((0,) + xbar.shape), None, xbar
-    if k:
-        lam = p.lam
-        if not 0.0 <= lam <= 1.0:
-            raise ConstraintError(f"lam must lie in [0, 1], got {float(lam)}")
-        with scope(SCOPE_ATTENTION):
-            e = matmul(_rows(xbar), p.heads, buffer(ws, "masks", (k, d_out * n // t, t)))
-        masks = softmax_rows(e, e).reshape((k,) + xbar.shape)
-        _check_mask(masks)
-        with scope(SCOPE_MIX):
-            mixed = hadamard(xbar, masks, buffer(ws, "mixed", masks.shape))
-            mixed = scale(mixed, lam, mixed)
-            mixed += scale(xbar, 1.0 - lam)
-        if p.Wtilde1 is None:
-            xtilde = mixed[0]
-        else:
-            stacked = mixed.reshape((k * d_out,) + xbar.shape[1:])
-            with scope(SCOPE_RECOMBINE):
-                xtilde = matmul(p.Wtilde1, _cols(stacked), buffer(ws, "xtilde", (d_out, n)))
-            xtilde = xtilde.reshape(xbar.shape)
-    with scope(SCOPE_OUTPUT):
-        z = matmul(_rows(xtilde), p.W2, buffer(ws, "z", (d_out * n // t, t_out)))
+    masks, stacked, u = np.empty((0, d_out) + x.shape[1:]), None, None
+    if temporal_first(p):
+        with scope(SCOPE_OUTPUT):
+            u = matmul(_rows(x), p.W2, buffer(ws, "u", (x.size // t, t_out)))
+            u = u.reshape(x.shape[:-1] + (t_out,))
+        with scope(SCOPE_PROJECT):
+            z = matmul(p.W1, _cols(u), buffer(ws, "z", (d_out, u.size // d)))
+        z = z.reshape((d_out,) + u.shape[1:])
+        xbar = xtilde = None
+    else:
+        with scope(SCOPE_PROJECT):
+            xbar = matmul(p.W1, _cols(x), buffer(ws, "xbar", (d_out, n)))
+            xbar = xbar.reshape((d_out,) + x.shape[1:])
+        xtilde = xbar
+        if k:
+            lam = p.lam
+            if not 0.0 <= lam <= 1.0:
+                raise ConstraintError(f"lam must lie in [0, 1], got {float(lam)}")
+            with scope(SCOPE_ATTENTION):
+                e = matmul(_rows(xbar), p.heads, buffer(ws, "masks", (k, d_out * n // t, t)))
+            masks = softmax_rows(e, e).reshape((k,) + xbar.shape)
+            _check_mask(masks)
+            with scope(SCOPE_MIX):
+                mixed = hadamard(xbar, masks, buffer(ws, "mixed", masks.shape))
+                mixed = scale(mixed, lam, mixed)
+                mixed += scale(xbar, 1.0 - lam)
+            if p.Wtilde1 is None:
+                xtilde = mixed[0]
+            else:
+                stacked = mixed.reshape((k * d_out,) + xbar.shape[1:])
+                with scope(SCOPE_RECOMBINE):
+                    xtilde = matmul(p.Wtilde1, _cols(stacked),
+                                    buffer(ws, "xtilde", (d_out, n)))
+                xtilde = xtilde.reshape(xbar.shape)
+        with scope(SCOPE_OUTPUT):
+            z = matmul(_rows(xtilde), p.W2, buffer(ws, "z", (d_out * n // t, t_out)))
         z = z.reshape(xbar.shape[:-1] + (t_out,))
-        z += p.B if x.ndim == 2 else p.B[:, None]
+    z += p.B if x.ndim == 2 else p.B[:, None]
     y = apply_activation(z, activation, buffer(ws, "z", z.shape))
     return y, LayerCache(activation=activation, x=x, xbar=xbar, masks=masks,
-                         stacked=stacked, xtilde=xtilde, z=z, y=y)
+                         stacked=stacked, xtilde=xtilde, z=z, y=y, u=u)
 
 
 def forward_sizes(p: LayerParams, windows: int) -> dict[str, int]:
     """Elements :func:`layer_forward` takes from a workspace per role for a
     batch of ``windows``. A ``Workspace`` sized by them raises when the
     forward asks for more, so the two cannot drift apart unnoticed."""
-    (d_out, _), (t, t_out) = p.W1.shape, p.W2.shape
+    (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
     n, k = windows * d_out, len(p.heads)
+    if temporal_first(p):
+        return {"u": windows * d * t_out, "z": n * t_out}
     sizes = {"xbar": n * t, "z": n * t_out}
     if k:
         sizes.update(masks=k * n * t, mixed=k * n * t)
@@ -355,14 +392,17 @@ def _check_cache(cache: LayerCache, params: LayerParams, grad_y: Matrix) -> None
         raise CacheMismatchError(
             f"upstream gradient {grad_y.shape} does not match output {cache.y.shape}"
         )
-    if cache.xbar.shape != (params.W1.shape[0],) + cache.x.shape[1:]:
-        raise CacheMismatchError("cached projection does not match W1")
     if (len(cache.masks) != len(params.heads)
             or (cache.stacked is None) != (params.Wtilde1 is None)):
         raise CacheMismatchError(
             f"cache holds {len(cache.masks)} heads, parameters have {len(params.heads)}, "
             f"recombination {'absent' if params.Wtilde1 is None else 'present'}"
         )
+    (d_out, _), (_, t_out) = params.W1.shape, params.W2.shape
+    first, shape = ((cache.u, cache.x.shape[:-1] + (t_out,)) if temporal_first(params)
+                    else (cache.xbar, (d_out,) + cache.x.shape[1:]))
+    if first is None or first.shape != shape:
+        raise CacheMismatchError("cached products do not match W1 and W2")
 
 
 def _softmax_rows_backward(grad_a: Matrix, a: Matrix) -> Matrix:
@@ -384,7 +424,8 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
     ``params`` (a zeroed one when omitted). Returns ``(grads, grad_x)``,
     ``grad_x`` None when ``input_grad`` is false. With a workspace, dL/dz
     and then ``grad_x`` go to its ``grad`` buffer, over ``grad_y`` when
-    that is where it lies, and dL/dxtilde over ``cache.xtilde``.
+    that is where it lies, and dL/dxtilde over ``cache.xtilde`` (dL/du
+    over ``cache.u`` in a temporal-first layer).
     """
     _check_cache(cache, params, grad_y)
     if grads is None:
@@ -392,7 +433,9 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
     dz = grad_y if grad_wrt_preactivation else activation_backward(
         grad_y, cache, buffer(ws, "grad", grad_y.shape))
     # In-place adds through the views: the frozen fields cannot be rebound.
-    grads.B[...] += dz if dz.ndim == 2 else dz.sum(axis=1)
+    grads.B[...] += dz if dz.ndim == 2 else _batch_sum(dz)
+    if cache.u is not None:
+        return _temporal_first_backward(cache, params, dz, grads, ws, input_grad)
     grads.W2[...] += matmul(_rows(cache.xtilde).T, _rows(dz))
     # Nothing reads xtilde after dW2, so a workspace backward writes over it.
     dxtilde = matmul(_rows(dz), params.W2.T, None if ws is None else _rows(cache.xtilde))
@@ -422,3 +465,25 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
     # dz is dead by now, so dL/dx may take its buffer.
     grad_x = matmul(params.W1.T, _cols(dxbar), buffer(ws, "grad", _cols(cache.x).shape))
     return grads, grad_x.reshape(cache.x.shape)
+
+
+def _temporal_first_backward(cache: LayerCache, params: LayerParams, dz: Matrix,
+                             grads: LayerParams, ws: Workspace | None, input_grad: bool):
+    """:func:`layer_backward` after dL/dB for z = W1 @ u + B, u = x @ W2."""
+    u = cache.u
+    grads.W1[...] += matmul(_cols(dz), _cols(u).T)
+    # Nothing reads u after dW1, so a workspace backward writes dL/du over it.
+    du = matmul(params.W1.T, _cols(dz), None if ws is None else _cols(u)).reshape(u.shape)
+    grads.W2[...] += matmul(_rows(cache.x).T, _rows(du))
+    if not input_grad:
+        return grads, None
+    # dz is dead by now, so dL/dx may take its buffer.
+    grad_x = matmul(_rows(du), params.W2.T, buffer(ws, "grad", _rows(cache.x).shape))
+    return grads, grad_x.reshape(cache.x.shape)
+
+
+def _batch_sum(dz: np.ndarray) -> Matrix:
+    """dz (D', B, T') summed over the batch. einsum adds the windows in the
+    order sum(axis=1) does, bit for bit, and about 5x faster for T' > 1;
+    for T' = 1 numpy's sum adds pairwise, which einsum does not."""
+    return np.einsum("dbt->dt", dz) if dz.shape[-1] > 1 else dz.sum(axis=1)

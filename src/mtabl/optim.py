@@ -126,15 +126,31 @@ def step(params: NetworkParams, grads: NetworkParams, state: TrainState, cfg: Op
     lr = state.learning_rate
     t = state.step_count + 1
     grad = grads.flat
+    # In place, one operation at a time in the order of the formula in each
+    # comment, so the bits are those of evaluating the formula as written.
     if cfg.algorithm == "adam":
-        state.first_moment = cfg.beta1 * state.first_moment + (1.0 - cfg.beta1) * grad
-        state.second_moment = (cfg.beta2 * state.second_moment
-                               + (1.0 - cfg.beta2) * (grad * grad))
-        m_hat = state.first_moment / (1.0 - cfg.beta1 ** t)
-        v_hat = state.second_moment / (1.0 - cfg.beta2 ** t)
-        params.flat -= lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        m, v = state.first_moment, state.second_moment
+        # m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*(g*g)
+        m *= cfg.beta1
+        m_hat = np.multiply(1.0 - cfg.beta1, grad)
+        m += m_hat
+        v *= cfg.beta2
+        v_hat = np.multiply(grad, grad)
+        v_hat *= 1.0 - cfg.beta2
+        v += v_hat
+        # params -= lr * m_hat / (sqrt(v_hat) + eps), the bias-corrected
+        # moments written over the two temporaries above
+        np.divide(m, 1.0 - cfg.beta1 ** t, out=m_hat)
+        np.divide(v, 1.0 - cfg.beta2 ** t, out=v_hat)
+        m_hat *= lr
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += cfg.epsilon
+        m_hat /= v_hat
+        params.flat -= m_hat
     else:
-        state.velocity = cfg.momentum * state.velocity + grad
+        # velocity = momentum*velocity + g;  params -= lr * velocity
+        state.velocity *= cfg.momentum
+        state.velocity += grad
         params.flat -= lr * state.velocity
     _apply_constraints(params)
     state.step_count = t
@@ -143,7 +159,8 @@ def step(params: NetworkParams, grads: NetworkParams, state: TrainState, cfg: Op
 
 def _first_nonfinite_layer(spec: NetworkSpec, caches) -> str:
     for i, (layer, cache) in enumerate(zip(spec.layers, caches)):
-        if not all(np.isfinite(v).all() for v in (cache.xbar, cache.z, cache.y)):
+        first = cache.xbar if cache.u is None else cache.u
+        if not all(np.isfinite(v).all() for v in (first, cache.z, cache.y)):
             return f"layer {i} ({layer.kind})"
     return "loss"
 

@@ -4,8 +4,11 @@ Everything here is deliberately written with plain Python loops and
 ``math`` so it shares no code with the library: matrix products by the
 naive triple loop, the layer forwards step by scalar step, and the
 classification metrics recomputed directly from the raw pair list. The
-one exception is :func:`per_window_gradients`, the window-by-window
-training step that the batched one replaced, kept as its reference.
+exceptions are references for code that was rewritten for speed, kept in
+the form it replaced: :func:`per_window_gradients`, the window-by-window
+training step; :func:`bl_feature_first`, the BL layer multiplied as
+(W1 @ X) @ W2 in plain numpy; and :func:`optimizer_step_as_written`, the
+update formulas evaluated as written, one fresh array per operation.
 """
 
 import math
@@ -130,3 +133,44 @@ def per_window_gradients(spec, params, batch, class_weights=None):
         total += grads.flat
         loss_sum += loss
     return loss_sum / len(batch), total / len(batch), clamped
+
+
+def bl_feature_first(x, w1, w2, b, activation, grad_y):
+    """BL forward and backward as the paper writes it, (W1 @ X) @ W2, one
+    window at a time. ``x`` is (D, T) or (D, B, T) and ``grad_y`` dL/dy in
+    the output's shape; the activation is identity or relu. Returns
+    (y, dW1, dW2, dB, dL/dx), the parameter gradients summed over windows."""
+    batched = x.ndim == 3
+    xs = [x[:, i] for i in range(x.shape[1])] if batched else [x]
+    gys = [grad_y[:, i] for i in range(grad_y.shape[1])] if batched else [grad_y]
+    dw1, dw2, db = np.zeros_like(w1), np.zeros_like(w2), np.zeros_like(b)
+    ys, gxs = [], []
+    relu = activation == "relu"
+    for xw, gy in zip(xs, gys):
+        xbar = w1 @ xw
+        z = xbar @ w2 + b
+        ys.append(np.maximum(z, 0.0) if relu else z)
+        dz = gy * (z > 0.0) if relu else gy
+        db += dz
+        dw2 += xbar.T @ dz
+        dxbar = dz @ w2.T
+        dw1 += dxbar @ xw.T
+        gxs.append(w1.T @ dxbar)
+    if batched:
+        return np.stack(ys, axis=1), dw1, dw2, db, np.stack(gxs, axis=1)
+    return ys[0], dw1, dw2, db, gxs[0]
+
+
+def optimizer_step_as_written(flat, grad, m, v, velocity, t, lr, cfg):
+    """One Adam or SGD-momentum update of the flat parameter vector, each
+    formula evaluated in one expression on fresh arrays. Returns the new
+    (flat, m, v, velocity); the arguments are left untouched. No
+    constraint projection: callers keep lam inside [0, 1]."""
+    if cfg.algorithm == "adam":
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (grad * grad)
+        m_hat = m / (1.0 - cfg.beta1 ** t)
+        v_hat = v / (1.0 - cfg.beta2 ** t)
+        return flat - lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon), m, v, velocity
+    velocity = cfg.momentum * velocity + grad
+    return flat - lr * velocity, m, v, velocity

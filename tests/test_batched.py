@@ -114,6 +114,35 @@ def test_multiplication_counts_scale_with_the_batch():
     assert all(seven.by_scope[k] == 7 * one.by_scope[k] for k in one.by_scope)
 
 
+# Multiplications that one batch_gradients call records at 256 windows, by
+# scope; the backward's products are unscoped. These are counts, the same
+# on every machine. The BL layers of B and C multiply as W1 @ (X @ W2),
+# which their shapes make cheaper: as (W1 @ X) @ W2 the totals were
+# 43,169,280 for B and 84,840,960 for C.
+STEP_MULTIPLICATIONS = {
+    "A/tabl": {"feature_projection": 307200, "attention_scores": 76800,
+               "attention_mixing": 23040, "temporal_projection": 7680,
+               "unscoped": 783360},
+    "B/mtabl3": {"feature_projection": 6604800, "attention_scores": 57600,
+                 "attention_mixing": 26880, "head_recombination": 34560,
+                 "temporal_projection": 515840, "unscoped": 14425600},
+    "C/mtabl5": {"feature_projection": 15820800, "attention_scores": 96000,
+                 "attention_mixing": 42240, "head_recombination": 57600,
+                 "temporal_projection": 1795840, "unscoped": 35540480},
+}
+STEP_TOTALS = {"A/tabl": 1_198_080, "B/mtabl3": 21_665_280, "C/mtabl5": 53_352_960}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_MULTIPLICATIONS))
+def test_training_step_multiplications_are_pinned(name):
+    spec = SPECS[name]()
+    params = init_network_params(spec, 0)
+    with count_multiplications() as counter:
+        batch_gradients(spec, params, windows(256), None)
+    assert counter.by_scope == STEP_MULTIPLICATIONS[name]
+    assert counter.total == STEP_TOTALS[name]
+
+
 def test_seeded_training_is_bit_identical():
     ds = synth_generate(60, n_features=8, window=10, seed=1, split=(0.8, 0.2, 0.0))
     spec = topology("C", input_dims=ds.sample_dims(), attention_kind="mtabl", heads=5)

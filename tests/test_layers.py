@@ -7,10 +7,22 @@ from mtabl.errors import (
     ConstraintError,
     DimensionError,
 )
-from mtabl.layers import LayerParams, layer_backward, layer_forward, layer_layout
+from mtabl.layers import (
+    LayerParams,
+    Workspace,
+    layer_backward,
+    layer_forward,
+    layer_layout,
+    temporal_first,
+)
 from mtabl.network import init_network_params, topology
 
-from oracles import bl_forward_scalar, mtabl_forward_scalar, tabl_forward_scalar
+from oracles import (
+    bl_feature_first,
+    bl_forward_scalar,
+    mtabl_forward_scalar,
+    tabl_forward_scalar,
+)
 
 
 def random_base(rng, d=2, t=3, d_out=2, t_out=2):
@@ -66,6 +78,61 @@ class TestBLForward:
         p = random_bl(rng, d=2)
         with pytest.raises(DimensionError):
             layer_forward(np.zeros((3, 3)), p)
+
+
+# (D, T) -> (D', T') on both sides of the association rule: two that are
+# cheaper as W1 @ (X @ W2) (the second is topology C's first layer), one
+# cheaper as (W1 @ X) @ W2, and a tie, which keeps the paper's order.
+ORDER_SHAPES = [((6, 5), (8, 2)), ((40, 10), (60, 10)), ((4, 3), (2, 6)), ((3, 3), (3, 3))]
+
+
+class TestAssociationOrder:
+    def test_rule_takes_the_cheaper_order(self, rng):
+        assert [temporal_first(random_bl(rng, *dims, *out)) for dims, out in ORDER_SHAPES] \
+            == [True, True, False, False]
+        # Attention needs W1 @ X first, whatever the shapes.
+        assert not temporal_first(random_tabl(rng, 6, 5, 8, 2))
+
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    @pytest.mark.parametrize("dims,out", ORDER_SHAPES)
+    def test_matches_the_feature_first_reference(self, rng, dims, out, activation):
+        p = random_bl(rng, *dims, *out)
+        d, t = dims
+        ws = Workspace()
+        # One window, then a batch and a short last batch through one workspace.
+        for x, w in ((rng.normal(size=dims), None), (rng.normal(size=(d, 8, t)), ws),
+                     (rng.normal(size=(d, 3, t)), ws)):
+            y, cache = layer_forward(x, p, activation, w)
+            y = y.copy()
+            grad_y = rng.normal(size=y.shape)
+            grads, grad_x = layer_backward(cache, p, grad_y, ws=w)
+            want = bl_feature_first(x, p.W1, p.W2, p.B, activation, grad_y)
+            for got, ref in zip((y, grads.W1, grads.W2, grads.B, grad_x), want):
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_temporal_first_matches_scalar_oracle(self, rng):
+        p = random_bl(rng, d=6, t=5, d_out=8, t_out=2)
+        assert temporal_first(p)
+        x = rng.normal(size=(6, 5))
+        for act in ("identity", "relu"):
+            y, cache = layer_forward(x, p, act)
+            assert cache.xbar is None and cache.u.shape == (6, 2)
+            expected = np.array(bl_forward_scalar(
+                x.tolist(), p.W1.tolist(), p.W2.tolist(), p.B.tolist(), act))
+            assert np.abs(y - expected).max() <= 1e-12
+
+    def test_bias_gradient_sums_windows_like_numpy_sum(self, rng):
+        # dL/dB is dz summed over the batch axis; its bits must be those of
+        # dz.sum(axis=1), whatever the shape.
+        for _ in range(200):
+            d, t, d_out = rng.integers(1, 7, size=3)
+            t_out, b = rng.integers(1, 12), rng.integers(1, 300)
+            p = random_bl(rng, d, t, d_out, t_out)
+            _, cache = layer_forward(rng.normal(size=(d, b, t)), p)
+            grad_y = rng.normal(size=(d_out, b, t_out))
+            grads, _ = layer_backward(cache, p, grad_y, input_grad=False)
+            assert grads.B.tobytes() == grad_y.sum(axis=1).tobytes()
 
 
 class TestTABLForward:
@@ -251,6 +318,19 @@ class TestBackward:
                                     Wtilde1=np.eye(2))
         with pytest.raises(CacheMismatchError):
             layer_backward(cache, one_head, np.zeros_like(y))
+        # A temporal-first cache holds u, not xbar: neither order takes the
+        # other's, even where the output shapes agree.
+        bl = random_bl(rng, d=6, t=5, d_out=8, t_out=2)
+        y, tf_cache = layer_forward(rng.normal(size=(6, 5)), bl)
+        with pytest.raises(CacheMismatchError):
+            layer_backward(tf_cache, random_tabl(rng, 6, 5, 8, 2), np.zeros_like(y))
+        feature_first = random_bl(rng, d=2, t=1, d_out=8, t_out=2)
+        assert temporal_first(bl) and not temporal_first(feature_first)
+        with pytest.raises(CacheMismatchError, match="cached products"):
+            layer_backward(tf_cache, feature_first, np.zeros_like(y))
+        _, ff_cache = layer_forward(rng.normal(size=(2, 1)), feature_first)
+        with pytest.raises(CacheMismatchError, match="cached products"):
+            layer_backward(ff_cache, bl, np.zeros_like(y))
 
 
 class TestParamPlumbing:

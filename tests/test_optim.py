@@ -16,7 +16,18 @@ from mtabl.network import (
     network_forward,
     topology,
 )
-from mtabl.optim import OptimConfig, TrainState, batch_gradients, step, train
+from mtabl.layers import layer_forward
+from mtabl.optim import (
+    ALGORITHMS,
+    OptimConfig,
+    TrainState,
+    _first_nonfinite_layer,
+    batch_gradients,
+    step,
+    train,
+)
+
+from oracles import optimizer_step_as_written
 
 
 def tiny_dataset(n=24, d=5, t=6, seed=0, val=True):
@@ -44,6 +55,32 @@ class TestStep:
         before = params.flat.copy()
         new_params, _ = step(params, filled_like(params, 0.0), state, cfg)
         assert new_params.flat.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_update_in_place_matches_the_formulas_as_written(self, algorithm):
+        ds = tiny_dataset()
+        spec = spec_for(ds)
+        params = init_network_params(spec, 0)
+        cfg = OptimConfig(algorithm=algorithm, seed=0)
+        state = TrainState.initial(params, cfg)
+        moments = (state.first_moment, state.second_moment, state.velocity)
+        flat, m, v, velocity = (a.copy() for a in (params.flat, *moments))
+        rng = np.random.default_rng(5)
+        for t in range(1, 9):
+            # Gradients of changing scale; lam stays well inside [0, 1].
+            grads = params.like(rng.normal(0.0, 10.0 ** rng.integers(-4, 1), flat.shape))
+            given = grads.flat.copy()
+            step(params, grads, state, cfg)
+            flat, m, v, velocity = optimizer_step_as_written(
+                flat, given, m, v, velocity, t, cfg.learning_rate, cfg)
+            assert params.flat.tobytes() == flat.tobytes()
+            assert [a.tobytes() for a in moments] == [m.tobytes(), v.tobytes(),
+                                                     velocity.tobytes()]
+            assert grads.flat.tobytes() == given.tobytes()
+            assert 0.0 < params[0].lam < 1.0
+        # The moments were updated in the arrays the state started with.
+        assert all(a is b for a, b in zip(
+            (state.first_moment, state.second_moment, state.velocity), moments))
 
     def test_lam_projected_onto_unit_interval(self):
         ds = tiny_dataset()
@@ -206,6 +243,20 @@ class TestTrain:
         cfg = OptimConfig(max_epochs=1, batch_size=4, seed=0)
         with pytest.raises(DivergenceError, match=r"epoch 1, batch 0.*layer 0"):
             train(spec, ds, cfg, initial_params=params)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_temporal_first_layer_is_named(self):
+        # A BL layer that multiplies X @ W2 first caches that product, not
+        # W1 @ X, and the divergence report must still find it.
+        spec = topology("B", input_dims=(40, 10))
+        params = init_network_params(spec, 0)
+        x = np.random.default_rng(0).normal(size=(40, 4, 10))
+        _, cache = layer_forward(x, params[0], "relu")
+        assert cache.xbar is None and cache.u is not None
+        assert _first_nonfinite_layer(spec, [cache]) == "loss"
+        params[0].W2[:] = 1e308
+        _, cache = layer_forward(x, params[0], "relu")
+        assert _first_nonfinite_layer(spec, [cache]) == "layer 0 (bl)"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_via_overflowing_attention_scores(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mtabl.data import SeriesSample
-from mtabl.layers import LayerParams, layer_backward, layer_forward
+from mtabl.layers import LayerParams, layer_backward, layer_forward, temporal_first
 from mtabl.network import init_network_params, topology
 from mtabl.verify import (
     check_reduction,
@@ -27,6 +27,19 @@ class TestGradcheckLayer:
         report = gradcheck_layer(p, "identity", x, target=rng.normal(size=(3, 2)))
         assert report.passed
         assert report.max_rel_err <= 1e-8
+
+    @pytest.mark.parametrize("dims,out", [((6, 5), (8, 2)), ((4, 3), (2, 6))])
+    def test_bl_both_association_orders(self, rng, dims, out):
+        # The first shape is cheaper as W1 @ (X @ W2), the second as (W1 @ X) @ W2.
+        (d, t), (d_out, t_out) = dims, out
+        p = LayerParams.pack(W1=rng.normal(size=(d_out, d)) / np.sqrt(d),
+                             W2=rng.normal(size=(t, t_out)) / np.sqrt(t),
+                             B=rng.normal(0.0, 0.3, size=(d_out, t_out)))
+        assert temporal_first(p) == (dims == (6, 5))
+        x = rng.normal(size=dims)
+        assert gradcheck_layer(p, "identity", x, target=rng.normal(size=out)).max_rel_err <= 1e-8
+        report = gradcheck_layer(p, "relu", x)
+        assert report.passed, report.to_text()
 
     @pytest.mark.parametrize("kind,heads", [("bl", 1), ("tabl", 1),
                                             ("mtabl", 2), ("mtabl", 5)])

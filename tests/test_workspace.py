@@ -13,7 +13,7 @@ import pytest
 
 from mtabl.data import synth_generate
 from mtabl.errors import DimensionError
-from mtabl.layers import Workspace
+from mtabl.layers import Workspace, forward_sizes, layer_forward
 from mtabl.losses import cross_entropy, inverse_frequency_weights
 from mtabl.network import (
     gather,
@@ -183,3 +183,20 @@ def test_predict_workspace_forward_stays_in_its_block(name):
         ws.take("xbar", (buffers[None, "xbar"].size + 1,))
     with pytest.raises(DimensionError, match="no room for x "):
         gather(batch, ws)
+
+
+@pytest.mark.parametrize("name", ["B/mtabl3", "C/mtabl5"])
+def test_forward_sizes_fit_each_layer_exactly(name):
+    # Each layer's forward fits the workspace its forward_sizes give, and
+    # one element less of any role is too little.
+    spec = SPECS[name]()
+    params = init_network_params(spec, 0)
+    x = _dataset().train[:40].x
+    for layer, p in zip(spec.layers, params):
+        sizes = forward_sizes(p, 40)
+        y, _ = layer_forward(x, p, layer.activation, Workspace(sizes))
+        assert y.tobytes() == layer_forward(x, p, layer.activation)[0].tobytes()
+        for role, size in sizes.items():
+            with pytest.raises(DimensionError, match=f"no room for {role} "):
+                layer_forward(x, p, layer.activation, Workspace({**sizes, role: size - 1}))
+        x = y.copy()
