@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: train, eval, gradcheck, complexity, synth. Configuration can
-come from a JSON file (``--config``) with individual flags taking
-precedence; the effective merged configuration is always written next to
-the outputs so any run can be reproduced by feeding that file back in.
+Subcommands: train, eval, gradcheck, complexity, synth. train and gradcheck
+run a :class:`RunConfig`: its defaults, overridden by a JSON file
+(``--config``), overridden by explicit flags. train writes the effective
+configuration next to its outputs; fed back in, it reproduces the run.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 data error,
 4 numeric failure (divergence or a failed gradient check).
@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .network import (
     predict_labels,
     topology,
 )
-from .optim import OptimConfig, train
+from .optim import OptimConfig, check_choices, train
 from .serialize import load_checkpoint, save_checkpoint
 from .verify import (
     complexity_estimate,
@@ -49,53 +51,61 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-OPTIM_KEYS = ("algorithm", "learning_rate", "beta1", "beta2", "epsilon", "momentum",
-              "batch_size", "max_epochs", "lr_decay", "lr_patience", "class_weighting")
 
-RUN_DEFAULTS = {
-    "topology": "A", "layer": "tabl", "heads": 1, "horizon": 10, "window": 10,
-    "data": None, "synth": False, "synth_samples": 240, "synth_features": 8,
-    "synth_difficulty": "single", "synth_seed": 0, "seeds": [0],
-    "train_days": 6, "val_days": 1, "test_days": 3, "transposed": False,
-    "fix_attention_diag": False, "out": "runs/latest",
-}
+@dataclass(frozen=True)
+class RunConfig:
+    """One run's settings, the keys of ``--config`` files and ``config.json``. Every
+    field but ``seeds`` and ``optim``, and every OptimConfig field but ``seed`` and
+    ``learning_rate`` (``--lr``), has a flag ``--field-name`` shaped by its metadata."""
+
+    topology: str = field(default="A", metadata={"choices": ("A", "B", "C")})
+    layer: str = field(default=KIND_TABL, metadata={"choices": (KIND_TABL, KIND_MTABL)})
+    heads: int = field(default=1, metadata={"help": "attention heads for mtabl layers"})
+    horizon: int = field(default=10, metadata={"choices": data_mod.HORIZONS})
+    window: int = field(default=10, metadata={"help": "input window length T"})
+    data: str | None = field(default=None, metadata={"help": "directory of day files"})
+    synth: bool = field(default=False, metadata={"help": "train on synthetic data, not day files"})
+    synth_samples: int = 240
+    synth_features: int = 8
+    synth_difficulty: str = field(default="single", metadata={"choices": ("single", "multi")})
+    synth_seed: int = 0
+    seeds: list[int] = field(default_factory=lambda: [0])
+    train_days: int = 6
+    val_days: int = 1
+    test_days: int = 3
+    transposed: bool = field(default=False, metadata={"help": "day files store events on rows"})
+    fix_attention_diag: bool = False
+    out: str = field(default="runs/latest", metadata={"help": "output directory"})
+    optim: OptimConfig = field(default_factory=OptimConfig)
+
+    def __post_init__(self):
+        check_choices(self)
+        if not 1 <= self.heads <= 8:
+            raise ConfigurationError(f"heads must lie in [1, 8], got {self.heads}")
+        if self.layer == KIND_TABL and self.heads != 1:
+            raise ConfigurationError("heads above 1 requires layer mtabl")
+        if self.window < 1:
+            raise ConfigurationError("window must be positive")
+        if not self.seeds or min(self.seeds) < 0 or self.synth_seed < 0:
+            raise ConfigurationError(f"seeds must be one or more ints >= 0 and synth_seed an "
+                                     f"int >= 0, got {self.seeds} and {self.synth_seed}")
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--topology", choices=["A", "B", "C"])
-    p.add_argument("--layer", choices=[KIND_TABL, KIND_MTABL])
-    p.add_argument("--heads", type=int, help="attention heads for mtabl layers")
-    p.add_argument("--horizon", type=int, choices=list(data_mod.HORIZONS))
-    p.add_argument("--window", type=int, help="input window length T")
-    p.add_argument("--data", help="directory of day files")
-    p.add_argument("--synth", action="store_true", default=None,
-                   help="train on generated synthetic data instead of files")
-    p.add_argument("--synth-samples", type=int, dest="synth_samples")
-    p.add_argument("--synth-features", type=int, dest="synth_features")
-    p.add_argument("--synth-difficulty", choices=["single", "multi"],
-                   dest="synth_difficulty")
-    p.add_argument("--synth-seed", type=int, dest="synth_seed")
     p.add_argument("--seeds", type=int, help="number of independent seeded runs")
     p.add_argument("--seed", type=int, help="base seed for the first run")
-    p.add_argument("--train-days", type=int, dest="train_days")
-    p.add_argument("--val-days", type=int, dest="val_days")
-    p.add_argument("--test-days", type=int, dest="test_days")
-    p.add_argument("--transposed", action="store_true", default=None,
-                   help="day files store events on rows")
-    p.add_argument("--fix-attention-diag", action="store_true", default=None,
-                   dest="fix_attention_diag")
-    p.add_argument("--out", help="output directory")
-    # optimizer overrides
-    p.add_argument("--algorithm", choices=["adam", "sgd-momentum"])
     p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--lr-decay", type=float, dest="lr_decay")
-    p.add_argument("--lr-patience", type=int, dest="lr_patience")
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--class-weighting", choices=["inverse", "uniform"],
-                   dest="class_weighting")
+    for cls in (RunConfig, OptimConfig):
+        kinds = get_type_hints(cls)
+        for f in fields(cls):
+            if f.name in ("seeds", "optim", "seed", "learning_rate"):
+                continue
+            flag, kind = "--" + f.name.replace("_", "-"), kinds[f.name]
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None, **f.metadata)
+            else:
+                p.add_argument(flag, type=kind if kind in (int, float) else None, **f.metadata)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,66 +150,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+def _check_value(value, kind, key: str) -> None:
+    """Raise ConfigurationError naming ``key`` unless the JSON ``value`` has
+    the type ``kind``: a bool is no int, an int is a float, ``X | None``
+    admits null and a dataclass is an object of its fields."""
+    if is_dataclass(kind) and type(value) is dict:
+        kinds = get_type_hints(kind)
+        for k, v in value.items():
+            name = f"{key}.{k}" if key else k
+            if k not in kinds:
+                raise ConfigurationError(f"unknown config key {name!r}")
+            _check_value(v, kinds[k], name)
+        return
+    args = get_args(kind)
+    ok = (type(value) is list and all(type(v) is args[0] for v in value)
+          if get_origin(kind) is list
+          else type(value) in (args or (kind,)) or (kind is float and type(value) is int))
+    if not ok:
+        kind_name = str(kind) if args else kind.__name__
+        raise ConfigurationError(f"config key {key!r} must be {kind_name}, got {value!r}")
+
+
+def run_config(args: argparse.Namespace) -> RunConfig:
     """defaults < config file < explicit flags; returns the effective config."""
-    cfg = dict(RUN_DEFAULTS)
-    cfg["optim"] = OptimConfig().to_dict()
-    file_cfg = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.is_file():
-            raise DataError(f"config file not found: {path}")
+    values = {}
+    if args.config:
         try:
-            file_cfg = json.loads(path.read_bytes())
+            values = json.loads(Path(args.config).read_bytes())
+        except OSError as err:
+            raise DataError(f"cannot read config file {args.config} ({err.strerror})") from None
         except ValueError as err:  # bad UTF-8 and bad JSON are ValueErrors
-            raise ConfigurationError(f"config file {path} is not JSON ({err})") from None
-        if not isinstance(file_cfg, dict):
-            raise ConfigurationError(f"config file {path} must hold a JSON object")
-    for key, value in file_cfg.items():
-        if key == "optim":
-            cfg["optim"].update(value)
-        elif key in cfg:
-            cfg[key] = value
-        else:
-            raise ConfigurationError(f"unknown config key {key!r}")
-    explicit_seed = None
-    for key, value in vars(args).items():
-        if value is None or key in ("command", "config", "step", "threshold"):
-            continue
-        if key in OPTIM_KEYS:
-            cfg["optim"][key] = value
-        elif key == "seeds":
-            base = args.seed if args.seed is not None else cfg["seeds"][0]
-            cfg["seeds"] = [base + i for i in range(value)]
-        elif key == "seed":
-            explicit_seed = value
-        elif key in cfg:
-            cfg[key] = value
-    if explicit_seed is not None and (args.seeds is None):
-        cfg["seeds"] = [explicit_seed + i for i in range(len(cfg["seeds"]))]
-    _validate_run_config(cfg)
-    return cfg
+            raise ConfigurationError(f"config file {args.config} is not JSON ({err})") from None
+        if not isinstance(values, dict):
+            raise ConfigurationError(f"config file {args.config} must hold a JSON object")
+        _check_value(values, RunConfig, "")
+    flags = {k: v for k, v in vars(args).items() if v is not None and k not in ("seed", "seeds")}
+    optim_flags = {f.name: flags[f.name] for f in fields(OptimConfig) if f.name in flags}
+    optim = OptimConfig(**{**values.pop("optim", {}), **optim_flags})
+    run_flags = {f.name: flags[f.name] for f in fields(RunConfig) if f.name in flags}
+    cfg = RunConfig(**{**values, **run_flags, "optim": optim})
+    if args.seed is None and args.seeds is None:
+        return cfg
+    base = cfg.seeds[0] if args.seed is None else args.seed
+    count = len(cfg.seeds) if args.seeds is None else args.seeds
+    return replace(cfg, seeds=list(range(base, base + count)))
 
 
-def _validate_run_config(cfg: dict) -> None:
-    if not 1 <= cfg["heads"] <= 8:
-        raise ConfigurationError(f"--heads must lie in [1, 8], got {cfg['heads']}")
-    if cfg["layer"] == KIND_TABL and cfg["heads"] != 1:
-        raise ConfigurationError("--heads above 1 requires --layer mtabl")
-    if not cfg["synth"] and cfg["data"] is None:
-        raise ConfigurationError("either --data DIR or --synth is required")
-    if cfg["window"] < 1:
-        raise ConfigurationError("--window must be positive")
-    if not cfg["seeds"]:
-        raise ConfigurationError("at least one seed is required")
-
-
-def _build_network(cfg: dict, input_dims) -> NetworkSpec:
-    return topology(
-        cfg["topology"], input_dims=input_dims, attention_kind=cfg["layer"],
-        heads=cfg["heads"] if cfg["layer"] == KIND_MTABL else 1,
-        fix_attention_diag=cfg["fix_attention_diag"],
-    )
+def _network(cfg: RunConfig) -> NetworkSpec:
+    """The run's network; only day files give N_FEATURES feature rows."""
+    features = cfg.synth_features if cfg.synth or cfg.data is None else data_mod.N_FEATURES
+    return topology(cfg.topology, input_dims=(features, cfg.window), attention_kind=cfg.layer,
+                    heads=cfg.heads, fix_attention_diag=cfg.fix_attention_diag)
 
 
 def _day_files(directory) -> list[str]:
@@ -209,16 +210,17 @@ def _day_files(directory) -> list[str]:
     return sorted(str(p) for p in day_dir.iterdir() if p.is_file())
 
 
-def _build_dataset(cfg: dict) -> data_mod.Dataset:
-    if cfg["synth"]:
+def _build_dataset(cfg: RunConfig) -> data_mod.Dataset:
+    if cfg.synth:
         return data_mod.synth_generate(
-            cfg["synth_samples"], n_features=cfg["synth_features"],
-            window=cfg["window"], seed=cfg["synth_seed"],
-            difficulty=cfg["synth_difficulty"],
+            cfg.synth_samples, n_features=cfg.synth_features,
+            window=cfg.window, seed=cfg.synth_seed, difficulty=cfg.synth_difficulty,
         )
+    if cfg.data is None:
+        raise ConfigurationError("either --data DIR or --synth is required")
     return data_mod.split_days(
-        _day_files(cfg["data"]), cfg["train_days"], cfg["val_days"], cfg["test_days"],
-        window=cfg["window"], horizon=cfg["horizon"], transposed=cfg["transposed"],
+        _day_files(cfg.data), cfg.train_days, cfg.val_days, cfg.test_days,
+        window=cfg.window, horizon=cfg.horizon, transposed=cfg.transposed,
     )
 
 
@@ -228,19 +230,19 @@ def _write_report(report: EvalReport, stem: Path) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = _merge_config(args)
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(json.dumps(cfg, indent=2) + "\n")
-
+    # Everything that can reject the run does so before --out is touched.
+    cfg = run_config(args)
+    seed_cfgs = [replace(cfg.optim, seed=seed) for seed in cfg.seeds]
+    spec = _network(cfg)
     dataset = _build_dataset(cfg)
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.json").write_text(json.dumps(asdict(cfg), indent=2) + "\n")
     data_mod.save_dataset(out_dir / "dataset.mtabl", dataset)
-    spec = _build_network(cfg, dataset.sample_dims())
     # Everything eval --data needs to rebuild the inputs the model saw;
     # JSON float repr round-trips the statistics exactly.
     preprocessing = {
-        "window": cfg["window"], "horizon": cfg["horizon"],
-        "transposed": cfg["transposed"],
+        "window": cfg.window, "horizon": cfg.horizon, "transposed": cfg.transposed,
         "feature_mean": None if dataset.feature_mean is None else dataset.feature_mean.tolist(),
         "feature_std": None if dataset.feature_std is None else dataset.feature_std.tolist(),
     }
@@ -248,10 +250,9 @@ def cmd_train(args) -> int:
     split_name = next(name for name, part in dataset.partitions()[::-1] if part)
     eval_split = getattr(dataset, split_name)
     test_reports = []
-    for seed in cfg["seeds"]:
+    for seed, optim_cfg in zip(cfg.seeds, seed_cfgs):
         run_dir = out_dir / f"seed{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        optim_cfg = OptimConfig(**{**cfg["optim"], "seed": seed})
         log_path = run_dir / "training_log.jsonl"
         with open(log_path, "w") as log_file:
             def sink(record):
@@ -278,7 +279,7 @@ def cmd_train(args) -> int:
     (out_dir / "aggregate.json").write_text(json.dumps(aggregate, indent=2) + "\n")
     lines = [f"{k}: {v['mean']:.4f} +- {v['std']:.4f}" for k, v in aggregate.items()]
     (out_dir / "aggregate.txt").write_text("\n".join(lines) + "\n")
-    print("aggregate over seeds " + ", ".join(str(s) for s in cfg["seeds"]) + ":")
+    print("aggregate over seeds " + ", ".join(str(s) for s in cfg.seeds) + ":")
     for line in lines:
         print("  " + line)
     return EXIT_OK
@@ -317,13 +318,9 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     # Runs on random data, so a dataset is optional.
-    if args.synth is None and args.data is None:
-        args.synth = True
-    cfg = _merge_config(args)
-    rng = np.random.default_rng(cfg["seeds"][0])
-    input_dims = (cfg["synth_features"] if cfg["synth"] else data_mod.N_FEATURES,
-                  cfg["window"])
-    spec = _build_network(cfg, input_dims)
+    cfg = run_config(args)
+    rng = np.random.default_rng(cfg.seeds[0])
+    spec = _network(cfg)
     params = init_network_params(spec, rng)
     sample = draw_gradcheck_sample(spec, params, rng, step=args.step)
     report = gradcheck(spec, params, sample, step=args.step, threshold=args.threshold)
@@ -364,8 +361,7 @@ def cmd_synth(args) -> int:
         seed=args.seed, difficulty=args.difficulty,
     )
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     data_mod.save_dataset(out, dataset)
     counts = {name: len(part) for name, part in dataset.partitions()}
     print(f"wrote {out}: {counts}")

@@ -398,11 +398,12 @@ def _check_cache(cache: LayerCache, params: LayerParams, grad_y: Matrix) -> None
             f"cache holds {len(cache.masks)} heads, parameters have {len(params.heads)}, "
             f"recombination {'absent' if params.Wtilde1 is None else 'present'}"
         )
-    (d_out, _), (_, t_out) = params.W1.shape, params.W2.shape
+    (d_out, d), (t, t_out) = params.W1.shape, params.W2.shape
     first, shape = ((cache.u, cache.x.shape[:-1] + (t_out,)) if temporal_first(params)
                     else (cache.xbar, (d_out,) + cache.x.shape[1:]))
-    if first is None or first.shape != shape:
-        raise CacheMismatchError("cached products do not match W1 and W2")
+    if (first is None or first.shape != shape
+            or (cache.x.shape[0], cache.x.shape[-1]) != (d, t)):
+        raise CacheMismatchError("cached products or input do not match W1 and W2")
 
 
 def _softmax_rows_backward(grad_a: Matrix, a: Matrix) -> Matrix:

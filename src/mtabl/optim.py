@@ -16,7 +16,7 @@ macro-F1 epoch (best training loss when there is no validation split).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,9 +39,17 @@ from .network import (
 ALGORITHMS = ("adam", "sgd-momentum")
 
 
+def check_choices(config) -> None:
+    """Raise ConfigurationError naming a field whose value is not in its ``choices``."""
+    for f in fields(config):
+        choices, value = f.metadata.get("choices"), getattr(config, f.name)
+        if choices is not None and value not in choices:
+            raise ConfigurationError(f"{f.name} must be one of {list(choices)}, got {value!r}")
+
+
 @dataclass
 class OptimConfig:
-    algorithm: str = "adam"
+    algorithm: str = field(default="adam", metadata={"choices": ALGORITHMS})
     learning_rate: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
@@ -52,22 +60,16 @@ class OptimConfig:
     lr_decay: float = 0.1
     lr_patience: int = 10
     seed: int = 0
-    class_weighting: str = "inverse"
+    class_weighting: str = field(default="inverse", metadata={"choices": ("inverse", "uniform")})
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(f"algorithm must be one of {ALGORITHMS}")
+        check_choices(self)
         if self.learning_rate < 0:
             raise ConfigurationError("learning_rate must be nonnegative")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigurationError("beta1 and beta2 must lie in [0, 1)")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigurationError("batch_size and max_epochs must be >= 1")
-        if self.class_weighting not in ("inverse", "uniform"):
-            raise ConfigurationError("class_weighting must be 'inverse' or 'uniform'")
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 @dataclass

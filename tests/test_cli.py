@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtabl.cli import main
+from mtabl.cli import build_parser, main, run_config
 from mtabl.data import load_dataset
 from mtabl.serialize import read_container, write_container
 
@@ -42,6 +42,81 @@ def train_args(out, seeds=2, epochs=3, extra=()):
             "--window", "8", "--topology", "A", "--layer", "mtabl", "--heads", "2",
             "--seeds", str(seeds), "--max-epochs", str(epochs),
             "--batch-size", "16", "--out", str(out), *extra]
+
+
+# train's and gradcheck's flags before RunConfig generated them from its
+# fields: option -> (dest, type or action, choices); every default was None.
+PARENT_RUN_FLAGS = {
+    "--config": ("config", None, None),
+    "--topology": ("topology", None, ["A", "B", "C"]),
+    "--layer": ("layer", None, ["tabl", "mtabl"]),
+    "--heads": ("heads", int, None),
+    "--horizon": ("horizon", int, [10, 20, 30, 50, 100]),
+    "--window": ("window", int, None),
+    "--data": ("data", None, None),
+    "--synth": ("synth", "store_true", None),
+    "--synth-samples": ("synth_samples", int, None),
+    "--synth-features": ("synth_features", int, None),
+    "--synth-difficulty": ("synth_difficulty", None, ["single", "multi"]),
+    "--synth-seed": ("synth_seed", int, None),
+    "--seeds": ("seeds", int, None),
+    "--seed": ("seed", int, None),
+    "--train-days": ("train_days", int, None),
+    "--val-days": ("val_days", int, None),
+    "--test-days": ("test_days", int, None),
+    "--transposed": ("transposed", "store_true", None),
+    "--fix-attention-diag": ("fix_attention_diag", "store_true", None),
+    "--out": ("out", None, None),
+    "--algorithm": ("algorithm", None, ["adam", "sgd-momentum"]),
+    "--lr": ("learning_rate", float, None),
+    "--batch-size": ("batch_size", int, None),
+    "--max-epochs": ("max_epochs", int, None),
+    "--lr-decay": ("lr_decay", float, None),
+    "--lr-patience": ("lr_patience", int, None),
+    "--momentum": ("momentum", float, None),
+    "--class-weighting": ("class_weighting", None, ["inverse", "uniform"]),
+}
+# Flags for optimizer keys that config files already accepted.
+ADDED_RUN_FLAGS = {
+    "--beta1": ("beta1", float, None),
+    "--beta2": ("beta2", float, None),
+    "--epsilon": ("epsilon", float, None),
+}
+
+# The config.json that train wrote for train_args(out) before RunConfig,
+# with its "out" changed to a relative path.
+PARENT_CONFIG = {
+    "topology": "A", "layer": "mtabl", "heads": 2, "horizon": 10, "window": 8,
+    "data": None, "synth": True, "synth_samples": 60, "synth_features": 6,
+    "synth_difficulty": "single", "synth_seed": 0, "seeds": [0, 1],
+    "train_days": 6, "val_days": 1, "test_days": 3, "transposed": False,
+    "fix_attention_diag": False, "out": "runs/parent",
+    "optim": {"algorithm": "adam", "learning_rate": 0.01, "beta1": 0.9, "beta2": 0.999,
+              "epsilon": 1e-08, "momentum": 0.9, "batch_size": 16, "max_epochs": 3,
+              "lr_decay": 0.1, "lr_patience": 10, "seed": 0, "class_weighting": "inverse"},
+}
+
+
+def flag_surface(command):
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    surface = {}
+    for action in sub._actions:
+        if action.dest != "help":
+            kind = "store_true" if action.const is True else action.type
+            choices = None if action.choices is None else list(action.choices)
+            surface[action.option_strings[0]] = (action.dest, kind, choices, action.default)
+    return surface
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("train", {}),
+    ("gradcheck", {"--step": ("step", float, None, 1e-5),
+                   "--threshold": ("threshold", float, None, 1e-4)}),
+])
+def test_run_flags_keep_the_parents(command, extra):
+    expected = {option: (*spec, None)
+                for option, spec in {**PARENT_RUN_FLAGS, **ADDED_RUN_FLAGS}.items()}
+    assert flag_surface(command) == {**expected, **extra}
 
 
 class TestTrainCommand:
@@ -78,6 +153,44 @@ class TestTrainCommand:
             a = (first / f"seed{seed}" / "report.json").read_text()
             b = (second / f"seed{seed}" / "report.json").read_text()
             assert a == b
+
+    def test_parent_config_file_gives_the_same_config(self, tmp_path):
+        config = tmp_path / "parent.json"
+        config.write_text(json.dumps(PARENT_CONFIG))
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(config), "--out", str(out)]) == 0
+        effective = json.loads((out / "config.json").read_text())
+        assert effective == {**PARENT_CONFIG, "out": str(out)}
+
+    def test_default_config_keeps_the_parents(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["train", "--synth", "--max-epochs", "1", "--out", str(out)]) == 0
+        effective = json.loads((out / "config.json").read_text())
+        assert effective == {
+            **PARENT_CONFIG, "layer": "tabl", "heads": 1, "window": 10, "synth_samples": 240,
+            "synth_features": 8, "seeds": [0], "out": str(out),
+            "optim": {**PARENT_CONFIG["optim"], "batch_size": 256, "max_epochs": 1},
+        }
+
+    def test_int_stands_for_float_and_data_may_be_null(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"data": null, "optim": {"learning_rate": 1, "momentum": 0}}')
+        cfg = run_config(build_parser().parse_args(["train", "--synth", "--config", str(config)]))
+        assert (cfg.data, cfg.optim.learning_rate, cfg.optim.momentum) == (None, 1, 0)
+
+    @pytest.mark.parametrize("extra,config,code", [
+        (["--synth", "--batch-size", "0"], None, 2),
+        ([], {"topology": "Z", "synth": True}, 2),
+        (["--data", "absent"], None, 3),
+        (["--synth", "--seed", "-1"], None, 2),
+    ], ids=["batch-size-0", "topology-z", "missing-data-dir", "negative-seed"])
+    def test_failed_run_writes_nothing(self, tmp_path, monkeypatch, extra, config, code):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            Path("config.json").write_text(json.dumps(config))
+            extra = [*extra, "--config", "config.json"]
+        assert run(["train", *extra, "--out", "run"]) == code
+        assert not Path("run").exists()
 
     def test_heads_zero_is_usage_error(self, tmp_path, capsys):
         code = run(["train", "--synth", "--layer", "mtabl", "--heads", "0",
@@ -119,16 +232,30 @@ class TestTrainCommand:
         assert code == 3
         assert "day1.txt" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content,code", [("[1, 2]", 2), ("{not json", 2), (None, 3)],
-                             ids=["json-list", "not-json", "directory"])
-    def test_bad_config_file(self, tmp_path, capsys, content, code):
+    @pytest.mark.parametrize("content,code,named", [
+        ("[1, 2]", 2, "config"), ("{not json", 2, "config"), (None, 3, "config"),
+        ('{"heads": "x"}', 2, "'heads'"),
+        ('{"heads": 2.0, "layer": "mtabl"}', 2, "'heads'"),
+        ('{"optim": [1, 2]}', 2, "'optim'"),
+        ('{"seeds": 3}', 2, "'seeds'"),
+        ('{"optim": {"bogus": 1}}', 2, "'optim.bogus'"),
+        ('{"optim": {"learning_rate": "0.1"}}', 2, "'optim.learning_rate'"),
+        ('{"synth": "no"}', 2, "'synth'"),
+        ('{"horizon": 7}', 2, "horizon"),
+    ], ids=["json-list", "not-json", "directory", "heads-str", "heads-float", "optim-list",
+            "seeds-int", "optim-unknown-key", "lr-str", "synth-str", "horizon-choice"])
+    def test_bad_config_file(self, tmp_path, capsys, content, code, named):
         config = tmp_path / "config.json"
         if content is None:
             config.mkdir()
         else:
             config.write_text(content)
-        assert run(["train", "--config", str(config), "--out", str(tmp_path / "x")]) == code
-        assert "config" in capsys.readouterr().err
+        # In process, so an exception escaping main fails the test.
+        assert run(["train", "--synth", "--config", str(config),
+                    "--out", str(tmp_path / "x")]) == code
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
 
 class TestEvalCommand:

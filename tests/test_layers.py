@@ -331,6 +331,13 @@ class TestBackward:
         _, ff_cache = layer_forward(rng.normal(size=(2, 1)), feature_first)
         with pytest.raises(CacheMismatchError, match="cached products"):
             layer_backward(ff_cache, bl, np.zeros_like(y))
+        # An input of another width, where every cached product still fits.
+        for make, cached, given in [(random_bl, (6, 5, 8, 2), (7, 5, 8, 2)),
+                                    (random_bl, (4, 3, 2, 6), (5, 3, 2, 6)),
+                                    (random_tabl, (6, 5, 3, 1), (7, 5, 3, 1))]:
+            y, cache = layer_forward(rng.normal(size=cached[:2]), make(rng, *cached))
+            with pytest.raises(CacheMismatchError, match="input do not match"):
+                layer_backward(cache, make(rng, *given), np.zeros_like(y))
 
 
 class TestParamPlumbing:
