@@ -89,6 +89,8 @@ class RunConfig:
         if not self.seeds or min(self.seeds) < 0 or self.synth_seed < 0:
             raise ConfigurationError(f"seeds must be one or more ints >= 0 and synth_seed an "
                                      f"int >= 0, got {self.seeds} and {self.synth_seed}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError(f"seeds must not repeat, got {self.seeds}")
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:

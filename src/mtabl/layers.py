@@ -34,7 +34,11 @@ xtilde. The two orders differ only in rounding.
 
 The K score matrices W_k are one (K, T, T) block ``heads``, and the heads
 are one more array axis: scores, masks and mixed features are (K, D', T),
-each computed for all heads by one operation.
+each computed for all heads by one operation. The softmax, its backward
+and the mask check reduce over the T time steps of each of the K*D'*B
+rows of a batch: each takes its row maxima and sums over a
+:func:`~mtabl.linalg.time_major` copy, in one pass over the time axis
+instead of one short row at a time (see :mod:`mtabl.linalg`).
 
 A batch of B windows is one feature-major (D, B, T) array, window b being
 ``X[:, b, :]``. Each product is then one GEMM over a reshape, such as
@@ -71,7 +75,7 @@ from .errors import (
     DimensionError,
     DivergenceError,
 )
-from .linalg import Matrix, hadamard, matmul, scale, scope, softmax_rows
+from .linalg import Matrix, hadamard, matmul, scale, scope, softmax_rows, time_major
 
 ACTIVATIONS = ("identity", "relu", "softmax")
 
@@ -187,11 +191,12 @@ class Workspace:
     A result lives until a pass writes its key again: a layer's output and
     cache until the next forward through its view (any view, if shared) or
     a backward through a workspace, which writes dL/dxtilde over
-    ``xtilde`` (dL/du over ``u`` in a temporal-first layer).
+    ``xtilde`` (dL/du over ``u`` in a temporal-first layer) and its
+    scratch over the stacked heads of an attention layer.
     ``network_backward`` gives all layers the unkeyed view, so they share
     the backward roles ``grad`` (dL/dz, then dL/dx, over the upstream
-    gradient when that is the previous dL/dx) and ``dmixed``. A pass
-    without a workspace touches none.
+    gradient when that is the previous dL/dx), ``dmixed``, ``product`` and
+    ``time_major``. A pass without a workspace touches none.
     """
 
     def __init__(self, sizes: dict[str, int] | None = None):
@@ -290,7 +295,7 @@ def activation_backward(grad_y: Matrix, cache: LayerCache, out: Matrix | None = 
 
 def _check_mask(a: Matrix) -> None:
     # Every row of every window; written so that a NaN row fails too.
-    if not np.abs(a.sum(axis=-1) - 1.0).max() <= MASK_ROW_SUM_TOL:
+    if not np.abs(time_major(a).sum(axis=0) - 1.0).max() <= MASK_ROW_SUM_TOL:
         raise DivergenceError(
             "attention mask rows do not sum to 1 (non-finite attention scores)"
         )
@@ -343,9 +348,10 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
             xbar = xbar.reshape((d_out,) + x.shape[1:])
         xtilde = xbar
         if k:
-            lam = p.lam
+            # A Python float: each scalar operation on the 0-d view takes about 1 us.
+            lam = float(p.lam)
             if not 0.0 <= lam <= 1.0:
-                raise ConstraintError(f"lam must lie in [0, 1], got {float(lam)}")
+                raise ConstraintError(f"lam must lie in [0, 1], got {lam}")
             with scope(SCOPE_ATTENTION):
                 e = matmul(_rows(xbar), p.heads, buffer(ws, "masks", (k, d_out * n // t, t)))
             masks = softmax_rows(e, e).reshape((k,) + xbar.shape)
@@ -353,7 +359,8 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
             with scope(SCOPE_MIX):
                 mixed = hadamard(xbar, masks, buffer(ws, "mixed", masks.shape))
                 mixed = scale(mixed, lam, mixed)
-                mixed += scale(xbar, 1.0 - lam)
+                # The recombination writes xtilde's buffer only after this.
+                mixed += scale(xbar, 1.0 - lam, buffer(ws, "xtilde", xbar.shape))
             if p.Wtilde1 is None:
                 xtilde = mixed[0]
             else:
@@ -381,9 +388,7 @@ def forward_sizes(p: LayerParams, windows: int) -> dict[str, int]:
         return {"u": windows * d * t_out, "z": n * t_out}
     sizes = {"xbar": n * t, "z": n * t_out}
     if k:
-        sizes.update(masks=k * n * t, mixed=k * n * t)
-    if p.Wtilde1 is not None:
-        sizes["xtilde"] = n * t
+        sizes.update(masks=k * n * t, mixed=k * n * t, xtilde=n * t)
     return sizes
 
 
@@ -406,10 +411,14 @@ def _check_cache(cache: LayerCache, params: LayerParams, grad_y: Matrix) -> None
         raise CacheMismatchError("cached products or input do not match W1 and W2")
 
 
-def _softmax_rows_backward(grad_a: Matrix, a: Matrix) -> Matrix:
-    # Row-wise Jacobian of the softmax: de = a * (da - sum(da * a, row))
-    inner = np.sum(grad_a * a, axis=-1, keepdims=True)
-    return a * (grad_a - inner)
+def _softmax_rows_backward(grad_a: Matrix, a: Matrix, ws: Workspace | None) -> Matrix:
+    # Row-wise Jacobian of the softmax: de = a * (da - sum(da * a, row)),
+    # written over grad_a.
+    prod = np.multiply(grad_a, a, out=buffer(ws, "product", a.shape))
+    inner = time_major(prod, buffer(ws, "time_major", prod.shape[-1:] + prod.shape[:-1]))
+    grad_a -= inner.sum(axis=0)[..., None]
+    grad_a *= a
+    return grad_a
 
 
 def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
@@ -425,8 +434,9 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
     ``params`` (a zeroed one when omitted). Returns ``(grads, grad_x)``,
     ``grad_x`` None when ``input_grad`` is false. With a workspace, dL/dz
     and then ``grad_x`` go to its ``grad`` buffer, over ``grad_y`` when
-    that is where it lies, and dL/dxtilde over ``cache.xtilde`` (dL/du
-    over ``cache.u`` in a temporal-first layer).
+    that is where it lies, dL/dxtilde over ``cache.xtilde`` (dL/du
+    over ``cache.u`` in a temporal-first layer), and the heads'
+    intermediates over ``cache.stacked`` and the workspace's buffers.
     """
     _check_cache(cache, params, grad_y)
     if grads is None:
@@ -445,20 +455,38 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
     dxbar = dxtilde
     k = len(params.heads)
     if k:
+        xbar, a, lam = cache.xbar, cache.masks, float(params.lam)
+        # Of the workspace's stacked heads and dmixed buffers, one holds
+        # dL/dmixed and the other is free: nothing reads stacked after dWtilde1.
         if params.Wtilde1 is None:
-            dmixed = dxtilde[None]
+            dmixed, free = dxtilde[None], buffer(ws, "dmixed", a.shape)
         else:
             grads.Wtilde1[...] += matmul(_cols(dxtilde), _cols(cache.stacked).T)
             dmixed = matmul(params.Wtilde1.T, _cols(dxtilde),
                             buffer(ws, "dmixed", _cols(cache.stacked).shape))
-            dmixed = dmixed.reshape(cache.masks.shape)
+            dmixed = dmixed.reshape(a.shape)
+            free = None if ws is None else cache.stacked.reshape(a.shape)
 
-        xbar, a, lam = cache.xbar, cache.masks, params.lam
-        grads.lam[...] += float(np.sum(dmixed * (xbar * a - xbar)))
-        de = _softmax_rows_backward(lam * (dmixed * xbar), a).reshape(k, -1, xbar.shape[-1])
+        # dL/dlam = sum(dmixed * (xbar*a - xbar)), then the softmax's upstream
+        # lam * (dmixed * xbar): the operations of these expressions in their
+        # order (IEEE products and sums commute), in place.
+        dlam = np.multiply(xbar, a, out=free)
+        dlam -= xbar
+        dlam *= dmixed
+        grads.lam[...] += float(np.sum(dlam))
+        grad_a = np.multiply(dmixed, xbar, out=dlam)
+        grad_a *= lam
+        de = _softmax_rows_backward(grad_a, a, ws).reshape(k, -1, xbar.shape[-1])
         grads.heads[...] += matmul(_rows(xbar).T, de)
-        dheads = matmul(de, params.heads.transpose(0, 2, 1)).reshape(a.shape)
-        dxbar = ((1.0 - lam) * dmixed + lam * (dmixed * a) + dheads).sum(axis=0)
+        dheads = matmul(de, params.heads.transpose(0, 2, 1),
+                        buffer(ws, "product", de.shape)).reshape(a.shape)
+        # dxbar = sum over heads of ((1 - lam)*dmixed + lam*(dmixed*a)) + dheads
+        mix = np.multiply(dmixed, a, out=buffer(ws, "time_major", a.shape))
+        mix *= lam
+        dmixed *= 1.0 - lam
+        dmixed += mix
+        dmixed += dheads
+        dxbar = dmixed.sum(axis=0)
 
     grads.W1[...] += matmul(_cols(dxbar), _cols(cache.x).T)
     if not input_grad:

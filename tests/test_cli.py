@@ -242,8 +242,10 @@ class TestTrainCommand:
         ('{"optim": {"learning_rate": "0.1"}}', 2, "'optim.learning_rate'"),
         ('{"synth": "no"}', 2, "'synth'"),
         ('{"horizon": 7}', 2, "horizon"),
+        ('{"seeds": [0, 0]}', 2, "seeds must not repeat"),
     ], ids=["json-list", "not-json", "directory", "heads-str", "heads-float", "optim-list",
-            "seeds-int", "optim-unknown-key", "lr-str", "synth-str", "horizon-choice"])
+            "seeds-int", "optim-unknown-key", "lr-str", "synth-str", "horizon-choice",
+            "seeds-repeated"])
     def test_bad_config_file(self, tmp_path, capsys, content, code, named):
         config = tmp_path / "config.json"
         if content is None:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtabl.errors import DimensionError
+from mtabl.errors import DimensionError, DivergenceError
+from mtabl.layers import _check_mask
 from mtabl.linalg import (
     count_multiplications,
     hadamard,
@@ -13,9 +14,16 @@ from mtabl.linalg import (
     scale,
     scope,
     softmax_rows,
+    time_major,
 )
 
-from oracles import matmul_loops
+from oracles import matmul_loops, softmax_over_rows
+
+EPS = np.finfo(np.float64).eps
+# Row lengths on both sides of 8, below which numpy sums a row in order.
+TIMES = [1, 2, 5, 8, 10, 17]
+# Leading axes of 2- to 4-D inputs, such as (D', B) or (K, D', B).
+LEADS = [(7,), (3, 4), (2, 3, 4)]
 
 
 def small_matrices(max_dim=6):
@@ -140,6 +148,75 @@ class TestSoftmaxRows:
     @given(small_matrices(max_dim=5), st.floats(-100, 100))
     def test_shift_invariance(self, e, c):
         assert np.abs(softmax_rows(e + c) - softmax_rows(e)).max() <= 1e-12
+
+
+def _scores(rng, lead, t):
+    # Magnitudes over six decades, so that the order of a sum matters.
+    shape = lead + (t,)
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=str)
+@pytest.mark.parametrize("t", TIMES)
+class TestTimeMajorRows:
+    def test_copy_puts_the_last_axis_first(self, rng, lead, t):
+        a = _scores(rng, lead, t)
+        rows = time_major(a)
+        assert rows.flags.c_contiguous and rows.shape == (t,) + lead
+        assert np.array_equal(rows, np.moveaxis(a, -1, 0))
+        out = np.empty_like(rows)
+        assert time_major(a, out) is out and np.array_equal(out, rows)
+
+    def test_max_is_the_row_max_bit_for_bit(self, rng, lead, t):
+        a = _scores(rng, lead, t)
+        assert time_major(a).max(axis=0).tobytes() == a.max(axis=-1).tobytes()
+
+    def test_sum_is_the_row_sum(self, rng, lead, t):
+        # numpy adds rows of 8 or more pairwise, time_major's sum in order:
+        # each is within (t - 1) * eps * sum|a| of the exact sum, so their
+        # difference is within twice that.
+        a = _scores(rng, lead, t)
+        rows, expected = time_major(a).sum(axis=0), a.sum(axis=-1)
+        if t < 8:
+            assert rows.tobytes() == expected.tobytes()
+        else:
+            bound = 2 * (t - 1) * EPS * np.abs(a).sum(axis=-1)
+            assert (np.abs(rows - expected) <= bound).all()
+
+    def test_softmax_matches_the_row_softmax(self, rng, lead, t):
+        e = _scores(rng, lead, t)
+        out, expected = softmax_rows(e), softmax_over_rows(e)
+        if t < 8:
+            assert out.tobytes() == expected.tobytes()
+        else:
+            # Only the normaliser's summation order differs.
+            assert (np.abs(out - expected) <= t * EPS * expected).all()
+
+    def test_softmax_in_place_equals_fresh(self, rng, lead, t):
+        e = _scores(rng, lead, t)
+        expected = softmax_rows(e)
+        assert softmax_rows(e, e) is e and e.tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_mask_check_rejects_a_non_finite_row(self, rng, lead, t, bad):
+        e = _scores(rng, lead, t)
+        _check_mask(softmax_rows(e))
+        a = softmax_rows(e)
+        a[(0,) * len(lead) + (t - 1,)] = bad
+        with pytest.raises(DivergenceError):
+            _check_mask(a)
+        e[(-1,) * len(lead) + (0,)] = bad
+        with pytest.raises(DivergenceError):
+            _check_mask(softmax_rows(e))
+
+
+def test_time_major_and_softmax_check_out_shapes():
+    a = np.zeros((3, 4))
+    with pytest.raises(DimensionError, match="time_major"):
+        time_major(a, np.empty((3, 4)))
+    with pytest.raises(DimensionError, match="softmax_rows"):
+        softmax_rows(a, np.empty((1, 4)))
 
 
 class TestPlumbing:
