@@ -157,8 +157,12 @@ class Dataset:
         return getattr(self, partition).labels.tolist()
 
 
-def _diagnose_text_grid(text: str, path) -> None:
-    """Produce a precise error for a grid numpy could not parse."""
+def _diagnose_text_grid(path) -> None:
+    """Produce a precise error for a file numpy could not parse."""
+    try:  # all at once, so that the offset counts from the file's start
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows:
         raise FormatError(f"{path}: empty file")
@@ -178,19 +182,15 @@ def _diagnose_text_grid(text: str, path) -> None:
 
 
 def load_day(path, *, transposed: bool = False) -> RawDayMatrix:
-    """Parse one whitespace-separated day file."""
+    """Parse one whitespace-separated day file, line by line from the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise FormatError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
-    try:
-        with warnings.catch_warnings():
+        with open(path, encoding="utf-8") as lines, warnings.catch_warnings():
             # An empty grid becomes a FormatError below; numpy's own
             # warning about it is just noise.
             warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(text.splitlines(), dtype=np.float64, ndmin=2)
-    except ValueError:
-        _diagnose_text_grid(text, path)
+            values = np.loadtxt(lines, dtype=np.float64, ndmin=2)
+    except ValueError:  # bad UTF-8 too, whose offset counts from the chunk decoded
+        _diagnose_text_grid(path)
         raise
     if values.size == 0:
         raise FormatError(f"{path}: empty file")
@@ -231,7 +231,8 @@ def windowize(day: RawDayMatrix, window: int, horizon: int = 10) -> Windows:
     unknown = ~np.isin(raw, RAW_LABELS)
     if unknown.any():
         raise DataError(f"{day.source}: unknown label value {float(raw[unknown][0])!r}")
-    return Windows(day.values[:N_FEATURES], np.arange(len(raw), dtype=np.int64),
+    # A copy of the feature rows, so the raw grid is freed once windowed.
+    return Windows(day.values[:N_FEATURES].copy(), np.arange(len(raw), dtype=np.int64),
                    raw.astype(np.int64) - 1, window)
 
 
@@ -248,24 +249,17 @@ def normalize(dataset: Dataset) -> Dataset:
 def standardize(dataset: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:
     """Apply given z-score statistics, such as those a checkpoint carries."""
     divisor = np.where(std < 1e-12, 1.0, std)[:, None]
-
-    def transform(part: Windows) -> Windows:
-        return replace(part, series=(part.series - mean[:, None]) / divisor)
-
-    return replace(
-        dataset,
-        train=transform(dataset.train),
-        validation=transform(dataset.validation),
-        test=transform(dataset.test),
-        feature_mean=mean,
-        feature_std=std,
-    )
+    parts = {}
+    for name, part in dataset.partitions():  # no second full-size temporary
+        series = np.subtract(part.series, mean[:, None])
+        parts[name] = replace(part, series=np.divide(series, divisor, out=series))
+    return replace(dataset, **parts, feature_mean=mean, feature_std=std)
 
 
 def split_days(files, train_days: int, val_days: int, test_days: int, *,
                window: int = 10, horizon: int = 10, apply_normalization: bool = True,
                transposed: bool = False) -> Dataset:
-    """Load day files and assign them chronologically to the partitions.
+    """Load day files one at a time and assign them chronologically to the partitions.
 
     The first ``train_days`` files become training data, the next
     ``val_days`` validation, the next ``test_days`` test. Days are never
@@ -279,11 +273,11 @@ def split_days(files, train_days: int, val_days: int, test_days: int, *,
         raise ConfigurationError(
             f"split needs {needed} day files, only {len(files)} supplied"
         )
-    days = [windowize(load_day(path, transposed=transposed), window=window, horizon=horizon)
-            for path in files[:needed]]
     bounds = (0, train_days, train_days + val_days, needed)
-    train, validation, test = (Windows.join(days[lo:hi], (N_FEATURES, window))
-                               for lo, hi in zip(bounds, bounds[1:]))
+    train, validation, test = (
+        Windows.join([windowize(load_day(path, transposed=transposed), window, horizon)
+                      for path in files[lo:hi]], (N_FEATURES, window))
+        for lo, hi in zip(bounds, bounds[1:]))
     dataset = Dataset(
         train=train, validation=validation, test=test,
         provenance={
@@ -396,6 +390,9 @@ def save_dataset(path, dataset: Dataset) -> None:
             part = _covered(part)
             blocks += [(f"{name}/series", part.series), (f"{name}/starts", part.starts[:, None]),
                        (f"{name}/labels", part.labels[:, None])]
+    # Largest first: a reader allocating in file order then takes the large
+    # chunks its process freed before small blocks split them.
+    blocks.sort(key=lambda block: -block[1].nbytes)
     if dataset.feature_mean is not None:
         blocks += [("stats/mean", dataset.feature_mean[:, None]),
                    ("stats/std", dataset.feature_std[:, None])]

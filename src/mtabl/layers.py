@@ -195,8 +195,9 @@ class Workspace:
     scratch over the stacked heads of an attention layer.
     ``network_backward`` gives all layers the unkeyed view, so they share
     the backward roles ``grad`` (dL/dz, then dL/dx, over the upstream
-    gradient when that is the previous dL/dx), ``dmixed``, ``product`` and
-    ``time_major``. A pass without a workspace touches none.
+    gradient when that is the previous dL/dx), ``dmixed``, ``product``
+    (relu's z > 0 first) and ``time_major``. A pass without a workspace
+    touches none.
     """
 
     def __init__(self, sizes: dict[str, int] | None = None):
@@ -279,14 +280,15 @@ def apply_activation(z: Matrix, kind: str, out: Matrix | None = None) -> Matrix:
     raise ConfigurationError(f"unknown activation {kind!r}")
 
 
-def activation_backward(grad_y: Matrix, cache: LayerCache, out: Matrix | None = None) -> Matrix:
+def activation_backward(grad_y: Matrix, cache: LayerCache, ws: Workspace | None = None) -> Matrix:
     """Pull the upstream gradient back through the activation: dL/dy -> dL/dz,
-    into ``out`` when given (which may be ``grad_y``); identity returns ``grad_y``."""
-    kind = cache.activation
+    into the ``grad`` buffer of ``ws`` when given; identity returns ``grad_y``."""
+    kind, out = cache.activation, buffer(ws, "grad", grad_y.shape)
     if kind == "identity":
         return grad_y
-    if kind == "relu":
-        return np.multiply(grad_y, cache.z > 0.0, out=out)
+    if kind == "relu":  # z > 0 as 1.0 or 0.0: the factors of a boolean mask
+        mask = np.greater(cache.z, 0.0, out=buffer(ws, "product", grad_y.shape))
+        return np.multiply(grad_y, mask, out=out)
     if kind == "softmax":
         y = cache.y
         return np.multiply(y, grad_y - np.sum(y * grad_y, axis=0), out=out)
@@ -441,8 +443,7 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
     _check_cache(cache, params, grad_y)
     if grads is None:
         grads = params.like(np.zeros_like(params.flat))
-    dz = grad_y if grad_wrt_preactivation else activation_backward(
-        grad_y, cache, buffer(ws, "grad", grad_y.shape))
+    dz = grad_y if grad_wrt_preactivation else activation_backward(grad_y, cache, ws)
     # In-place adds through the views: the frozen fields cannot be rebound.
     grads.B[...] += dz if dz.ndim == 2 else _batch_sum(dz)
     if cache.u is not None:

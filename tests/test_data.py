@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from mtabl.data import (
     normalize,
     save_dataset,
     split_days,
+    standardize,
     synth_generate,
     windowize,
 )
@@ -71,6 +73,18 @@ class TestLoadDay:
         with pytest.raises(FormatError, match="empty"):
             load_day(path)
 
+    def test_non_utf8_byte_offset_counts_from_the_file_start(self, tmp_path):
+        # The parse decodes the file a chunk at a time; the offset it names
+        # must still be the byte's offset in the file, here past 8 KB.
+        path = tmp_path / "late.txt"
+        write_day(path, n_events=400)
+        text = path.read_bytes()
+        bad = 40_007
+        assert len(text) > bad > 8192
+        path.write_bytes(text[:bad] + b"\xff" + text[bad:])
+        with pytest.raises(FormatError, match=f"not UTF-8 text .* at byte {bad}\\)"):
+            load_day(path)
+
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("\n".join(["1 2 3"] * 10) + "\n")
@@ -93,6 +107,7 @@ class TestWindowize:
         day = self.day(12)
         samples = windowize(day, window=10)
         assert len(samples) == 3
+        assert not np.shares_memory(samples.series, day.values)  # the raw day may go
         for i, s in enumerate(samples):
             assert s.x.shape == (40, 10)
             assert np.array_equal(s.x, day.values[:40, i:i + 10])
@@ -210,6 +225,41 @@ class TestSplitAndNormalize:
         ds2 = split_days(files[:2] + files[2:], 2, 2, 0, window=10)
         assert np.array_equal(ds1.feature_mean, ds2.feature_mean)
         assert np.array_equal(ds1.feature_std, ds2.feature_std)
+
+    def test_standardize_leaves_its_input_alone(self, tmp_path):
+        raw = split_days(self.make_files(tmp_path, n=3), 1, 1, 1, apply_normalization=False)
+        before = [part.series.copy() for _, part in raw.partitions()]
+        mean, std = raw.train.series.mean(axis=1), raw.train.series.std(axis=1)
+        std[0] = 0.0  # centered, not scaled
+        ds = standardize(raw, mean, std)
+        for (_, part), kept, (_, scaled) in zip(raw.partitions(), before, ds.partitions()):
+            assert np.array_equal(part.series, kept)
+            divisor = np.where(std < 1e-12, 1.0, std)[:, None]
+            assert np.array_equal(scaled.series, (kept - mean[:, None]) / divisor)
+
+    def test_split_days_peak_stays_near_what_it_returns(self, tmp_path):
+        # Four FI-2010-shaped days (149 rows: 144 features, 5 labels) of
+        # 3000 events. Days are parsed one at a time and only their feature
+        # rows kept, so the peak is the returned dataset twice (old and
+        # z-scored series side by side) plus one raw day; 7.9 MB measured,
+        # 26.3 MB when every raw day and its text stayed alive to the end.
+        rng = np.random.default_rng(5)
+        files = []
+        for i in range(4):
+            grid = rng.normal(size=(149, 3000))
+            grid[-5:] = rng.integers(1, 4, (5, 3000))
+            files.append(tmp_path / f"day{i}.txt")
+            np.savetxt(files[-1], grid, fmt="%.10g")
+        tracemalloc.start()
+        try:
+            ds = split_days(files, 2, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for _, part in ds.partitions()
+                       for a in (part.series, part.starts, part.labels))
+        assert returned > 40 * 4 * 2991 * 8
+        assert peak <= 2 * returned + grid.nbytes
 
     def test_normalize_requires_training_data(self):
         from mtabl.data import Dataset

@@ -72,6 +72,21 @@ class TestCrossEntropy:
             cross_entropy(column([0.3, 0.3, 0.4]), 3)
 
 
+    @pytest.mark.parametrize("label", [3, -1, 1.5, math.nan, math.inf, 2.0000001])
+    def test_labels_outside_the_classes_raise(self, label):
+        with pytest.raises(DataError, match="labels must be 0, 1 or 2"):
+            cross_entropy(column([0.3, 0.3, 0.4]), label)
+        labels = np.array([0, 1, 2, label, 1])
+        with pytest.raises(DataError, match="labels must be 0, 1 or 2"):
+            cross_entropy(np.full((3, 5, 1), 1 / 3), labels)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [0.0, 1.0, 2.0], [-0.0, 2.0, 1.0],
+                                        [True, False, True]])
+    def test_whole_labels_of_any_dtype_accepted(self, labels):
+        loss, _ = cross_entropy(np.full((3, 3, 1), 1 / 3), np.array(labels))
+        assert loss == pytest.approx(3 * math.log(3))
+
+
 class TestBatchedCrossEntropy:
     def test_sums_the_per_window_losses(self, rng):
         raw = rng.uniform(0.01, 1.0, (3, 9, 1))

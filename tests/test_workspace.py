@@ -72,29 +72,49 @@ def test_step_allocates_no_batch_sized_arrays():
     assert peak < STEP_PEAK_BYTES
 
 
-def test_attention_backward_allocates_less_than_one_head_block():
-    # The (K, D', B, T) intermediates go to workspace buffers; 99 KB
-    # measured, against 769 KB when each was a fresh array.
+def _warm_backward_peaks():
+    """Fresh bytes each layer's backward allocates, last layer first, in a
+    second train-c step through one workspace, with its caches."""
     spec = SPECS["C/mtabl5"]()
     params = init_network_params(spec, 0)
     batch = _dataset(600).train[:256]
     ws = Workspace()
 
-    def attention_backward_peak():
+    def backward_peaks():
         probs, caches = network_forward(gather(batch, ws), spec, params, ws)
         grad = cross_entropy(probs, batch.labels)[1]
         grads = params.like(np.zeros_like(params.flat))
-        tracemalloc.start()
-        try:
-            layer_backward(caches[-1], params[-1], grad, grads[-1],
-                           grad_wrt_preactivation=True, ws=ws)
-            return tracemalloc.get_traced_memory()[1], caches[-1].masks.nbytes
-        finally:
-            tracemalloc.stop()
+        peaks = []
+        for i in reversed(range(len(caches))):
+            tracemalloc.start()
+            try:
+                _, grad = layer_backward(caches[i], params[i], grad, grads[i], ws=ws,
+                                         grad_wrt_preactivation=i == len(caches) - 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks, caches[::-1]
 
-    attention_backward_peak()
-    peak, block = attention_backward_peak()
-    assert block == 153_600 and peak < block
+    backward_peaks()
+    return backward_peaks()
+
+
+def test_attention_backward_allocates_less_than_one_head_block():
+    # The (K, D', B, T) intermediates go to workspace buffers; 99 KB
+    # measured, against 769 KB when each was a fresh array.
+    peaks, caches = _warm_backward_peaks()
+    block = caches[0].masks.nbytes
+    assert block == 153_600 and peaks[0] < block
+
+
+def test_bl_backward_allocates_no_batch_sized_array():
+    # relu's z > 0 goes to a workspace buffer; 58 KB and 20 KB measured
+    # (dW1 and the bias sum), against 220 KB each with a fresh boolean mask.
+    peaks, caches = _warm_backward_peaks()
+    for peak, cache in zip(peaks[1:], caches[1:]):
+        assert cache.activation == "relu" and cache.z.shape[1] == 256
+        assert peak < cache.z.size  # one byte per element: the boolean mask
+    assert len(peaks) == 3
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
