@@ -42,7 +42,8 @@ RAW_LABELS = (1, 2, 3)
 
 @dataclass(frozen=True)
 class RawDayMatrix:
-    """One parsed day file: dimensions on rows, order events on columns."""
+    """One parsed day file: dimensions on rows, order events on columns.
+    ``values`` is the parsed grid's transposed view with ``transposed=True``."""
 
     values: Matrix
     source: str = ""
@@ -203,7 +204,7 @@ def load_day(path, *, transposed: bool = False) -> RawDayMatrix:
         )
     if not np.isfinite(values).all():
         raise DataError(f"{path}: file contains non-finite values")
-    return RawDayMatrix(values=np.ascontiguousarray(values), source=str(path))
+    return RawDayMatrix(values=values, source=str(path))
 
 
 def _horizon_row(day: RawDayMatrix, horizon: int) -> int:

@@ -34,11 +34,12 @@ xtilde. The two orders differ only in rounding.
 
 The K score matrices W_k are one (K, T, T) block ``heads``, and the heads
 are one more array axis: scores, masks and mixed features are (K, D', T),
-each computed for all heads by one operation. The softmax, its backward
-and the mask check reduce over the T time steps of each of the K*D'*B
-rows of a batch: each takes its row maxima and sums over a
-:func:`~mtabl.linalg.time_major` copy, in one pass over the time axis
-instead of one short row at a time (see :mod:`mtabl.linalg`).
+each computed for all heads by one operation. The softmax (which also
+checks that every mask row sums to 1) and its backward reduce over the
+T time steps of each of the K*D'*B rows of a batch: each takes its row
+maxima and sums over a :func:`~mtabl.linalg.time_major` copy, in one
+pass over the time axis instead of one short row at a time (see
+:mod:`mtabl.linalg`).
 
 A batch of B windows is one feature-major (D, B, T) array, window b being
 ``X[:, b, :]``. Each product is then one GEMM over a reshape, such as
@@ -73,7 +74,6 @@ from .errors import (
     ConfigurationError,
     ConstraintError,
     DimensionError,
-    DivergenceError,
 )
 from .linalg import Matrix, hadamard, matmul, scale, scope, softmax_rows, time_major
 
@@ -86,8 +86,6 @@ SCOPE_ATTENTION = "attention_scores"
 SCOPE_MIX = "attention_mixing"
 SCOPE_RECOMBINE = "head_recombination"
 SCOPE_OUTPUT = "temporal_projection"
-
-MASK_ROW_SUM_TOL = 1e-12
 
 
 def layer_layout(in_dims: tuple[int, int], out_dims: tuple[int, int],
@@ -295,14 +293,6 @@ def activation_backward(grad_y: Matrix, cache: LayerCache, ws: Workspace | None 
     raise ConfigurationError(f"unknown activation {kind!r}")
 
 
-def _check_mask(a: Matrix) -> None:
-    # Every row of every window; written so that a NaN row fails too.
-    if not np.abs(time_major(a).sum(axis=0) - 1.0).max() <= MASK_ROW_SUM_TOL:
-        raise DivergenceError(
-            "attention mask rows do not sum to 1 (non-finite attention scores)"
-        )
-
-
 def _cols(a: np.ndarray) -> Matrix:
     """(D, [B,] T) as (D, B*T): the feature axis against everything else."""
     return a.reshape(a.shape[0], -1)
@@ -357,7 +347,6 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
             with scope(SCOPE_ATTENTION):
                 e = matmul(_rows(xbar), p.heads, buffer(ws, "masks", (k, d_out * n // t, t)))
             masks = softmax_rows(e, e).reshape((k,) + xbar.shape)
-            _check_mask(masks)
             with scope(SCOPE_MIX):
                 mixed = hadamard(xbar, masks, buffer(ws, "mixed", masks.shape))
                 mixed = scale(mixed, lam, mixed)

@@ -8,7 +8,8 @@ elementwise operations and the row softmax take arrays of any rank; a
 "row" is the last axis, so a (D, B, T) batch of windows has D*B rows.
 Every operation validates shapes eagerly and raises
 :class:`DimensionError` on mismatch, so shape bugs surface at the call
-site instead of deep inside a layer.
+site instead of deep inside a layer. The row softmax also raises
+:class:`DivergenceError` when a row it returns does not sum to 1.
 
 numpy reduces the last axis of an array one row at a time, at a fixed
 cost per row that dominates for short rows: the attention scores of a
@@ -42,9 +43,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, DivergenceError
 
 Matrix = np.ndarray
+
+MASK_ROW_SUM_TOL = 1e-12
 
 
 class MultiplicationCounter:
@@ -134,10 +137,10 @@ def time_major(a: Matrix, out: Matrix | None = None) -> Matrix:
 def softmax_rows(e: Matrix, out: Matrix | None = None) -> Matrix:
     """Softmax over the last axis, stabilized by subtracting each row's maximum.
 
-    Each output row sums to 1; the shift leaves the result unchanged
-    mathematically and prevents overflow for large scores. The max, exp
-    and normaliser run on a :func:`time_major` copy, whose normalised rows
-    the division writes to ``out``; ``out`` may be ``e`` itself.
+    The max, exp and normaliser run on a :func:`time_major` copy, normalised
+    in place, whose rows go to ``out``; ``out`` may be ``e`` itself. A row
+    that does not sum to 1 within ``MASK_ROW_SUM_TOL``, such as one with a
+    non-finite score, raises :class:`DivergenceError`.
     """
     if out is None:
         out = np.empty_like(e)
@@ -146,5 +149,11 @@ def softmax_rows(e: Matrix, out: Matrix | None = None) -> Matrix:
     rows = time_major(e)
     rows -= rows.max(axis=0)
     np.exp(rows, out=rows)
-    np.divide(rows, rows.sum(axis=0), out=out.transpose(e.ndim - 1, *range(e.ndim - 1)))
+    rows /= rows.sum(axis=0)
+    # Written so that a NaN row fails too.
+    if not np.abs(rows.sum(axis=0) - 1.0).max(initial=0.0) <= MASK_ROW_SUM_TOL:
+        raise DivergenceError(
+            "attention mask rows do not sum to 1 (non-finite attention scores)"
+        )
+    np.copyto(out.transpose(e.ndim - 1, *range(e.ndim - 1)), rows)
     return out

@@ -1,17 +1,17 @@
 """Independent verification oracles.
 
-Three families of check, each deliberately decoupled from the code it
+Two families of check, each deliberately decoupled from the code it
 verifies:
 
 * a central finite-difference gradient checker that perturbs every entry
   of a layer's or network's flat parameter vector and compares the
   numeric slope against the analytic backward pass;
-* structural-equivalence checks for the multi-head layer's reductions to
-  the single-head one (one head with an identity recombination, and K
-  identical heads recombined by averaging);
 * a multiplication estimator for the layer cost model, paired with the
   instrumented counter in :mod:`mtabl.linalg` so the predicted and the
   actually executed head-dependent work can be compared exactly.
+
+The multi-head to single-head reduction checks live with the tests, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -248,91 +248,6 @@ def draw_gradcheck_sample(spec: NetworkSpec, params: list, rng: np.random.Genera
     return SeriesSample(x=x, label=int(rng.integers(3)))
 
 
-@dataclass
-class ReductionReport:
-    """Outcome of the multi-head to single-head equivalence checks."""
-
-    n_inputs: int
-    tol: float
-    max_forward_diff: float
-    max_grad_diff: float
-    mean_forward_diff: float
-    control_separated: bool
-
-    @property
-    def passed(self) -> bool:
-        return (self.max_forward_diff <= self.tol
-                and self.max_grad_diff <= self.tol
-                and self.control_separated)
-
-
-def _grad_diff(a: LayerParams, b: LayerParams) -> float:
-    """Largest gap between the gradients of the shared W1, W2, B and lam."""
-    return max(float(np.abs(np.subtract(getattr(a, name), getattr(b, name))).max())
-               for name in ("W1", "W2", "B", "lam"))
-
-
-def check_reduction(seed: int = 0, n_inputs: int = 100, tol: float = 1e-12) -> ReductionReport:
-    """Multi-head layers must collapse onto the single-head layer.
-
-    With one head and an identity recombination the multi-head forward and
-    every shared-parameter gradient must coincide with the single head
-    without recombination; with K identical heads recombined by the
-    block-averaged identity the forward must coincide too, with the head
-    gradients summing to the single-head score gradient. A perturbed
-    recombination serves as the control: it must separate the outputs,
-    otherwise the check itself is vacuous.
-    """
-    rng = np.random.default_rng(seed)
-    d, t, d_out, t_out = 4, 5, 3, 2
-    base = dict(W1=rng.normal(size=(d_out, d)), W2=rng.normal(size=(t, t_out)),
-                B=rng.normal(size=(d_out, t_out)))
-    w = rng.normal(size=(t, t))
-    lam = float(rng.uniform(0.1, 0.9))
-    k = 3
-    single = LayerParams.pack(**base, heads=[w], lam=lam)
-    one_head = LayerParams.pack(**base, heads=[w], Wtilde1=np.eye(d_out), lam=lam)
-    averaged = LayerParams.pack(**base, heads=[w] * k, lam=lam,
-                                Wtilde1=np.hstack([np.eye(d_out)] * k) / k)
-    perturbed = LayerParams.pack(**base, heads=[w], Wtilde1=np.eye(d_out) + 0.05, lam=lam)
-
-    max_fwd = 0.0
-    max_grad = 0.0
-    fwd_sum = 0.0
-    control_separated = True
-    for _ in range(n_inputs):
-        x = rng.normal(size=(d, t))
-        grad_y = rng.normal(size=(d_out, t_out))
-
-        y_single, cache_single = layer_forward(x, single)
-        g_single, _ = layer_backward(cache_single, single, grad_y)
-
-        y_one, cache_one = layer_forward(x, one_head)
-        g_one, _ = layer_backward(cache_one, one_head, grad_y)
-        diff = float(np.abs(y_single - y_one).max())
-        max_fwd = max(max_fwd, diff)
-        fwd_sum += diff
-        max_grad = max(max_grad, _grad_diff(g_single, g_one),
-                       float(np.abs(g_single.heads[0] - g_one.heads[0]).max()))
-
-        y_avg, cache_avg = layer_forward(x, averaged)
-        g_avg, _ = layer_backward(cache_avg, averaged, grad_y)
-        max_fwd = max(max_fwd, float(np.abs(y_single - y_avg).max()))
-        max_grad = max(max_grad, _grad_diff(g_single, g_avg))
-        head_sum = g_avg.heads.sum(axis=0)
-        max_grad = max(max_grad, float(np.abs(head_sum - g_single.heads[0]).max()))
-
-        y_ctrl, _ = layer_forward(x, perturbed)
-        if float(np.abs(y_single - y_ctrl).max()) <= tol:
-            control_separated = False
-
-    return ReductionReport(
-        n_inputs=n_inputs, tol=tol, max_forward_diff=max_fwd,
-        max_grad_diff=max_grad, mean_forward_diff=fwd_sum / n_inputs,
-        control_separated=control_separated,
-    )
-
-
 @dataclass(frozen=True)
 class ComplexityEstimate:
     """Multiplication counts for one multi-head layer forward, by step.
@@ -380,11 +295,6 @@ def complexity_estimate(d: int, t: int, d_out: int, t_out: int, k: int) -> Compl
         attention_mixing=3 * d_out * t,
         head_recombination=d_out * (d_out * k) * t,
     )
-
-
-def tabl_complexity_total(d: int, t: int, d_out: int, t_out: int) -> int:
-    """Single-head reference: one head, no recombination term."""
-    return complexity_estimate(d, t, d_out, t_out, 1).single_head_total
 
 
 def measure_multiplications(d: int, t: int, d_out: int, t_out: int, k: int,

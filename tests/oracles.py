@@ -9,12 +9,18 @@ the form it replaced: :func:`per_window_gradients`, the window-by-window
 training step; :func:`bl_feature_first`, the BL layer multiplied as
 (W1 @ X) @ W2 in plain numpy; :func:`optimizer_step_as_written`, the
 update formulas evaluated as written, one fresh array per operation; and
-:func:`softmax_over_rows`, the softmax reduced over the last axis.
+:func:`softmax_over_rows`, the softmax reduced over the last axis. One
+more exception is :func:`check_reduction`, which runs the library's own
+layer forward and backward on multi-head parameters built to reduce to
+the single head, and compares the two.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from mtabl.layers import LayerParams, layer_backward, layer_forward
 
 
 def matmul_loops(a, b):
@@ -182,3 +188,83 @@ def softmax_over_rows(e):
     rows of 8 or more pairwise."""
     expd = np.exp(e - e.max(axis=-1, keepdims=True))
     return expd / expd.sum(axis=-1, keepdims=True)
+
+
+@dataclass
+class ReductionReport:
+    """Outcome of the multi-head to single-head equivalence checks."""
+
+    n_inputs: int
+    tol: float
+    max_forward_diff: float
+    max_grad_diff: float
+    control_separated: bool
+
+    @property
+    def passed(self) -> bool:
+        return (self.max_forward_diff <= self.tol
+                and self.max_grad_diff <= self.tol
+                and self.control_separated)
+
+
+def _grad_diff(a: LayerParams, b: LayerParams) -> float:
+    """Largest gap between the gradients of the shared W1, W2, B and lam."""
+    return max(float(np.abs(np.subtract(getattr(a, name), getattr(b, name))).max())
+               for name in ("W1", "W2", "B", "lam"))
+
+
+def check_reduction(seed: int = 0, n_inputs: int = 100, tol: float = 1e-12) -> ReductionReport:
+    """Multi-head layers must collapse onto the single-head layer.
+
+    With one head and an identity recombination the multi-head forward and
+    every shared-parameter gradient must coincide with the single head
+    without recombination; with K identical heads recombined by the
+    block-averaged identity the forward must coincide too, with the head
+    gradients summing to the single-head score gradient. A perturbed
+    recombination serves as the control: it must separate the outputs,
+    otherwise the check itself is vacuous.
+    """
+    rng = np.random.default_rng(seed)
+    d, t, d_out, t_out = 4, 5, 3, 2
+    base = dict(W1=rng.normal(size=(d_out, d)), W2=rng.normal(size=(t, t_out)),
+                B=rng.normal(size=(d_out, t_out)))
+    w = rng.normal(size=(t, t))
+    lam = float(rng.uniform(0.1, 0.9))
+    k = 3
+    single = LayerParams.pack(**base, heads=[w], lam=lam)
+    one_head = LayerParams.pack(**base, heads=[w], Wtilde1=np.eye(d_out), lam=lam)
+    averaged = LayerParams.pack(**base, heads=[w] * k, lam=lam,
+                                Wtilde1=np.hstack([np.eye(d_out)] * k) / k)
+    perturbed = LayerParams.pack(**base, heads=[w], Wtilde1=np.eye(d_out) + 0.05, lam=lam)
+
+    max_fwd = 0.0
+    max_grad = 0.0
+    control_separated = True
+    for _ in range(n_inputs):
+        x = rng.normal(size=(d, t))
+        grad_y = rng.normal(size=(d_out, t_out))
+
+        y_single, cache_single = layer_forward(x, single)
+        g_single, _ = layer_backward(cache_single, single, grad_y)
+
+        y_one, cache_one = layer_forward(x, one_head)
+        g_one, _ = layer_backward(cache_one, one_head, grad_y)
+        max_fwd = max(max_fwd, float(np.abs(y_single - y_one).max()))
+        max_grad = max(max_grad, _grad_diff(g_single, g_one),
+                       float(np.abs(g_single.heads[0] - g_one.heads[0]).max()))
+
+        y_avg, cache_avg = layer_forward(x, averaged)
+        g_avg, _ = layer_backward(cache_avg, averaged, grad_y)
+        max_fwd = max(max_fwd, float(np.abs(y_single - y_avg).max()))
+        max_grad = max(max_grad, _grad_diff(g_single, g_avg))
+        head_sum = g_avg.heads.sum(axis=0)
+        max_grad = max(max_grad, float(np.abs(head_sum - g_single.heads[0]).max()))
+
+        y_ctrl, _ = layer_forward(x, perturbed)
+        if float(np.abs(y_single - y_ctrl).max()) <= tol:
+            control_separated = False
+
+    return ReductionReport(
+        n_inputs=n_inputs, tol=tol, max_forward_diff=max_fwd, max_grad_diff=max_grad,
+        control_separated=control_separated,
+    )

@@ -30,14 +30,13 @@ from mtabl.network import (
 )
 from mtabl.optim import OptimConfig, train
 from mtabl.verify import (
-    check_reduction,
     complexity_estimate,
     gradcheck_layer,
     measure_multiplications,
     random_layer_case,
 )
 
-from oracles import metrics_bruteforce
+from oracles import check_reduction, metrics_bruteforce
 
 
 def report(criterion, passed, detail=""):
