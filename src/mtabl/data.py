@@ -117,6 +117,28 @@ class Windows:
         # straight into ``out`` instead of through a temporary copy.
         return np.take(self.series, index, axis=1, out=out, mode="wrap")
 
+    def covered(self) -> "Windows":
+        """The same windows over only the series columns they cover, their
+        starts shifted to match; a view of the series when those columns
+        are consecutive."""
+        lo, hi = (self.starts.min(), self.starts.max() + self.window) if len(self) else (0, 0)
+        starts, n = self.starts - lo, hi - lo
+        part = Windows(self.series[:, lo:hi], starts, self.labels, self.window)
+        steps = np.diff(starts)
+        # Sorted windows with no gap between neighbours, from the first column
+        # to the last, cover them all: the windows of a whole partition.
+        if not n or (starts[0] == 0 and starts[-1] + self.window == n
+                     and ((0 <= steps) & (steps <= self.window)).all()):
+            return part
+        depth = np.cumsum(np.bincount(starts, minlength=n + 1)
+                          - np.bincount(starts + self.window, minlength=n + 1))[:n]
+        covered = depth > 0
+        if covered.all():
+            return part
+        # A window's columns are all kept, so they stay consecutive.
+        column = np.cumsum(covered) - 1
+        return Windows(part.series[:, covered], column[starts], self.labels, self.window)
+
     def __len__(self) -> int:
         return len(self.starts)
 
@@ -357,26 +379,6 @@ def synth_generate(n_samples: int, n_features: int = 8, window: int = 10,
     )
 
 
-def _covered(part: Windows) -> Windows:
-    """The same windows over only the series columns they cover, their
-    starts shifted to match; ``part`` itself when they cover every column."""
-    n, starts = part.series.shape[1], part.starts
-    steps = np.diff(starts)
-    # Sorted windows with no gap between neighbours, from the first column
-    # to the last, cover them all: the windows of a whole partition.
-    if starts[0] == 0 and starts[-1] + part.window == n and (
-            (0 <= steps) & (steps <= part.window)).all():
-        return part
-    depth = np.cumsum(np.bincount(starts, minlength=n + 1)
-                      - np.bincount(starts + part.window, minlength=n + 1))[:n]
-    covered = depth > 0
-    if covered.all():
-        return part
-    # A window's columns are all kept, so they stay consecutive.
-    column = np.cumsum(covered) - 1
-    return Windows(part.series[:, covered], column[part.starts], part.labels, part.window)
-
-
 def save_dataset(path, dataset: Dataset) -> None:
     """Binary dataset cache of every partition's series, window starts and
     labels; reloading reproduces the windows bit-exactly. Only the series
@@ -388,7 +390,7 @@ def save_dataset(path, dataset: Dataset) -> None:
     blocks = []
     for name, part in dataset.partitions():
         if part:
-            part = _covered(part)
+            part = part.covered()
             blocks += [(f"{name}/series", part.series), (f"{name}/starts", part.starts[:, None]),
                        (f"{name}/labels", part.labels[:, None])]
     # Largest first: a reader allocating in file order then takes the large

@@ -30,7 +30,8 @@ multiplications per window (:func:`temporal_first`): W1 @ (X @ W2) when
 else (W1 @ X) @ W2, as the paper writes it. The temporal-first forward
 counts U = X @ W2 under the temporal-projection scope and W1 @ U under
 the feature-projection scope, and its cache holds U in place of xbar and
-xtilde. The two orders differ only in rounding.
+xtilde. The two orders differ only in rounding. In (W1 @ X) @ W2, each
+event's column of xbar depends on that event alone (:func:`layer_forward`).
 
 The K score matrices W_k are one (K, T, T) block ``heads``, and the heads
 are one more array axis: scores, masks and mixed features are (K, D', T),
@@ -251,7 +252,7 @@ class LayerCache:
     """
 
     activation: str
-    x: Matrix
+    x: Matrix | None  # None after a projected forward, which has no backward
     xbar: Matrix | None
     masks: np.ndarray  # (K, D', [B,] T), one mask per head
     stacked: Matrix | None  # the mixed heads [mix_1; ...; mix_K] when recombined
@@ -312,18 +313,21 @@ def temporal_first(p: LayerParams) -> bool:
 
 
 def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
-                  ws: Workspace | None = None):
+                  ws: Workspace | None = None, _projected: bool = False):
     """Forward pass over one (D, T) window or a (D, B, T) batch.
 
     Returns the output, (D', T') or (D', B, T'), and its cache, in ``ws``
-    (one layer's view of a workspace) when given.
+    (one layer's view of a workspace) when given. ``_projected`` (internal,
+    from :func:`mtabl.network.predict_labels`): ``x`` is W1 @ X, (D', B, T),
+    of a layer that is not temporal-first, and the cache has no backward.
     """
     (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
-    if x.ndim not in (2, 3) or (x.shape[0], x.shape[-1]) != (d, t):
-        raise DimensionError(
-            f"input {x.shape} does not fit W1 {p.W1.shape} and W2 {p.W2.shape}"
-        )
-    n = x.size // d  # windows times time steps
+    rows = d_out if _projected else d
+    if (x.ndim not in (2, 3) or (x.shape[0], x.shape[-1]) != (rows, t)
+            or _projected and temporal_first(p)):
+        raise DimensionError(f"{'projected ' * _projected}input {x.shape} does not fit "
+                             f"W1 {p.W1.shape} and W2 {p.W2.shape} of this layer")
+    n = x.size // rows  # windows times time steps
     k = len(p.heads)
     masks, stacked, u = np.empty((0, d_out) + x.shape[1:]), None, None
     if temporal_first(p):
@@ -335,9 +339,12 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
         z = z.reshape((d_out,) + u.shape[1:])
         xbar = xtilde = None
     else:
-        with scope(SCOPE_PROJECT):
-            xbar = matmul(p.W1, _cols(x), buffer(ws, "xbar", (d_out, n)))
-            xbar = xbar.reshape((d_out,) + x.shape[1:])
+        if _projected:
+            xbar, x = x, None
+        else:
+            with scope(SCOPE_PROJECT):
+                xbar = matmul(p.W1, _cols(x), buffer(ws, "xbar", (d_out, n)))
+                xbar = xbar.reshape((d_out,) + x.shape[1:])
         xtilde = xbar
         if k:
             # A Python float: each scalar operation on the 0-d view takes about 1 us.
@@ -346,7 +353,8 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
                 raise ConstraintError(f"lam must lie in [0, 1], got {lam}")
             with scope(SCOPE_ATTENTION):
                 e = matmul(_rows(xbar), p.heads, buffer(ws, "masks", (k, d_out * n // t, t)))
-            masks = softmax_rows(e, e).reshape((k,) + xbar.shape)
+            masks = softmax_rows(e, e, buffer(ws, "time_major", (t,) + e.shape[:-1]))
+            masks = masks.reshape((k,) + xbar.shape)
             with scope(SCOPE_MIX):
                 mixed = hadamard(xbar, masks, buffer(ws, "mixed", masks.shape))
                 mixed = scale(mixed, lam, mixed)
@@ -363,7 +371,7 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
         with scope(SCOPE_OUTPUT):
             z = matmul(_rows(xtilde), p.W2, buffer(ws, "z", (d_out * n // t, t_out)))
         z = z.reshape(xbar.shape[:-1] + (t_out,))
-    z += p.B if x.ndim == 2 else p.B[:, None]
+    z += p.B if z.ndim == 2 else p.B[:, None]
     y = apply_activation(z, activation, buffer(ws, "z", z.shape))
     return y, LayerCache(activation=activation, x=x, xbar=xbar, masks=masks,
                          stacked=stacked, xtilde=xtilde, z=z, y=y, u=u)
@@ -379,7 +387,7 @@ def forward_sizes(p: LayerParams, windows: int) -> dict[str, int]:
         return {"u": windows * d * t_out, "z": n * t_out}
     sizes = {"xbar": n * t, "z": n * t_out}
     if k:
-        sizes.update(masks=k * n * t, mixed=k * n * t, xtilde=n * t)
+        sizes.update(masks=k * n * t, time_major=k * n * t, mixed=k * n * t, xtilde=n * t)
     return sizes
 
 
@@ -394,6 +402,8 @@ def _check_cache(cache: LayerCache, params: LayerParams, grad_y: Matrix) -> None
             f"cache holds {len(cache.masks)} heads, parameters have {len(params.heads)}, "
             f"recombination {'absent' if params.Wtilde1 is None else 'present'}"
         )
+    if cache.x is None:
+        raise CacheMismatchError("the cache of a projected forward holds no input")
     (d_out, d), (t, t_out) = params.W1.shape, params.W2.shape
     first, shape = ((cache.u, cache.x.shape[:-1] + (t_out,)) if temporal_first(params)
                     else (cache.xbar, (d_out,) + cache.x.shape[1:]))

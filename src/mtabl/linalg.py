@@ -134,19 +134,19 @@ def time_major(a: Matrix, out: Matrix | None = None) -> Matrix:
     return out
 
 
-def softmax_rows(e: Matrix, out: Matrix | None = None) -> Matrix:
+def softmax_rows(e: Matrix, out: Matrix | None = None, rows: Matrix | None = None) -> Matrix:
     """Softmax over the last axis, stabilized by subtracting each row's maximum.
 
-    The max, exp and normaliser run on a :func:`time_major` copy, normalised
-    in place, whose rows go to ``out``; ``out`` may be ``e`` itself. A row
-    that does not sum to 1 within ``MASK_ROW_SUM_TOL``, such as one with a
-    non-finite score, raises :class:`DivergenceError`.
+    The max, exp and normaliser run in place on a :func:`time_major` copy,
+    into ``rows`` when given, whose rows go to ``out``, which may be ``e``.
+    A row that does not sum to 1 within ``MASK_ROW_SUM_TOL``, such as one
+    with a non-finite score, raises :class:`DivergenceError`.
     """
     if out is None:
         out = np.empty_like(e)
     elif out.shape != e.shape:
         raise DimensionError(f"softmax_rows: {e.shape} does not fit into {out.shape}")
-    rows = time_major(e)
+    rows = time_major(e, rows)
     rows -= rows.max(axis=0)
     np.exp(rows, out=rows)
     rows /= rows.sum(axis=0)

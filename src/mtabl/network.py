@@ -14,18 +14,25 @@ writes its output and cache into the workspace's layer-i view, and the
 backward layers share one set of scratch buffers. A training loop passes
 the same workspace to every step, so the returned probabilities and
 caches are overwritten by the next forward through it.
+
+:func:`predict_labels` projects each event once when the first layer is
+not temporal-first (topology A): W1 @ X acts on each event alone, and
+consecutive windows share T-1 of their T events. A temporal-first layer
+(B and C) mixes a window's steps in X @ W2 first, so it takes the
+gathered batch. Probabilities stay within 1e-12 relative, labels equal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .layers import (
     ACTIVATIONS,
+    SCOPE_PROJECT,
     LayerParams,
     Workspace,
     buffer,
@@ -34,8 +41,9 @@ from .layers import (
     layer_forward,
     layer_layout,
     layout_size,
+    temporal_first,
 )
-from .linalg import Matrix
+from .linalg import Matrix, matmul, scope
 
 KIND_BL = "bl"
 KIND_TABL = "tabl"
@@ -234,16 +242,18 @@ def init_network_params(spec: NetworkSpec, seed_or_rng) -> NetworkParams:
 
 
 def network_forward(x: np.ndarray, spec: NetworkSpec, params: list,
-                    ws: Workspace | None = None):
+                    ws: Workspace | None = None, _projected: bool = False):
     """Run the stack on one (D, T) window or a (D, B, T) batch; returns the
     class probabilities, (3, 1) or (3, B, 1), and every layer's cache,
-    in ``ws`` when one is given."""
-    if x.ndim not in (2, 3) or (x.shape[0], x.shape[-1]) != spec.input_dims:
+    in ``ws`` when one is given. ``_projected`` (internal, from
+    :func:`predict_labels`): ``x`` is the first layer's projection W1 @ X."""
+    if not (_projected or x.ndim in (2, 3) and (x.shape[0], x.shape[-1]) == spec.input_dims):
         raise DimensionError(f"input {x.shape} does not match network input {spec.input_dims}")
     caches = []
     out = x
     for i, (layer, p) in enumerate(zip(spec.layers, params)):
-        out, cache = layer_forward(out, p, layer.activation, ws and ws.layer(i))
+        out, cache = layer_forward(out, p, layer.activation, ws and ws.layer(i),
+                                   _projected and i == 0)
         caches.append(cache)
     return out, caches
 
@@ -292,12 +302,20 @@ def predict_workspace(params: list, windows: int) -> Workspace | None:
 
 def predict_labels(spec: NetworkSpec, params: list, windows) -> list[int]:
     """Hard class decisions for :class:`~mtabl.data.Windows`, batched in
-    fixed chunks that share one :func:`predict_workspace` (or none)."""
+    fixed chunks that share one :func:`predict_workspace` (or none); each
+    event's W1 @ X once per chunk when the first layer takes it first."""
     ws = predict_workspace(params, min(len(windows), _PREDICT_CHUNK))
+    per_event = not temporal_first(params[0])
     out = []
     for start in range(0, len(windows), _PREDICT_CHUNK):
+        chunk, xbar = windows[start:start + _PREDICT_CHUNK], None
+        if per_event:
+            chunk = chunk.covered()
+            with scope(SCOPE_PROJECT):
+                chunk = replace(chunk, series=matmul(params[0].W1, chunk.series))
+            xbar = buffer(ws, "xbar", (len(chunk.series), len(chunk), chunk.window))
         # Index the result so that no chunk's caches outlive its forward.
-        probs = network_forward(windows[start:start + _PREDICT_CHUNK].x, spec, params, ws)[0]
+        probs = network_forward(chunk.gather(xbar), spec, params, ws, per_event)[0]
         out += np.argmax(probs[:, :, 0], axis=0).tolist()
     return out
 

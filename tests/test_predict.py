@@ -1,0 +1,172 @@
+"""predict_labels against the gathered forward it shortcuts.
+
+A first layer that projects features first (topology A) takes W1 @ X once
+per event its windows cover, then gathers the windows of that projected
+series; a temporal-first first layer (topologies B and C) takes the
+gathered (D, B, T) batch. The per-event product runs over other matrix
+shapes than the gathered one, so its probabilities may differ in the last
+bits: they must stay within 1e-12 relative of the gathered forward, and
+the labels must be equal.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mtabl
+import mtabl.network
+from mtabl.data import N_FEATURES, RawDayMatrix, Windows, windowize
+from mtabl.errors import CacheMismatchError, DimensionError
+from mtabl.layers import SCOPE_PROJECT, layer_backward, layer_forward, temporal_first
+from mtabl.linalg import count_multiplications
+from mtabl.network import init_network_params, network_forward, predict_labels, topology
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench import bench  # noqa: E402  (the benchmark's own cost-model reader)
+
+REL_TOL = 1e-12
+WINDOW = 10
+SPECS = {
+    "A/tabl": lambda: topology("A"),
+    "A/mtabl3": lambda: topology("A", attention_kind="mtabl", heads=3),
+    "B/mtabl3": lambda: topology("B", attention_kind="mtabl", heads=3),
+    "C/mtabl5": lambda: topology("C", attention_kind="mtabl", heads=5),
+}
+
+
+def day_windows(events=(300, 250, 200), seed=0):
+    """The overlapping windows of day grids (40 features, 5 label rows)
+    side by side, as split_days builds a partition."""
+    rng = np.random.default_rng(seed)
+    days = []
+    for n in events:
+        grid = np.vstack([rng.normal(size=(N_FEATURES, n)),
+                          rng.integers(1, 4, size=(5, n)).astype(float)])
+        days.append(windowize(RawDayMatrix(grid), WINDOW))
+    return Windows.join(days, (N_FEATURES, WINDOW))
+
+
+def recorded(monkeypatch):
+    """Every network_forward call predict_labels makes, as (x, projected, probs)."""
+    calls = []
+    forward = mtabl.network.network_forward
+
+    def recording(x, spec, params, ws=None, projected=False):
+        probs, caches = forward(x, spec, params, ws, projected)
+        calls.append((x.copy(), projected, probs.copy()))
+        return probs, caches
+
+    monkeypatch.setattr(mtabl.network, "network_forward", recording)
+    return calls
+
+
+def selections():
+    part = day_windows()
+    rng = np.random.default_rng(1)
+    return {
+        "whole partition": part,
+        "slice from mid-day": part[137:560],
+        "gaps and repeats": part[np.r_[rng.integers(0, len(part), 300), [5, 5, 700, 3]]],
+        "partial last chunk": part[:300],
+        "one window": part[[402]],
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("case", sorted(selections()))
+@pytest.mark.parametrize("name", ["A/tabl", "A/mtabl3"])
+def test_per_event_path_matches_the_gathered_forward(monkeypatch, name, case, seed):
+    spec = SPECS[name]()
+    params = init_network_params(spec, seed)
+    windows = selections()[case]
+    assert not temporal_first(params[0])
+    calls = recorded(monkeypatch)
+    labels = predict_labels(spec, params, windows)
+
+    gathered = network_forward(windows.x, spec, params)[0][:, :, 0]
+    assert labels == np.argmax(gathered, axis=0).tolist()
+    assert [x.shape for x, _, _ in calls] == [
+        (3, len(windows[i:i + 256]), WINDOW) for i in range(0, len(windows), 256)]
+    assert all(projected for _, projected, _ in calls)
+    probs = np.concatenate([p[:, :, 0] for _, _, p in calls], axis=1)
+    assert np.all(np.abs(probs - gathered) <= REL_TOL * np.abs(gathered))
+
+
+def test_empty_selection_predicts_nothing(monkeypatch):
+    spec = SPECS["A/tabl"]()
+    calls = recorded(monkeypatch)
+    assert predict_labels(spec, init_network_params(spec, 0), day_windows()[:0]) == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["B/mtabl3", "C/mtabl5"])
+def test_temporal_first_networks_take_the_gathered_batch(monkeypatch, name):
+    spec = SPECS[name]()
+    params = init_network_params(spec, 0)
+    windows = day_windows()[100:400]
+    assert temporal_first(params[0])
+    calls = recorded(monkeypatch)
+    labels = predict_labels(spec, params, windows)
+    assert [(x.shape, projected) for x, projected, _ in calls] == [
+        ((N_FEATURES, 256, WINDOW), False), ((N_FEATURES, 44, WINDOW), False)]
+    assert calls[0][0].tobytes() == windows[:256].x.tobytes()
+    probs = network_forward(windows.x, spec, params)[0]
+    assert labels == np.argmax(probs[:, :, 0], axis=0).tolist()
+
+
+def test_projected_input_of_the_wrong_shape_raises():
+    spec = SPECS["A/tabl"]()
+    params = init_network_params(spec, 0)
+    with pytest.raises(DimensionError, match="projected input"):
+        network_forward(np.zeros((N_FEATURES, 4, WINDOW)), spec, params, None, True)
+    with pytest.raises(DimensionError, match="projected input"):
+        network_forward(np.zeros((3, 4, WINDOW - 1)), spec, params, None, True)
+    # A temporal-first layer has no xbar to start from.
+    (bl, *_) = init_network_params(SPECS["C/mtabl5"](), 0)
+    with pytest.raises(DimensionError, match="projected input"):
+        layer_forward(np.zeros((60, 4, WINDOW)), bl, "relu", None, True)
+
+
+def test_projected_cache_cannot_run_backward():
+    spec = SPECS["A/tabl"]()
+    (p,) = init_network_params(spec, 0)
+    xbar = np.random.default_rng(0).normal(size=(3, 4, WINDOW))
+    probs, cache = layer_forward(xbar, p, "softmax", None, True)
+    assert cache.x is None and cache.xbar is xbar
+    with pytest.raises(CacheMismatchError, match="projected forward"):
+        layer_backward(cache, p, np.ones_like(probs), grad_wrt_preactivation=True)
+
+
+def test_predict_projects_each_event_once():
+    # 600 consecutive windows of one day run in chunks of 256, 256 and 88;
+    # each chunk's windows cover 265, 265 and 97 events, and W1 is 3 x 40.
+    spec = SPECS["A/tabl"]()
+    params = init_network_params(spec, 0)
+    windows = day_windows((1000,))[200:800]
+    with count_multiplications() as counter:
+        predict_labels(spec, params, windows)
+    assert counter.by_scope[SCOPE_PROJECT] == 627 * 120  # 600 * 10 * 120 per window
+
+
+# The benchmark counts one window's forward through network_forward: these
+# are the figures it read before predict_labels took the per-event path.
+BENCH_COUNTS = {
+    "A/tabl": {"feature_projection": 1200, "attention_scores": 300,
+               "attention_mixing": 90, "head_recombination": 0, "temporal_projection": 30},
+    "B/mtabl3": {"feature_projection": 25800, "attention_scores": 225,
+                 "attention_mixing": 105, "head_recombination": 135,
+                 "temporal_projection": 2015},
+    "C/mtabl5": {"feature_projection": 61800, "attention_scores": 375,
+                 "attention_mixing": 165, "head_recombination": 225,
+                 "temporal_projection": 7015},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_COUNTS))
+def test_benchmark_counts_the_gathered_forward(name):
+    spec = SPECS[name]()
+    params = init_network_params(spec, 0)
+    measured, _ = bench.count_mults(mtabl, spec, params, day_windows()[7].x)
+    assert measured == BENCH_COUNTS[name]

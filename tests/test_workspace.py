@@ -117,6 +117,26 @@ def test_bl_backward_allocates_no_batch_sized_array():
     assert len(peaks) == 3
 
 
+def test_attention_forward_takes_its_time_major_copy_from_the_workspace():
+    # The softmax's time-major copy of the (5, 768, 5) scores comes from the
+    # layer's workspace: 93 KB measured (the row maxima and sums), against
+    # 247 KB when the copy was a fresh array.
+    spec = SPECS["C/mtabl5"]()
+    params = init_network_params(spec, 0)
+    batch = _dataset(600).train[:256]
+    ws = Workspace()
+    _, caches = network_forward(gather(batch, ws), spec, params, ws)
+    x = caches[2].x
+    layer_forward(x, params[2], "softmax", ws.layer(2))
+    tracemalloc.start()
+    try:
+        _, cache = layer_forward(x, params[2], "softmax", ws.layer(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cache.masks.shape == (5, 3, 256, 5) and peak < 128 * 1024
+
+
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_train_matches_a_loop_without_workspace(name):
     spec = SPECS[name]()
