@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -27,6 +28,7 @@ from .errors import (
     DataError,
     DimensionError,
     DivergenceError,
+    FormatError,
 )
 from .metrics import EvalReport, evaluate
 from .network import (
@@ -287,19 +289,41 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _check_preprocessing(path, meta: dict) -> None:
+    """Check the preprocessing a checkpoint's meta records; a key that is
+    missing or holds what no training run writes raises FormatError naming it."""
+
+    def statistics(floor):
+        return lambda v: v is None or (type(v) is list and len(v) == data_mod.N_FEATURES and all(
+            type(x) in (int, float) and math.isfinite(x) and x >= floor for x in v))
+
+    checks = {
+        "window": (lambda v: type(v) is int and v >= 1, "an int >= 1"),
+        "horizon": (lambda v: type(v) is int and v in data_mod.HORIZONS,
+                    f"one of {data_mod.HORIZONS}"),
+        "transposed": (lambda v: type(v) is bool, "true or false"),
+        "feature_mean": (statistics(-math.inf), f"null or {data_mod.N_FEATURES} finite numbers"),
+        "feature_std": (statistics(0.0), f"null or {data_mod.N_FEATURES} finite numbers >= 0"),
+    }
+    for key, (ok, expected) in checks.items():
+        if key not in meta or not ok(meta[key]):
+            found = repr(meta[key]) if key in meta else "missing"
+            raise FormatError(f"{path}: preprocessing key {key!r} is {found}, expected {expected}")
+    if (meta["feature_mean"] is None) != (meta["feature_std"] is None):
+        raise FormatError(f"{path}: preprocessing keys 'feature_mean' and 'feature_std' "
+                          "must both be null or both be set")
+
+
 def cmd_eval(args) -> int:
     spec, params, meta = load_checkpoint(args.checkpoint)
     cache = args.dataset_cache or meta.get("dataset_cache")
     if args.data:
         files = _day_files(args.data)
-        if "window" not in meta:
-            raise DataError("checkpoint does not record its preprocessing; "
-                            "use --dataset-cache")
-        dataset = data_mod.split_days(
-            files, 0, 0, len(files), window=meta["window"], horizon=meta["horizon"],
-            transposed=meta["transposed"], apply_normalization=False,
-        )
-        if meta.get("feature_mean") is not None:
+        _check_preprocessing(args.checkpoint, meta)
+        # No training days, so the series stay raw for the recorded statistics.
+        dataset = data_mod.split_days(files, 0, 0, len(files), window=meta["window"],
+                                      horizon=meta["horizon"], transposed=meta["transposed"])
+        if meta["feature_mean"] is not None:
             dataset = data_mod.standardize(dataset, np.array(meta["feature_mean"]),
                                            np.array(meta["feature_std"]))
     elif cache and Path(cache).exists():

@@ -38,6 +38,7 @@ MIN_ROWS = N_FEATURES + N_LABEL_ROWS
 # The files encode up/stationary/down as 1/2/3; everything downstream
 # uses the class index 0/1/2, the raw value minus one.
 RAW_LABELS = (1, 2, 3)
+N_CLASSES = len(RAW_LABELS)
 
 
 @dataclass(frozen=True)
@@ -107,15 +108,13 @@ class Windows:
     def gather(self, out: np.ndarray | None = None) -> np.ndarray:
         """The windows as one C-ordered (D, B, T) batch, which the layers
         reshape without a copy; written into ``out`` when given."""
-        index = self.starts[:, None] + np.arange(self.window)
-        if out is None:
-            return np.take(self.series, index, axis=1)
         if len(self) and not (0 <= self.starts.min()
                               and self.starts.max() <= self.series.shape[1] - self.window):
             raise IndexError(f"window starts outside a series of {self.series.shape[1]} events")
         # Checked above, so "wrap" never wraps; unlike "raise" it writes
         # straight into ``out`` instead of through a temporary copy.
-        return np.take(self.series, index, axis=1, out=out, mode="wrap")
+        return np.take(self.series, self.starts[:, None] + np.arange(self.window), axis=1,
+                       out=out, mode="wrap")
 
     def covered(self) -> "Windows":
         """The same windows over only the series columns they cover, their
@@ -280,13 +279,14 @@ def standardize(dataset: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:
 
 
 def split_days(files, train_days: int, val_days: int, test_days: int, *,
-               window: int = 10, horizon: int = 10, apply_normalization: bool = True,
-               transposed: bool = False) -> Dataset:
+               window: int = 10, horizon: int = 10, transposed: bool = False) -> Dataset:
     """Load day files one at a time and assign them chronologically to the partitions.
 
     The first ``train_days`` files become training data, the next
     ``val_days`` validation, the next ``test_days`` test. Days are never
-    shared between partitions.
+    shared between partitions. With training days, every partition is
+    z-scored with their statistics (:func:`normalize`); with none, the
+    series stay raw and the dataset carries no statistics.
     """
     files = [str(f) for f in files]
     needed = train_days + val_days + test_days
@@ -308,9 +308,7 @@ def split_days(files, train_days: int, val_days: int, test_days: int, *,
             "split": [train_days, val_days, test_days], "transposed": transposed,
         },
     )
-    if apply_normalization and dataset.train:
-        dataset = normalize(dataset)
-    return dataset
+    return normalize(dataset) if dataset.train else dataset
 
 
 def _synth_anchors(window: int) -> tuple[int, int, int]:
@@ -347,7 +345,7 @@ def synth_generate(n_samples: int, n_features: int = 8, window: int = 10,
     marked_rows = max(1, n_features // 2)
     non_anchor = [t for t in range(window) if t not in anchors]
 
-    labels = np.arange(n_samples, dtype=np.int64) % 3
+    labels = np.arange(n_samples, dtype=np.int64) % N_CLASSES
     rng.shuffle(labels)
     batch = np.empty((n_features, n_samples, window))
     for i, label in enumerate(labels):
@@ -448,7 +446,7 @@ def load_dataset(path) -> Dataset:
         labels = _checked_block(path, blocks, keys[2], np.int64, (count, 1))[:, 0]
         if not ((starts >= 0) & (starts <= series.shape[1] - t)).all():
             raise FormatError(f"{path}: {name} window starts outside its series")
-        if not np.isin(labels, (0, 1, 2)).all():
+        if not np.isin(labels, range(N_CLASSES)).all():
             raise FormatError(f"{path}: {name} labels outside 0, 1, 2")
         parts[name] = Windows(series, starts, labels, t)
     mean = std = None

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import N_CLASSES
 from .errors import DataError, DimensionError
 from .linalg import Matrix
-
-N_CLASSES = 3
 
 # Probabilities below this are clamped before the log; the training loop
 # counts clamp events in its diagnostics.
@@ -41,7 +40,7 @@ def cross_entropy(probs: Matrix, label, class_weights=None) -> CrossEntropy:
             f"for B labels, got {probs.shape} for label shape {labels.shape}"
         )
     # min/max, 6x cheaper than np.isin; NaN fails them, a fraction the % test.
-    if labels.size and not (0 <= labels.min() and labels.max() <= 2 and (
+    if labels.size and not (0 <= labels.min() and labels.max() < N_CLASSES and (
             labels.dtype.kind in "iu" or (labels % 1 == 0).all())):
         raise DataError(f"labels must be 0, 1 or 2, got {label!r}")
     columns = probs.reshape(N_CLASSES, -1)  # one column per window

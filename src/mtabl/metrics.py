@@ -14,16 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import N_CLASSES
 from .errors import ConfigurationError, DataError
-
-N_CLASSES = 3
 
 
 def confusion_matrix(predictions, labels) -> np.ndarray:
     """3x3 count grid, rows are the true class, columns the predicted one."""
     labels, predictions = np.asarray(labels), np.asarray(predictions)
     for name, values in (("label", labels), ("prediction", predictions)):
-        outside = ~np.isin(values, (0, 1, 2))
+        outside = ~np.isin(values, range(N_CLASSES))
         if outside.any():
             raise DataError(f"{name} outside {{0,1,2}}: {values[outside][0].item()!r}")
     cells = N_CLASSES * labels.astype(np.int64) + predictions.astype(np.int64)
@@ -48,11 +47,6 @@ class EvalReport:
         return {**{k: getattr(self, k) for k in scalars},
                 **{k: list(getattr(self, k)) for k in per_class},
                 "confusion": self.confusion.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        fields = {k: tuple(v) if k.startswith("per_class") else v for k, v in d.items()}
-        return cls(**{**fields, "confusion": np.asarray(d["confusion"], dtype=np.int64)})
 
     def to_text(self) -> str:
         """Flat key=value block, one entry per line."""

@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .data import N_CLASSES
 from .errors import ConfigurationError, DimensionError
 from .layers import (
     ACTIVATIONS,
@@ -49,8 +50,6 @@ KIND_BL = "bl"
 KIND_TABL = "tabl"
 KIND_MTABL = "mtabl"
 LAYER_KINDS = (KIND_BL, KIND_TABL, KIND_MTABL)
-
-N_CLASSES = 3
 
 # Windows per forward pass in predict_labels: caches live for one chunk
 # only, so memory does not grow with the number of samples.
@@ -261,13 +260,11 @@ def network_forward(x: np.ndarray, spec: NetworkSpec, params: list,
 def network_backward(spec: NetworkSpec, params: NetworkParams, caches: list, grad,
                      ws: Workspace | None = None):
     """Reverse the stack; returns the parameter gradients, summed over the
-    windows of a batch, and dL/dx. The incoming gradient is taken with
-    respect to the final layer's pre-activation scores, as produced by the
-    fused softmax cross-entropy backward.
-
-    With a workspace, the training path, the layers share its backward
-    scratch, and dL/dx, which training never reads, is not computed:
-    None is returned in its place.
+    windows of a batch. The incoming gradient is taken with respect to the
+    final layer's pre-activation scores, as produced by the fused softmax
+    cross-entropy backward. With a workspace, the layers share its
+    backward scratch. The first layer's dL/dx, which no parameter gradient
+    needs, is never computed (:func:`~mtabl.layers.layer_backward` gives it).
     """
     grads = params.like(np.zeros_like(params.flat))
     upstream = grad
@@ -275,9 +272,9 @@ def network_backward(spec: NetworkSpec, params: NetworkParams, caches: list, gra
     for i in range(last, -1, -1):
         _, upstream = layer_backward(
             caches[i], params[i], upstream, grads[i], grad_wrt_preactivation=i == last,
-            ws=ws, input_grad=ws is None or i > 0,
+            ws=ws, input_grad=i > 0,
         )
-    return grads, upstream
+    return grads
 
 
 def gather(windows, ws: Workspace | None = None) -> np.ndarray:

@@ -186,7 +186,7 @@ def batch_gradients(spec: NetworkSpec, params: NetworkParams, batch: Windows,
         raise DivergenceError(
             f"non-finite loss, first bad values in {_first_nonfinite_layer(spec, caches)}"
         )
-    grads, _ = network_backward(spec, params, caches, grad_scores, ws)
+    grads = network_backward(spec, params, caches, grad_scores, ws)
     inv = 1.0 / len(batch)
     grads.flat *= inv
     return loss_sum * inv, grads, result.clamped

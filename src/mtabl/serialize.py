@@ -112,7 +112,9 @@ def save_checkpoint(path, spec: NetworkSpec, params: NetworkParams,
 
 
 def load_checkpoint(path):
-    """Returns (spec, params, meta); the parameter layout follows from the spec."""
+    """Returns (spec, params, meta); the parameter layout follows from the spec.
+    A non-finite parameter or an attention ``lam`` outside [0, 1], which no
+    training run saves, raises FormatError."""
     meta, blocks = read_container(path, expect_kind="checkpoint")
     if "params" not in blocks:
         raise FormatError(f"{path}: checkpoint is missing block 'params'")
@@ -121,4 +123,9 @@ def load_checkpoint(path):
         params = NetworkParams(spec, blocks["params"].ravel())
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"{path}: bad network spec or parameter vector ({err})") from None
+    for name, block in params.named_blocks():
+        if not np.isfinite(block).all():
+            raise FormatError(f"{path}: parameter block {name!r} holds non-finite values")
+        if name.endswith("/lam") and not 0.0 <= block <= 1.0:
+            raise FormatError(f"{path}: {name} is {float(block)}, outside [0, 1]")
     return spec, params, meta.get("extra", {})

@@ -10,7 +10,7 @@ import pytest
 
 from mtabl.cli import build_parser, main, run_config
 from mtabl.data import load_dataset
-from mtabl.serialize import read_container, write_container
+from mtabl.serialize import load_checkpoint, read_container, save_checkpoint, write_container
 
 
 def run(argv):
@@ -319,6 +319,34 @@ class TestEvalCommand:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert "data error" in proc.stderr
+
+    @pytest.mark.parametrize("key,value", [
+        ("horizon", None), ("feature_std", None), ("window", "10"), ("window", 0),
+        ("horizon", 7), ("transposed", "no"), ("feature_mean", [0.0] * 5),
+        ("feature_mean", [float("nan")] * 40), ("feature_mean", [-float("inf")] * 40),
+        ("feature_std", [-1.0] * 40), ("feature_mean", None),
+    ], ids=["no-horizon", "no-std", "window-str", "window-0", "horizon-7", "transposed-str",
+            "mean-5-values", "mean-nan", "mean-minus-inf", "std-negative", "mean-null-std-set"])
+    def test_damaged_preprocessing_record_exits_3_without_traceback(self, tmp_path, capsys,
+                                                                    key, value):
+        day_dir = tmp_path / "days"
+        write_days(day_dir)
+        out = tmp_path / "run"
+        assert run(["train", "--data", str(day_dir), "--train-days", "2", "--val-days", "1",
+                    "--test-days", "1", "--seeds", "1", "--max-epochs", "1",
+                    "--out", str(out)]) == 0
+        checkpoint = out / "seed0" / "checkpoint.mtabl"
+        spec, params, meta = load_checkpoint(checkpoint)
+        if value is None and key != "feature_mean":
+            del meta[key]
+        else:
+            meta[key] = value
+        save_checkpoint(checkpoint, spec, params, meta)
+        capsys.readouterr()
+        # In process, so an exception escaping main fails the test.
+        assert run(["eval", "--checkpoint", str(checkpoint), "--data", str(day_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and repr(key) in err and "Traceback" not in err
 
     def test_inconsistent_dataset_cache_exits_3_without_traceback(self, tmp_path):
         out = tmp_path / "run"

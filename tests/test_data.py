@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mtabl.data import (
     MIN_ROWS,
+    Dataset,
     RawDayMatrix,
     Windows,
     load_dataset,
@@ -179,7 +180,7 @@ class TestSplitAndNormalize:
 
     def test_chronological_day_assignment(self, tmp_path):
         files = self.make_files(tmp_path)
-        ds = split_days(files, 6, 1, 3, window=10, apply_normalization=False)
+        ds = split_days(files, 6, 1, 3, window=10)
         per_day = 25 - 10 + 1
         assert len(ds.train) == 6 * per_day
         assert len(ds.validation) == 1 * per_day
@@ -188,19 +189,30 @@ class TestSplitAndNormalize:
 
     def test_no_sample_leakage_between_partitions(self, tmp_path):
         files = self.make_files(tmp_path)
-        ds = split_days(files, 6, 1, 3, window=10, apply_normalization=False)
+        ds = split_days(files, 6, 1, 3, window=10)
         # Day i features were drawn around mean i, so partition means
-        # separate cleanly when days are not shared.
-        train_mean = np.mean([s.x.mean() for s in ds.train])
-        val_mean = np.mean([s.x.mean() for s in ds.validation])
-        test_mean = np.mean([s.x.mean() for s in ds.test])
+        # separate cleanly when days are not shared; the z-score is undone
+        # to compare them in the days' own units.
+        scale, shift = ds.feature_std[:, None], ds.feature_mean[:, None]
+        train_mean, val_mean, test_mean = (
+            np.mean([(s.x * scale + shift).mean() for s in part])
+            for part in (ds.train, ds.validation, ds.test))
         assert train_mean < 3.0 < val_mean + 1.0 < test_mean
 
     def test_evaluation_only_split(self, tmp_path):
         files = self.make_files(tmp_path, n=3)
-        ds = split_days(files, 0, 0, 3, window=10, apply_normalization=False)
+        ds = split_days(files, 0, 0, 3, window=10)
         assert not ds.train and not ds.validation
         assert len(ds.test) == 3 * 16
+
+    @pytest.mark.parametrize("train_days", [0, 1])
+    def test_raw_series_and_no_statistics_exactly_without_training_days(self, tmp_path,
+                                                                        train_days):
+        files = self.make_files(tmp_path, n=3)
+        ds = split_days(files, train_days, 0, 3 - train_days, window=10)
+        raw = np.hstack([load_day(f).values[:40] for f in files[train_days:]])
+        assert (ds.feature_mean is None) == (ds.feature_std is None) == (train_days == 0)
+        assert np.array_equal(ds.test.series, raw) == (train_days == 0)
 
     def test_overlapping_request_rejected(self, tmp_path):
         files = self.make_files(tmp_path, n=10)
@@ -247,7 +259,7 @@ class TestSplitAndNormalize:
         assert np.array_equal(ds1.feature_std, ds2.feature_std)
 
     def test_standardize_leaves_its_input_alone(self, tmp_path):
-        raw = split_days(self.make_files(tmp_path, n=3), 1, 1, 1, apply_normalization=False)
+        raw = Dataset(*(windowize(load_day(f), 10) for f in self.make_files(tmp_path, n=3)))
         before = [part.series.copy() for _, part in raw.partitions()]
         mean, std = raw.train.series.mean(axis=1), raw.train.series.std(axis=1)
         std[0] = 0.0  # centered, not scaled
@@ -282,8 +294,6 @@ class TestSplitAndNormalize:
         assert peak <= 2 * returned + grid.nbytes
 
     def test_normalize_requires_training_data(self):
-        from mtabl.data import Dataset
-
         with pytest.raises(ConfigurationError):
             normalize(Dataset())
 
@@ -294,8 +304,8 @@ class TestWindows:
         for i, n in enumerate(events):
             files.append(tmp_path / f"day{i}.txt")
             write_day(files[-1], n_events=n, offset=float(i), seed=i)
-        return files, split_days(files, len(events), 0, 0, window=10,
-                                 apply_normalization=False).train
+        # No training days, so the series stay raw.
+        return files, split_days(files, 0, 0, len(events), window=10).test
 
     @pytest.mark.parametrize("which", ["random", "contiguous", "empty", "mask"])
     def test_batch_gathers_the_single_windows(self, tmp_path, which):

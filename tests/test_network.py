@@ -3,7 +3,7 @@ import pytest
 
 from mtabl.data import Windows
 from mtabl.errors import ConfigurationError, DimensionError
-from mtabl.layers import layer_forward
+from mtabl.layers import layer_backward, layer_forward
 from mtabl.network import (
     LayerSpec,
     NetworkSpec,
@@ -102,7 +102,15 @@ class TestForwardBackward:
         label = 2
         probs, caches = network_forward(x, spec, params)
         _, grad_scores = cross_entropy(probs, label)
-        _, grad_x = network_backward(spec, params, caches, grad_scores)
+        # network_backward never computes layer 0's dL/dx; the layers give it,
+        # along the same sweep.
+        grads = params.like(np.zeros_like(params.flat))
+        grad_x, last = grad_scores, len(params) - 1
+        for i in range(last, -1, -1):
+            _, grad_x = layer_backward(caches[i], params[i], grad_x, grads[i],
+                                       grad_wrt_preactivation=i == last)
+        assert grads.flat.tobytes() == network_backward(
+            spec, params, caches, grad_scores).flat.tobytes()
         step = 1e-6
         for i in range(x.shape[0]):
             for j in range(x.shape[1]):

@@ -170,6 +170,20 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="parameter vector"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("block,value,named", [
+        ("layer1/B", np.nan, "non-finite"), ("layer0/W1", -np.inf, "non-finite"),
+        ("layer1/lam", 2.0, "outside"), ("layer1/lam", -0.5, "outside"),
+    ], ids=["nan-in-last-B", "inf-in-W1", "lam-2", "lam-negative"])
+    def test_parameters_no_training_run_saves_rejected(self, tmp_path, block, value, named):
+        spec = topology("B", input_dims=(6, 4), attention_kind="mtabl", heads=2,
+                        hidden_dims=[(4, 3)])
+        params = init_network_params(spec, 1)
+        dict(params.named_blocks())[block].reshape(-1)[-1] = value
+        path = tmp_path / "ck.mtabl"
+        save_checkpoint(path, spec, params)
+        with pytest.raises(FormatError, match=f"{block}.*{named}|{named}.*{block}"):
+            load_checkpoint(path)
+
     def test_integer_vector_rejected(self, tmp_path):
         spec = topology("A", input_dims=(6, 4))
         path = tmp_path / "ck.mtabl"

@@ -184,14 +184,12 @@ def test_backward_with_workspace_skips_only_the_input_gradient():
     batch = _dataset().train[:32]
     probs, caches = network_forward(batch.x, spec, params)
     _, grad_scores = cross_entropy(probs, batch.labels)
-    grads, grad_x = network_backward(spec, params, caches, grad_scores)
-    assert grad_x.shape == batch.x.shape
+    grads = network_backward(spec, params, caches, grad_scores)
 
     ws = Workspace()
     probs_ws, caches_ws = network_forward(gather(batch, ws), spec, params, ws)
     assert probs_ws.tobytes() == probs.tobytes()
-    grads_ws, grad_x_ws = network_backward(spec, params, caches_ws, grad_scores, ws)
-    assert grad_x_ws is None
+    grads_ws = network_backward(spec, params, caches_ws, grad_scores, ws)
     assert grads_ws.flat.tobytes() == grads.flat.tobytes()
 
 
