@@ -317,6 +317,8 @@ def _check_preprocessing(path, meta: dict) -> None:
 def cmd_eval(args) -> int:
     spec, params, meta = load_checkpoint(args.checkpoint)
     cache = args.dataset_cache or meta.get("dataset_cache")
+    if cache is not None and not isinstance(cache, str):
+        raise FormatError(f"{args.checkpoint}: dataset_cache is {cache!r}, expected a path")
     if args.data:
         files = _day_files(args.data)
         _check_preprocessing(args.checkpoint, meta)

@@ -181,11 +181,11 @@ class Workspace:
     replaces it by a larger array when asked for more. ``Workspace()``
     keys buffers by layer and role, so a training step keeps every layer's
     cache for the backward; :meth:`layer` is the view a layer's forward
-    writes through. ``Workspace(sizes)`` is for forward passes that need
-    only their output: all layers share one buffer per role, cut from one
-    block, which glibc keeps between calls once it has freed one that size.
-    Its buffers never grow: asking for a role it lacks, or for more than
-    ``sizes`` gave it, raises :class:`DimensionError`.
+    writes through. ``Workspace(shared=True)`` is for forward passes that
+    need only their output: all layers share one buffer per role, which
+    grows to the largest layer's need on the first batch and is then
+    reused. Sharing keeps a C prediction's buffers at the size of its
+    largest layer, not the sum over its layers.
 
     A result lives until a pass writes its key again: a layer's output and
     cache until the next forward through its view (any view, if shared) or
@@ -199,15 +199,10 @@ class Workspace:
     touches none.
     """
 
-    def __init__(self, sizes: dict[str, int] | None = None):
+    def __init__(self, shared: bool = False):
         self._layer: int | None = None
-        self._shared = sizes is not None
+        self._shared = shared
         self._buffers = {}
-        if sizes:
-            block, start = np.empty(sum(sizes.values())), 0
-            for role, size in sizes.items():
-                self._buffers[None, role] = block[start:start + size]
-                start += size
 
     def layer(self, i: int) -> "Workspace":
         """The view of layer ``i``: the same buffers, under keys of its own
@@ -224,8 +219,6 @@ class Workspace:
         key = (self._layer, role)
         flat = self._buffers.get(key)
         if flat is None or flat.size < size:
-            if self._shared:
-                raise DimensionError(f"workspace has no room for {role} {shape}")
             flat = self._buffers[key] = np.empty(size)
         return flat[:size].reshape(shape)
 
@@ -375,20 +368,6 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
     y = apply_activation(z, activation, buffer(ws, "z", z.shape))
     return y, LayerCache(activation=activation, x=x, xbar=xbar, masks=masks,
                          stacked=stacked, xtilde=xtilde, z=z, y=y, u=u)
-
-
-def forward_sizes(p: LayerParams, windows: int) -> dict[str, int]:
-    """Elements :func:`layer_forward` takes from a workspace per role for a
-    batch of ``windows``. A ``Workspace`` sized by them raises when the
-    forward asks for more, so the two cannot drift apart unnoticed."""
-    (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
-    n, k = windows * d_out, len(p.heads)
-    if temporal_first(p):
-        return {"u": windows * d * t_out, "z": n * t_out}
-    sizes = {"xbar": n * t, "z": n * t_out}
-    if k:
-        sizes.update(masks=k * n * t, time_major=k * n * t, mixed=k * n * t, xtilde=n * t)
-    return sizes
 
 
 def _check_cache(cache: LayerCache, params: LayerParams, grad_y: Matrix) -> None:

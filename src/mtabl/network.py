@@ -37,7 +37,6 @@ from .layers import (
     LayerParams,
     Workspace,
     buffer,
-    forward_sizes,
     layer_backward,
     layer_forward,
     layer_layout,
@@ -54,10 +53,6 @@ LAYER_KINDS = (KIND_BL, KIND_TABL, KIND_MTABL)
 # Windows per forward pass in predict_labels: caches live for one chunk
 # only, so memory does not grow with the number of samples.
 _PREDICT_CHUNK = 256
-# A predict chunk whose layers write less than this runs on fresh arrays.
-# Between training steps, on a 2-core x86 box, a shared block made A/TABL's
-# 0.2 MB chunk of 256 windows 30 us slower and C/MTABL's 4 MB 0.3-0.4 ms faster.
-_SHARED_MIN_BYTES = 1 << 20
 
 # Hidden shapes for the two- and three-layer topologies; overridable.
 DEFAULT_HIDDEN = {
@@ -283,36 +278,23 @@ def gather(windows, ws: Workspace | None = None) -> np.ndarray:
     return windows.gather(buffer(ws, "x", (d, len(windows), t)))
 
 
-def predict_workspace(params: list, windows: int) -> Workspace | None:
-    """The workspace a forward over batches of up to ``windows`` needs when
-    it keeps only its output: every layer shares one buffer per role, cut
-    from one block sized for the largest layer. None (fresh arrays) when
-    the layers write less than ``_SHARED_MIN_BYTES``."""
-    sizes = {}
-    for p in params:
-        for role, size in forward_sizes(p, windows).items():
-            sizes[role] = max(size, sizes.get(role, 0))
-    if 8 * sum(sizes.values()) < _SHARED_MIN_BYTES:
-        return None
-    return Workspace(sizes)
-
-
 def predict_labels(spec: NetworkSpec, params: list, windows) -> list[int]:
     """Hard class decisions for :class:`~mtabl.data.Windows`, batched in
-    fixed chunks that share one :func:`predict_workspace` (or none); each
-    event's W1 @ X once per chunk when the first layer takes it first."""
-    ws = predict_workspace(params, min(len(windows), _PREDICT_CHUNK))
+    fixed chunks through one shared :class:`~mtabl.layers.Workspace`: each
+    chunk is gathered into its ``x`` buffer, and every layer writes the
+    same buffers. A first layer that takes W1 @ X first gets each event's
+    projection once per chunk, gathered in place of the windows."""
+    ws = Workspace(shared=True)
     per_event = not temporal_first(params[0])
     out = []
     for start in range(0, len(windows), _PREDICT_CHUNK):
-        chunk, xbar = windows[start:start + _PREDICT_CHUNK], None
+        chunk = windows[start:start + _PREDICT_CHUNK]
         if per_event:
             chunk = chunk.covered()
             with scope(SCOPE_PROJECT):
                 chunk = replace(chunk, series=matmul(params[0].W1, chunk.series))
-            xbar = buffer(ws, "xbar", (len(chunk.series), len(chunk), chunk.window))
         # Index the result so that no chunk's caches outlive its forward.
-        probs = network_forward(chunk.gather(xbar), spec, params, ws, per_event)[0]
+        probs = network_forward(gather(chunk, ws), spec, params, ws, per_event)[0]
         out += np.argmax(probs[:, :, 0], axis=0).tolist()
     return out
 

@@ -113,8 +113,8 @@ def save_checkpoint(path, spec: NetworkSpec, params: NetworkParams,
 
 def load_checkpoint(path):
     """Returns (spec, params, meta); the parameter layout follows from the spec.
-    A non-finite parameter or an attention ``lam`` outside [0, 1], which no
-    training run saves, raises FormatError."""
+    A meta that is not a JSON object, a non-finite parameter or an attention
+    ``lam`` outside [0, 1], which no training run saves, raises FormatError."""
     meta, blocks = read_container(path, expect_kind="checkpoint")
     if "params" not in blocks:
         raise FormatError(f"{path}: checkpoint is missing block 'params'")
@@ -128,4 +128,7 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: parameter block {name!r} holds non-finite values")
         if name.endswith("/lam") and not 0.0 <= block <= 1.0:
             raise FormatError(f"{path}: {name} is {float(block)}, outside [0, 1]")
-    return spec, params, meta.get("extra", {})
+    extra = meta.get("extra", {})
+    if not isinstance(extra, dict):
+        raise FormatError(f"{path}: checkpoint meta is {type(extra).__name__}, expected an object")
+    return spec, params, extra

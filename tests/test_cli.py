@@ -348,6 +348,19 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "data error" in err and repr(key) in err and "Traceback" not in err
 
+    def test_recorded_dataset_cache_that_is_no_path_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(train_args(out, seeds=1, epochs=1)) == 0
+        checkpoint = out / "seed0" / "checkpoint.mtabl"
+        spec, params, meta = load_checkpoint(checkpoint)
+        meta["dataset_cache"] = 5
+        save_checkpoint(checkpoint, spec, params, meta)
+        capsys.readouterr()
+        # In process, so an exception escaping main fails the test.
+        assert run(["eval", "--checkpoint", str(checkpoint)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "dataset_cache is 5" in err
+
     def test_inconsistent_dataset_cache_exits_3_without_traceback(self, tmp_path):
         out = tmp_path / "run"
         assert run(train_args(out, seeds=1, epochs=1)) == 0

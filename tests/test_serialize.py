@@ -184,6 +184,13 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"{block}.*{named}|{named}.*{block}"):
             load_checkpoint(path)
 
+    def test_meta_that_is_no_object_rejected(self, tmp_path):
+        spec = topology("A", input_dims=(6, 4))
+        path = tmp_path / "ck.mtabl"
+        save_checkpoint(path, spec, init_network_params(spec, 1), meta=["seed", 1])
+        with pytest.raises(FormatError, match="checkpoint meta is list"):
+            load_checkpoint(path)
+
     def test_integer_vector_rejected(self, tmp_path):
         spec = topology("A", input_dims=(6, 4))
         path = tmp_path / "ck.mtabl"

@@ -7,13 +7,15 @@ touch what another call returned.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import mtabl.network
 from mtabl.data import synth_generate
-from mtabl.errors import DimensionError
-from mtabl.layers import Workspace, forward_sizes, layer_backward, layer_forward
+from mtabl.layers import Workspace, layer_backward, layer_forward, temporal_first
+from mtabl.linalg import matmul
 from mtabl.losses import cross_entropy, inverse_frequency_weights
 from mtabl.network import (
     gather,
@@ -21,7 +23,6 @@ from mtabl.network import (
     network_backward,
     network_forward,
     predict_labels,
-    predict_workspace,
     topology,
 )
 from mtabl.optim import OptimConfig, TrainState, batch_gradients, step, train
@@ -37,6 +38,10 @@ SPECS = {
 # 0.33 MB measured with a workspace (the attention forward's time-major
 # copies and the backward's (K, D', B) row sums), 16.1 MB without one.
 STEP_PEAK_BYTES = 500_000
+# Fresh allocations of one 256-window C predict_labels after a warm-up call:
+# 3.46 MB measured with every layer writing the same buffers, 5.30 MB when
+# each layer kept its own.
+PREDICT_PEAK_BYTES = 4_200_000
 
 
 def _dataset(n=215):
@@ -225,41 +230,48 @@ def test_short_batch_uses_a_contiguous_prefix():
     assert not np.shares_memory(Workspace().take("xbar", (4, 2, 3)), full)
 
 
-def test_small_predict_forward_runs_on_fresh_arrays():
-    params = init_network_params(SPECS["A/tabl"](), 0)
-    assert predict_workspace(params, 256) is None  # 0.2 MB of layer arrays
-
-
-@pytest.mark.parametrize("name", ["B/mtabl3", "C/mtabl5"])
-def test_predict_workspace_forward_stays_in_its_block(name):
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_predict_through_the_shared_workspace_is_bit_identical(monkeypatch, name):
+    # Every chunk, the partial last one included, is gathered into the
+    # workspace's x buffer and gives the probabilities of the same forward
+    # on fresh arrays: the gathered batch for B and C, each event's W1 @ X for A.
     spec = SPECS[name]()
     params = init_network_params(spec, 0)
-    ws = predict_workspace(params, 256)
-    buffers = dict(ws._buffers)
-    assert len({id(flat.base) for flat in buffers.values()}) == 1
-    # A sized workspace never grows, so a forward that ran stayed in the block.
-    batch = _dataset().train[:40]
-    probs, _ = network_forward(batch.x, spec, params, ws)
-    assert probs.tobytes() == network_forward(batch.x, spec, params)[0].tobytes()
-    assert all(ws._buffers[key] is flat for key, flat in buffers.items())
-    with pytest.raises(DimensionError, match="no room for xbar"):
-        ws.take("xbar", (buffers[None, "xbar"].size + 1,))
-    with pytest.raises(DimensionError, match="no room for x "):
-        gather(batch, ws)
+    windows = _dataset(600).train[:300]
+    calls = []
+    forward = mtabl.network.network_forward
+
+    def recording(x, spec, params, ws=None, projected=False):
+        probs, caches = forward(x, spec, params, ws, projected)
+        in_x = ws.take("x", x.shape).ctypes.data == x.ctypes.data
+        calls.append((x.shape[1], projected, probs.copy(), in_x))
+        return probs, caches
+
+    monkeypatch.setattr(mtabl.network, "network_forward", recording)
+    labels = predict_labels(spec, params, windows)
+    assert [n for n, *_ in calls] == [256, 44]
+    expected = []
+    for (_, projected, probs, in_x), start in zip(calls, (0, 256)):
+        chunk = windows[start:start + 256]
+        assert in_x and projected == (not temporal_first(params[0]))
+        if projected:
+            chunk = chunk.covered()
+            chunk = replace(chunk, series=matmul(params[0].W1, chunk.series))
+        fresh = network_forward(chunk.gather(), spec, params, None, projected)[0]
+        assert probs.tobytes() == fresh.tobytes()
+        expected += np.argmax(fresh[:, :, 0], axis=0).tolist()
+    assert labels == expected
 
 
-@pytest.mark.parametrize("name", ["B/mtabl3", "C/mtabl5"])
-def test_forward_sizes_fit_each_layer_exactly(name):
-    # Each layer's forward fits the workspace its forward_sizes give, and
-    # one element less of any role is too little.
-    spec = SPECS[name]()
+def test_predict_layers_share_their_buffers():
+    spec = SPECS["C/mtabl5"]()
     params = init_network_params(spec, 0)
-    x = _dataset().train[:40].x
-    for layer, p in zip(spec.layers, params):
-        sizes = forward_sizes(p, 40)
-        y, _ = layer_forward(x, p, layer.activation, Workspace(sizes))
-        assert y.tobytes() == layer_forward(x, p, layer.activation)[0].tobytes()
-        for role, size in sizes.items():
-            with pytest.raises(DimensionError, match=f"no room for {role} "):
-                layer_forward(x, p, layer.activation, Workspace({**sizes, role: size - 1}))
-        x = y.copy()
+    windows = _dataset(600).train[:256]
+    predict_labels(spec, params, windows)
+    tracemalloc.start()
+    try:
+        predict_labels(spec, params, windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PREDICT_PEAK_BYTES
