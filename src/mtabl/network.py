@@ -20,6 +20,10 @@ not temporal-first (topology A): W1 @ X acts on each event alone, and
 consecutive windows share T-1 of their T events. A temporal-first layer
 (B and C) mixes a window's steps in X @ W2 first, so it takes the
 gathered batch. Probabilities stay within 1e-12 relative, labels equal.
+It sizes its chunks by doubles, not windows: a chunk takes as many windows
+as fit ``_PREDICT_DOUBLES`` (1.2 MB) in the widest buffer its forward
+writes, so memory does not grow with the selection, and A, at 30 doubles
+a window, runs 5120-window chunks where C, at 600, runs 256.
 """
 
 from __future__ import annotations
@@ -50,9 +54,11 @@ KIND_TABL = "tabl"
 KIND_MTABL = "mtabl"
 LAYER_KINDS = (KIND_BL, KIND_TABL, KIND_MTABL)
 
-# Windows per forward pass in predict_labels: caches live for one chunk
-# only, so memory does not grow with the number of samples.
-_PREDICT_CHUNK = 256
+# Doubles that predict_labels' widest buffer holds per chunk (1.2 MB): a
+# chunk takes this over that buffer's doubles per window. Caches live for
+# one chunk only, so memory does not grow with the number of samples.
+# 256 windows of topology C's 600 doubles.
+_PREDICT_DOUBLES = 256 * 600
 
 # Hidden shapes for the two- and three-layer topologies; overridable.
 DEFAULT_HIDDEN = {
@@ -278,17 +284,33 @@ def gather(windows, ws: Workspace | None = None) -> np.ndarray:
     return windows.gather(buffer(ws, "x", (d, len(windows), t)))
 
 
+def _window_doubles(params: list, per_event: bool) -> int:
+    """Doubles per window in the widest buffer a predict forward writes: the
+    first layer's input (W1 @ X on the per-event path), then per layer its
+    output, and u = X @ W2 of a temporal-first layer or the (max(K, 1), D',
+    T) heads block (xbar, masks, mixed) of a feature-first one."""
+    w = params[0].W1.shape[0 if per_event else 1] * params[0].W2.shape[0]
+    for p in params:
+        (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
+        inner = d * t_out if temporal_first(p) else max(len(p.heads), 1) * d_out * t
+        w = max(w, d_out * t_out, inner)
+    return w
+
+
 def predict_labels(spec: NetworkSpec, params: list, windows) -> list[int]:
-    """Hard class decisions for :class:`~mtabl.data.Windows`, batched in
-    fixed chunks through one shared :class:`~mtabl.layers.Workspace`: each
-    chunk is gathered into its ``x`` buffer, and every layer writes the
-    same buffers. A first layer that takes W1 @ X first gets each event's
-    projection once per chunk, gathered in place of the windows."""
+    """Hard class decisions for :class:`~mtabl.data.Windows`, batched through
+    one shared :class:`~mtabl.layers.Workspace`: each chunk is gathered
+    into its ``x`` buffer, and every layer writes the same buffers. A chunk
+    holds as many windows as fit ``_PREDICT_DOUBLES`` doubles in the widest
+    of those buffers, so a narrow network runs few large chunks. A first
+    layer that takes W1 @ X first gets each event's projection once per
+    chunk, gathered in place of the windows."""
     ws = Workspace(shared=True)
     per_event = not temporal_first(params[0])
+    size = max(_PREDICT_DOUBLES // _window_doubles(params, per_event), 1)
     out = []
-    for start in range(0, len(windows), _PREDICT_CHUNK):
-        chunk = windows[start:start + _PREDICT_CHUNK]
+    for start in range(0, len(windows), size):
+        chunk = windows[start:start + size]
         if per_event:
             chunk = chunk.covered()
             with scope(SCOPE_PROJECT):

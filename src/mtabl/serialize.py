@@ -106,8 +106,12 @@ def read_container(path, expect_kind: str | None = None):
 
 def save_checkpoint(path, spec: NetworkSpec, params: NetworkParams,
                     meta: dict | None = None) -> None:
-    """Write the network spec and the flat parameter vector, bit-exact."""
-    container_meta = {"spec": spec.to_dict(), "extra": meta or {}}
+    """Write the network spec and the flat parameter vector, bit-exact. A
+    ``meta`` that is not a dict, which no load accepts, raises FormatError
+    before the file is opened."""
+    if not (meta is None or isinstance(meta, dict)):
+        raise FormatError(f"checkpoint meta is {type(meta).__name__}, expected a dict")
+    container_meta = {"spec": spec.to_dict(), "extra": {} if meta is None else meta}
     write_container(path, "checkpoint", container_meta, [("params", params.flat[None, :])])
 
 

@@ -196,7 +196,7 @@ class TestSingleWindowContract:
 
         monkeypatch.setattr(mtabl.network, "network_forward", recording)
         preds = predict_labels(spec, params, samples)
-        assert widths == [256, 256, 88]
+        assert widths == [600]  # one chunk: A/tabl takes 5120 windows a chunk
         assert len(preds) == 600 and all(type(p) is int for p in preds)
         assert predict_labels(spec, params, samples[100:350]) == preds[100:350]
         assert predict_labels(spec, params, samples[[599, 3, 3]]) == [preds[599], preds[3],
@@ -204,19 +204,24 @@ class TestSingleWindowContract:
         assert predict_labels(spec, params, samples[:0]) == []
 
     def test_predict_memory_does_not_grow_with_the_day(self):
-        spec = SPECS["C/mtabl5"]()
-        params = init_network_params(spec, 0)
-        samples = windows(2560)
+        # A long selection against one chunk: C runs 256 windows a chunk, and
+        # A/tabl 5120, here over the overlapping windows of one day.
+        rng = np.random.default_rng(0)
+        day = Windows(rng.normal(size=(INPUT[0], 4 * 5120 + INPUT[1] - 1)),
+                      np.arange(4 * 5120), rng.integers(0, 3, 4 * 5120), INPUT[1])
+        for name, samples, chunk in (("C/mtabl5", windows(2560), 256), ("A/tabl", day, 5120)):
+            spec = SPECS[name]()
+            params = init_network_params(spec, 0)
 
-        def peak(n):
-            tracemalloc.start()
-            try:
-                predict_labels(spec, params, samples[:n])
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            def peak(n):
+                tracemalloc.start()
+                try:
+                    predict_labels(spec, params, samples[:n])
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
 
-        assert peak(2560) < 1.5 * peak(256)
+            assert peak(len(samples)) < 1.5 * peak(chunk), name
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_checks_cover_every_window(self):

@@ -9,6 +9,7 @@ bits: they must stay within 1e-12 relative of the gathered forward, and
 the labels must be equal.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -19,7 +20,13 @@ import mtabl
 import mtabl.network
 from mtabl.data import N_FEATURES, RawDayMatrix, Windows, windowize
 from mtabl.errors import CacheMismatchError, DimensionError
-from mtabl.layers import SCOPE_PROJECT, layer_backward, layer_forward, temporal_first
+from mtabl.layers import (
+    SCOPE_PROJECT,
+    Workspace,
+    layer_backward,
+    layer_forward,
+    temporal_first,
+)
 from mtabl.linalg import count_multiplications
 from mtabl.network import init_network_params, network_forward, predict_labels, topology
 
@@ -33,6 +40,25 @@ SPECS = {
     "A/mtabl3": lambda: topology("A", attention_kind="mtabl", heads=3),
     "B/mtabl3": lambda: topology("B", attention_kind="mtabl", heads=3),
     "C/mtabl5": lambda: topology("C", attention_kind="mtabl", heads=5),
+    "A/mtabl5": lambda: topology("A", attention_kind="mtabl", heads=5),
+    "B/mtabl3-20x5": lambda: topology("B", attention_kind="mtabl", heads=3,
+                                      hidden_dims=[(20, 5)]),
+    # The first BL layer projects features first, so predict_labels gathers
+    # each window's 30 x 10 projection.
+    "C/mtabl5-30x10-200x5": lambda: topology("C", attention_kind="mtabl", heads=5,
+                                             hidden_dims=[(30, 10), (200, 5)]),
+}
+# Windows per predict_labels chunk: _PREDICT_DOUBLES = 256 * 600 doubles
+# over the doubles per window of the widest buffer a forward writes, given
+# after each entry. B and C with default hidden layers keep 256-window chunks.
+CHUNK = {
+    "A/tabl": 5120,  # 30: the (K, 3, 10) heads block
+    "A/mtabl3": 1706,  # 90
+    "A/mtabl5": 1024,  # 150
+    "B/mtabl3": 256,  # 600: the (120, 5) output of the BL layer
+    "B/mtabl3-20x5": 384,  # 400: the gathered (40, 10) windows
+    "C/mtabl5": 256,  # 600: the outputs of both BL layers
+    "C/mtabl5-30x10-200x5": 153,  # 1000: the (200, 5) output
 }
 
 
@@ -69,7 +95,7 @@ def selections():
         "whole partition": part,
         "slice from mid-day": part[137:560],
         "gaps and repeats": part[np.r_[rng.integers(0, len(part), 300), [5, 5, 700, 3]]],
-        "partial last chunk": part[:300],
+        "partial last chunk": day_windows((3000, 2510), seed=2)[:5400],
         "one window": part[[402]],
     }
 
@@ -87,8 +113,9 @@ def test_per_event_path_matches_the_gathered_forward(monkeypatch, name, case, se
 
     gathered = network_forward(windows.x, spec, params)[0][:, :, 0]
     assert labels == np.argmax(gathered, axis=0).tolist()
+    chunk = CHUNK[name]
     assert [x.shape for x, _, _ in calls] == [
-        (3, len(windows[i:i + 256]), WINDOW) for i in range(0, len(windows), 256)]
+        (3, len(windows[i:i + chunk]), WINDOW) for i in range(0, len(windows), chunk)]
     assert all(projected for _, projected, _ in calls)
     probs = np.concatenate([p[:, :, 0] for _, _, p in calls], axis=1)
     assert np.all(np.abs(probs - gathered) <= REL_TOL * np.abs(gathered))
@@ -140,14 +167,38 @@ def test_projected_cache_cannot_run_backward():
 
 
 def test_predict_projects_each_event_once():
-    # 600 consecutive windows of one day run in chunks of 256, 256 and 88;
-    # each chunk's windows cover 265, 265 and 97 events, and W1 is 3 x 40.
+    # 600 consecutive windows of one day run in one chunk, whose windows
+    # cover 609 events, and W1 is 3 x 40.
     spec = SPECS["A/tabl"]()
     params = init_network_params(spec, 0)
     windows = day_windows((1000,))[200:800]
     with count_multiplications() as counter:
         predict_labels(spec, params, windows)
-    assert counter.by_scope[SCOPE_PROJECT] == 627 * 120  # 600 * 10 * 120 per window
+    assert counter.by_scope[SCOPE_PROJECT] == 609 * 120  # 600 * 10 * 120 per window
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK))
+def test_chunks_fit_the_widest_buffer_to_the_budget(monkeypatch, name):
+    spec, chunk = SPECS[name](), CHUNK[name]
+    params = init_network_params(spec, 0)
+    windows = day_windows((6000,))  # 5991 windows, more than one chunk of each spec
+    sizes = []
+
+    class Recording(Workspace):
+        def take(self, role, shape):
+            sizes.append(math.prod(shape))
+            return super().take(role, shape)
+
+    monkeypatch.setattr(mtabl.network, "Workspace", Recording)
+    calls = recorded(monkeypatch)
+    labels = predict_labels(spec, params, windows)
+    assert [x.shape[1] for x, _, _ in calls] == [
+        len(windows[i:i + chunk]) for i in range(0, len(windows), chunk)]
+    # The widest buffer fits the budget, and one more window would not.
+    budget = mtabl.network._PREDICT_DOUBLES
+    assert max(sizes) <= budget < max(sizes) // chunk * (chunk + 1)
+    probs = network_forward(windows.x, spec, params)[0]
+    assert labels == np.argmax(probs[:, :, 0], axis=0).tolist()
 
 
 # The benchmark counts one window's forward through network_forward: these

@@ -187,9 +187,20 @@ class TestCheckpoint:
     def test_meta_that_is_no_object_rejected(self, tmp_path):
         spec = topology("A", input_dims=(6, 4))
         path = tmp_path / "ck.mtabl"
-        save_checkpoint(path, spec, init_network_params(spec, 1), meta=["seed", 1])
+        # save_checkpoint refuses such a meta, so the file is written directly.
+        write_container(path, "checkpoint", {"spec": spec.to_dict(), "extra": ["seed", 1]},
+                        [("params", init_network_params(spec, 1).flat[None, :])])
         with pytest.raises(FormatError, match="checkpoint meta is list"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("meta", [[{"seed": 1}], [], "seed", 0],
+                             ids=["list", "empty-list", "str", "int"])
+    def test_save_rejects_meta_that_is_no_dict(self, tmp_path, meta):
+        spec = topology("A", input_dims=(6, 4))
+        path = tmp_path / "ck.mtabl"
+        with pytest.raises(FormatError, match="checkpoint meta is"):
+            save_checkpoint(path, spec, init_network_params(spec, 1), meta=meta)
+        assert not path.exists()
 
     def test_integer_vector_rejected(self, tmp_path):
         spec = topology("A", input_dims=(6, 4))
