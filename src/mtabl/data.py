@@ -123,11 +123,7 @@ class Windows:
         lo, hi = (self.starts.min(), self.starts.max() + self.window) if len(self) else (0, 0)
         starts, n = self.starts - lo, hi - lo
         part = Windows(self.series[:, lo:hi], starts, self.labels, self.window)
-        steps = np.diff(starts)
-        # Sorted windows with no gap between neighbours, from the first column
-        # to the last, cover them all: the windows of a whole partition.
-        if not n or (starts[0] == 0 and starts[-1] + self.window == n
-                     and ((0 <= steps) & (steps <= self.window)).all()):
+        if self.consecutive():
             return part
         depth = np.cumsum(np.bincount(starts, minlength=n + 1)
                           - np.bincount(starts + self.window, minlength=n + 1))[:n]
@@ -137,6 +133,13 @@ class Windows:
         # A window's columns are all kept, so they stay consecutive.
         column = np.cumsum(covered) - 1
         return Windows(part.series[:, covered], column[starts], self.labels, self.window)
+
+    def consecutive(self) -> bool:
+        """Whether the windows are sorted with no gap between neighbours, as
+        in a partition: then they, and every slice of them, cover
+        consecutive columns."""
+        steps = np.diff(self.starts)
+        return bool(((0 <= steps) & (steps <= self.window)).all())
 
     def __len__(self) -> int:
         return len(self.starts)

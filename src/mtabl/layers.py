@@ -6,8 +6,12 @@ are consecutive time steps, to an output of shape (D', T'):
   xbar   = W1 @ X                       feature projection, (D', T)
   e_k    = xbar @ W_k                   attention scores of head k, (D', T)
   a_k    = softmax over each row        attention mask, rows sum to 1
-  mix_k  = lam*(xbar*a_k) + (1-lam)*xbar
+  mix_k  = lam*(xbar*a_k) + (1-lam)*xbar, taken as xbar*(lam*a_k + (1-lam))
   y      = act(xtilde @ W2 + B)
+
+The form taken costs 2K*D'*T multiplications a window, not (2K+1)*D'*T,
+and rounds otherwise than the paper's (within 1e-12 relative); at lam = 0
+and lam = 1 both give the same bits, so the reduction to BL is exact.
 
 The paper's three layer kinds are head counts of this one layer:
 
@@ -34,13 +38,15 @@ xtilde. The two orders differ only in rounding. In (W1 @ X) @ W2, each
 event's column of xbar depends on that event alone (:func:`layer_forward`).
 
 The K score matrices W_k are one (K, T, T) block ``heads``, and the heads
-are one more array axis: scores, masks and mixed features are (K, D', T),
-each computed for all heads by one operation. The softmax (which also
-checks that every mask row sums to 1) and its backward reduce over the
-T time steps of each of the K*D'*B rows of a batch: each takes its row
-maxima and sums over a :func:`~mtabl.linalg.time_major` copy, in one
-pass over the time axis instead of one short row at a time (see
-:mod:`mtabl.linalg`).
+are one more array axis: masks and mixed features are (K, D', T), each
+computed for all heads by one operation. The softmax (which also checks
+that every mask row sums to 1) and its backward reduce over the T time
+steps of each of the K*D'*B rows of a batch, in one pass over the time
+axis of a time-major block instead of one short row at a time (see
+:mod:`mtabl.linalg`). The forward takes the scores as e_k^T = W_k^T @
+xbar^T, so that the product itself writes that (K, T, D'*B) block, which
+the softmax normalises in place before it writes the masks out; the
+backward sums over a :func:`~mtabl.linalg.time_major` copy.
 
 A batch of B windows is one feature-major (D, B, T) array, window b being
 ``X[:, b, :]``. Each product is then one GEMM over a reshape, such as
@@ -344,15 +350,18 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
             lam = float(p.lam)
             if not 0.0 <= lam <= 1.0:
                 raise ConstraintError(f"lam must lie in [0, 1], got {lam}")
+            rows = d_out * n // t
             with scope(SCOPE_ATTENTION):
-                e = matmul(_rows(xbar), p.heads, buffer(ws, "masks", (k, d_out * n // t, t)))
-            masks = softmax_rows(e, e, buffer(ws, "time_major", (t,) + e.shape[:-1]))
+                # W_k^T @ xbar^T: the (K, T, rows) scores block, time-major.
+                e = matmul(p.heads.transpose(0, 2, 1), _rows(xbar).T,
+                           buffer(ws, "time_major", (k, t, rows)))
+            masks = softmax_rows(e.transpose(0, 2, 1), buffer(ws, "masks", (k, rows, t)))
             masks = masks.reshape((k,) + xbar.shape)
             with scope(SCOPE_MIX):
-                mixed = hadamard(xbar, masks, buffer(ws, "mixed", masks.shape))
-                mixed = scale(mixed, lam, mixed)
-                # The recombination writes xtilde's buffer only after this.
-                mixed += scale(xbar, 1.0 - lam, buffer(ws, "xtilde", xbar.shape))
+                # lam*(xbar*a) + (1-lam)*xbar, taken as xbar*(lam*a + (1-lam)).
+                mixed = scale(masks, lam, buffer(ws, "mixed", masks.shape))
+                mixed += 1.0 - lam
+                mixed = hadamard(xbar, mixed, mixed)
             if p.Wtilde1 is None:
                 xtilde = mixed[0]
             else:

@@ -14,13 +14,16 @@ site instead of deep inside a layer. The row softmax also raises
 numpy reduces the last axis of an array one row at a time, at a fixed
 cost per row that dominates for short rows: the attention scores of a
 batch, (K, D'*B, T) at T = 5, are thousands of rows of five.
-:func:`time_major` copies an array with its last axis first, where the
-same reduction is one pass over axis 0 that combines whole slices
-elementwise. On a 2-core x86 box a max over (5, 768, 5) scores takes
-216 us over rows and 24 us as a time-major copy plus its reduction.
-A max is exact either way. A sum over axis 0 adds the T terms in order,
-as numpy's row sum does for T < 8; numpy adds longer rows pairwise, so
-there the two sums differ in the last bits.
+Over a time-major block, with the time axis before the rows, the same
+reduction is one pass that combines whole slices elementwise: on a
+2-core x86 box a max over (5, 768, 5) scores takes 216 us over rows and
+24 us as a time-major copy plus its reduction. :func:`time_major` makes
+such a copy, with the last axis first; :func:`softmax_rows` works in
+place on scores that a product has written time-major already (see
+:func:`mtabl.layers.layer_forward`), and on a copy of any others.
+A max is exact either way. A sum over the time axis adds the T terms in
+order, as numpy's row sum does for T < 8; numpy adds longer rows
+pairwise, so there the two sums differ in the last bits.
 
 Every operation takes an optional ``out`` array for its result, as
 numpy's ufuncs do; the module itself keeps no buffers (see
@@ -134,26 +137,31 @@ def time_major(a: Matrix, out: Matrix | None = None) -> Matrix:
     return out
 
 
-def softmax_rows(e: Matrix, out: Matrix | None = None, rows: Matrix | None = None) -> Matrix:
+def softmax_rows(e: Matrix, out: Matrix | None = None) -> Matrix:
     """Softmax over the last axis, stabilized by subtracting each row's maximum.
 
-    The max, exp and normaliser run in place on a :func:`time_major` copy,
-    into ``rows`` when given, whose rows go to ``out``, which may be ``e``.
-    A row that does not sum to 1 within ``MASK_ROW_SUM_TOL``, such as one
-    with a non-finite score, raises :class:`DivergenceError`.
+    The max, exp and normaliser run over the time axis of a time-major
+    block. When ``e`` lies time-major in memory, a swapped view of a
+    C-ordered (..., T, N) block such as a product of transposed factors
+    writes, that block is normalised in place; any other ``e`` is first
+    copied by :func:`time_major`. The rows then go to ``out``, which may be
+    ``e``. A row that does not sum to 1 within ``MASK_ROW_SUM_TOL``, such as
+    one with a non-finite score, raises :class:`DivergenceError`.
     """
     if out is None:
-        out = np.empty_like(e)
+        out = np.empty(e.shape)
     elif out.shape != e.shape:
         raise DimensionError(f"softmax_rows: {e.shape} does not fit into {out.shape}")
-    rows = time_major(e, rows)
-    rows -= rows.max(axis=0)
+    rows, axis, dest = ((e.swapaxes(-1, -2), -2, out.swapaxes(-1, -2))
+                        if e.ndim > 1 and e.swapaxes(-1, -2).flags.c_contiguous
+                        else (time_major(e), 0, np.moveaxis(out, -1, 0)))
+    rows -= rows.max(axis=axis, keepdims=True)
     np.exp(rows, out=rows)
-    rows /= rows.sum(axis=0)
+    rows /= rows.sum(axis=axis, keepdims=True)
     # Written so that a NaN row fails too.
-    if not np.abs(rows.sum(axis=0) - 1.0).max(initial=0.0) <= MASK_ROW_SUM_TOL:
+    if not np.abs(rows.sum(axis=axis) - 1.0).max(initial=0.0) <= MASK_ROW_SUM_TOL:
         raise DivergenceError(
             "attention mask rows do not sum to 1 (non-finite attention scores)"
         )
-    np.copyto(out.transpose(e.ndim - 1, *range(e.ndim - 1)), rows)
+    np.copyto(dest, rows)
     return out

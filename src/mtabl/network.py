@@ -23,7 +23,9 @@ gathered batch. Probabilities stay within 1e-12 relative, labels equal.
 It sizes its chunks by doubles, not windows: a chunk takes as many windows
 as fit ``_PREDICT_DOUBLES`` (1.2 MB) in the widest buffer its forward
 writes, so memory does not grow with the selection, and A, at 30 doubles
-a window, runs 5120-window chunks where C, at 600, runs 256.
+a window, runs 5120-window chunks where C, at 600, runs 256. A copies the
+columns that windows not consecutive cover, 400 doubles a window at most,
+so it runs 384 of those a chunk.
 """
 
 from __future__ import annotations
@@ -284,12 +286,15 @@ def gather(windows, ws: Workspace | None = None) -> np.ndarray:
     return windows.gather(buffer(ws, "x", (d, len(windows), t)))
 
 
-def _window_doubles(params: list, per_event: bool) -> int:
+def _window_doubles(params: list, projected: bool) -> int:
     """Doubles per window in the widest buffer a predict forward writes: the
-    first layer's input (W1 @ X on the per-event path), then per layer its
-    output, and u = X @ W2 of a temporal-first layer or the (max(K, 1), D',
-    T) heads block (xbar, masks, mixed) of a feature-first one."""
-    w = params[0].W1.shape[0 if per_event else 1] * params[0].W2.shape[0]
+    first layer's input, W1 @ X when ``projected`` and else D x T (the
+    gathered windows, or the series columns that a scattered selection's
+    windows cover, which the per-event path copies before projecting them),
+    then per layer its output, and u = X @ W2 of a temporal-first layer or
+    the (max(K, 1), D', T) heads block (scores, masks, mixed) of a
+    feature-first one."""
+    w = params[0].W1.shape[0 if projected else 1] * params[0].W2.shape[0]
     for p in params:
         (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
         inner = d * t_out if temporal_first(p) else max(len(p.heads), 1) * d_out * t
@@ -307,7 +312,8 @@ def predict_labels(spec: NetworkSpec, params: list, windows) -> list[int]:
     chunk, gathered in place of the windows."""
     ws = Workspace(shared=True)
     per_event = not temporal_first(params[0])
-    size = max(_PREDICT_DOUBLES // _window_doubles(params, per_event), 1)
+    projected = per_event and windows.consecutive()
+    size = max(_PREDICT_DOUBLES // _window_doubles(params, projected), 1)
     out = []
     for start in range(0, len(windows), size):
         chunk = windows[start:start + size]

@@ -202,6 +202,45 @@ class TestTABLForward:
         assert np.abs(cache2.xbar - 2.5 * cache1.xbar).max() <= 1e-12
 
 
+class TestMixing:
+    """The forward mixes each head as xbar*(lam*a + (1-lam)), the paper's
+    lam*(xbar*a) + (1-lam)*xbar up to rounding."""
+
+    @staticmethod
+    def layer(rng, k, lam):
+        dims = dict(d=4, t=5, d_out=3, t_out=2, lam=lam)
+        return random_tabl(rng, **dims) if k == 1 else random_mtabl(rng, k=k, **dims)
+
+    @pytest.mark.parametrize("lam", [0.3, 0.7])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_batch_matches_the_paper_formula_window_by_window(self, rng, k, lam):
+        p = self.layer(rng, k, lam)
+        x = rng.normal(size=(4, 6, 5))
+        y, _ = layer_forward(x, p)
+        for b in range(x.shape[1]):
+            window = [x[:, b].tolist(), p.W1.tolist()]
+            rest = [p.W2.tolist(), p.B.tolist(), lam]
+            expected = np.array(
+                tabl_forward_scalar(*window, p.heads[0].tolist(), *rest) if k == 1
+                else mtabl_forward_scalar(*window, [w.tolist() for w in p.heads],
+                                          p.Wtilde1.tolist(), *rest))
+            assert np.abs(y[:, b] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_mixing_is_exact_at_either_end(self, rng, k, lam):
+        # lam = 0 passes xbar through, lam = 1 gives xbar*a, bit for bit.
+        p = self.layer(rng, k, lam)
+        x = rng.normal(size=(4, 6, 5))
+        y, cache = layer_forward(x, p)
+        a, xbar = cache.masks, cache.xbar
+        mixed = cache.xtilde[None] if k == 1 else cache.stacked.reshape(a.shape)
+        assert mixed.tobytes() == (lam * (xbar * a) + (1.0 - lam) * xbar).tobytes()
+        if k == 1 and lam == 0.0:  # the BL layer over the same xbar
+            z = (xbar.reshape(-1, 5) @ p.W2).reshape(3, 6, 2) + p.B[:, None]
+            assert y.tobytes() == z.tobytes()
+
+
 class TestMTABLForward:
     def test_one_head_identity_recombination_equals_single_head(self, rng):
         x = rng.normal(size=(3, 4))

@@ -16,7 +16,7 @@ from mtabl.linalg import (
     time_major,
 )
 
-from oracles import matmul_loops, softmax_over_rows
+from oracles import _softmax_rows_loops, matmul_loops, softmax_over_rows
 
 EPS = np.finfo(np.float64).eps
 # Row lengths on both sides of 8, below which numpy sums a row in order.
@@ -204,6 +204,30 @@ class TestTimeMajorRows:
         e[(-1,) * len(lead) + (0,)] = bad
         with pytest.raises(DivergenceError, match="attention mask rows"):
             softmax_rows(e)
+
+
+@pytest.mark.parametrize("k,t,n", [(1, 10, 7), (3, 5, 4), (5, 5, 1), (2, 1, 3)])
+class TestTimeMajorBlock:
+    """Scores that a product writes time-major, (K, T, N), passed as their
+    swapped (K, N, T) view: normalised in place, written out row-major."""
+
+    def test_softmax_matches_the_loops(self, rng, k, t, n):
+        block = 3.0 * rng.normal(size=(k, t, n))
+        rows = block.swapaxes(-1, -2)
+        expected = [np.array(_softmax_rows_loops(head.tolist())) for head in rows]
+        out = np.empty((k, n, t))
+        assert softmax_rows(rows, out) is out and out.flags.c_contiguous
+        for head, want in zip(out, expected):
+            assert (np.abs(head - want) <= 1e-12 * want).all()
+        assert block.swapaxes(-1, -2).tobytes() == out.tobytes()  # normalised in place
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_mask_check_rejects_a_non_finite_score(self, rng, k, t, n, bad):
+        block = rng.normal(size=(k, t, n))
+        block[-1, 0, -1] = bad
+        with pytest.raises(DivergenceError, match="attention mask rows"):
+            softmax_rows(block.swapaxes(-1, -2), np.empty((k, n, t)))
 
 
 def test_time_major_and_softmax_check_out_shapes():

@@ -196,12 +196,12 @@ class TestComplexity:
     def test_counts_pinned_for_k_1_to_8(self):
         # Per-step counts at the paper's output shape and topology C's
         # attention shape: projection D'*D*T, scores K*D'*T*T, mixing
-        # (2K+1)*D'*T, recombination D'*D'*K*T, output D'*T*T'.
+        # 2K*D'*T, recombination D'*D'*K*T, output D'*T*T'.
         for d, t, d_out, t_out in ((40, 10, 3, 1), (120, 5, 3, 1)):
             for k in range(1, 9):
                 expected = {
                     "feature_projection": d_out * d * t,
-                    "attention_mixing": (2 * k + 1) * d_out * t,
+                    "attention_mixing": 2 * k * d_out * t,
                     "attention_scores": k * d_out * t * t,
                     "head_recombination": d_out * d_out * k * t,
                     "temporal_projection": d_out * t * t_out,
@@ -210,14 +210,15 @@ class TestComplexity:
                 assert measure_multiplications(d, t, d_out, t_out, k) == expected
 
     def test_measured_total_close_to_estimate(self):
-        # The mixing step costs 2K*D'*T + D'*T in this implementation
-        # against the model's 3*D'*T, and the bias/activation term is not
-        # made of multiplications at all; everything else is exact.
+        # The mixing step costs 2K*D'*T in this implementation, K scalings
+        # of the masks by lam and K products with xbar, against the model's
+        # 3*D'*T, and the bias/activation term is not made of
+        # multiplications at all; everything else is exact.
         d, t, d_out, t_out, k = 40, 10, 3, 1, 4
         est = complexity_estimate(d, t, d_out, t_out, k)
         measured = measure_multiplications(d, t, d_out, t_out, k)
         mixing_measured = measured["attention_mixing"]
-        assert mixing_measured == (2 * k + 1) * d_out * t
+        assert mixing_measured == 2 * k * d_out * t
         exact_scopes = (measured["feature_projection"] + measured["temporal_projection"]
                         + measured["attention_scores"] + measured["head_recombination"])
         assert measured["total"] == exact_scopes + mixing_measured
