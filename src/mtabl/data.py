@@ -119,26 +119,24 @@ class Windows:
     def covered(self) -> "Windows":
         """The same windows over only the series columns they cover, their
         starts shifted to match; a view of the series when those columns
-        are consecutive."""
+        are consecutive. The work and memory are those of the windows'
+        own columns, however far apart they lie."""
         lo, hi = (self.starts.min(), self.starts.max() + self.window) if len(self) else (0, 0)
-        starts, n = self.starts - lo, hi - lo
-        part = Windows(self.series[:, lo:hi], starts, self.labels, self.window)
+        part = Windows(self.series[:, lo:hi], self.starts - lo, self.labels, self.window)
         if self.consecutive():
             return part
-        depth = np.cumsum(np.bincount(starts, minlength=n + 1)
-                          - np.bincount(starts + self.window, minlength=n + 1))[:n]
-        covered = depth > 0
-        if covered.all():
+        columns = np.unique(self.starts[:, None] + np.arange(self.window))
+        if len(columns) == hi - lo:
             return part
         # A window's columns are all kept, so they stay consecutive.
-        column = np.cumsum(covered) - 1
-        return Windows(part.series[:, covered], column[starts], self.labels, self.window)
+        return Windows(self.series[:, columns], np.searchsorted(columns, self.starts),
+                       self.labels, self.window)
 
     def consecutive(self) -> bool:
         """Whether the windows are sorted with no gap between neighbours, as
         in a partition: then they, and every slice of them, cover
         consecutive columns."""
-        steps = np.diff(self.starts)
+        steps = self.starts[1:] - self.starts[:-1]
         return bool(((0 <= steps) & (steps <= self.window)).all())
 
     def __len__(self) -> int:

@@ -39,22 +39,28 @@ event's column of xbar depends on that event alone (:func:`layer_forward`).
 
 The K score matrices W_k are one (K, T, T) block ``heads``, and the heads
 are one more array axis: masks and mixed features are (K, D', T), each
-computed for all heads by one operation. The softmax (which also checks
-that every mask row sums to 1) and its backward reduce over the T time
-steps of each of the K*D'*B rows of a batch, in one pass over the time
-axis of a time-major block instead of one short row at a time (see
-:mod:`mtabl.linalg`). The forward takes the scores as e_k^T = W_k^T @
-xbar^T, so that the product itself writes that (K, T, D'*B) block, which
-the softmax normalises in place before it writes the masks out; the
-backward sums over a :func:`~mtabl.linalg.time_major` copy.
+computed for all heads by one operation.
 
 A batch of B windows is one feature-major (D, B, T) array, window b being
-``X[:, b, :]``. Each product is then one GEMM over a reshape, such as
-``W1 @ X.reshape(D, B*T)``, or a stack of them over the heads, such as
-``xbar.reshape(D'*B, T) @ heads``; each parameter gradient sums over the
-batch inside its GEMM. A (D, T) window takes the same path without the
-batch axis, so each head's mask is (D', T) for a window, (D', B, T) for
-a batch.
+``X[:, b, :]``, and W1 @ X is one GEMM over ``X.reshape(D, B*T)``. A (D, T)
+window takes the same path without the batch axis, so each head's mask is
+(D', T) for a window, (D', B, T) for a batch.
+
+From xbar to z a feature-first layer works time-major, with the time
+axis first in memory: the softmax (which also checks that every mask row
+sums to 1) and its backward reduce over the T steps of each of the
+K*D'*B mask rows in one pass over whole slices, not one short row at a
+time (see :mod:`mtabl.linalg`). xbar is copied once into a (T, D'*B)
+block (predict_labels writes it there directly), and no later step
+copies: the scores of all heads are one GEMM of the (T*K, T) rows of the
+W_k^T with that block, a (T, K, D'*B) block that the softmax normalises
+in place; the mixing broadcasts xbar over the heads; Wtilde1 recombines
+the K*D' rows of each step; and z = xtilde @ W2 reads the transposed
+xtilde block and comes out feature-major. The backward works on the
+same blocks (dW_k and the heads' part of dL/dxbar are one GEMM each over
+the (T*K, D'*B) block of dL/de) and copies dL/dxbar back to (D', B, T)
+for dW1 and dL/dx. The cache holds (D', [B,] T) views of the blocks, so
+``masks`` is (K, D', [B,] T), as in the maths.
 
 Parameters live in one contiguous float64 vector: :class:`LayerParams`
 holds named views into it, laid out by :func:`layer_layout`, and
@@ -82,7 +88,7 @@ from .errors import (
     ConstraintError,
     DimensionError,
 )
-from .linalg import Matrix, hadamard, matmul, scale, scope, softmax_rows, time_major
+from .linalg import Matrix, hadamard, matmul, scale, scope, softmax_rows
 
 ACTIVATIONS = ("identity", "relu", "softmax")
 
@@ -201,7 +207,7 @@ class Workspace:
     ``network_backward`` gives all layers the unkeyed view, so they share
     the backward roles ``grad`` (dL/dz, then dL/dx, over the upstream
     gradient when that is the previous dL/dx), ``dmixed``, ``product``
-    (relu's z > 0 first) and ``time_major``. A pass without a workspace
+    (relu's z > 0 first) and ``dxbar``. A pass without a workspace
     touches none.
     """
 
@@ -252,7 +258,7 @@ class LayerCache:
 
     activation: str
     x: Matrix | None  # None after a projected forward, which has no backward
-    xbar: Matrix | None
+    xbar: Matrix | None  # from here to xtilde: views of time-major blocks
     masks: np.ndarray  # (K, D', [B,] T), one mask per head
     stacked: Matrix | None  # the mixed heads [mix_1; ...; mix_K] when recombined
     xtilde: Matrix | None
@@ -303,6 +309,27 @@ def _rows(a: np.ndarray) -> Matrix:
     return a.reshape(-1, a.shape[-1])
 
 
+def _time_major(a: np.ndarray, *shape: int) -> np.ndarray:
+    """(..., T) as (T, ...), reshaped to ``shape`` if given: a view when ``a``
+    lies time-major in memory, as the forward leaves it. Transposes cost a
+    sixth of ``np.moveaxis``."""
+    a = a.transpose(a.ndim - 1, *range(a.ndim - 1))
+    return a.reshape(shape) if shape else a
+
+
+def _steps_last(a: np.ndarray) -> np.ndarray:
+    """(T, ...) as (..., T), a view."""
+    return a.transpose(*range(1, a.ndim), 0)
+
+
+def _copy(a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``a`` copied C-ordered, into ``out`` when given."""
+    if out is None:
+        return a.copy()
+    np.copyto(out, a)
+    return out
+
+
 def temporal_first(p: LayerParams) -> bool:
     """Whether the layer multiplies W1 @ (X @ W2): it has no heads, and that
     order takes fewer multiplications per window than (W1 @ X) @ W2."""
@@ -318,7 +345,8 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
     Returns the output, (D', T') or (D', B, T'), and its cache, in ``ws``
     (one layer's view of a workspace) when given. ``_projected`` (internal,
     from :func:`mtabl.network.predict_labels`): ``x`` is W1 @ X, (D', B, T),
-    of a layer that is not temporal-first, and the cache has no backward.
+    of a layer that is not temporal-first, and the cache has no backward;
+    a view of a time-major block is used in place, any other ``x`` copied.
     """
     (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
     rows = d_out if _projected else d
@@ -338,41 +366,50 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
         z = z.reshape((d_out,) + u.shape[1:])
         xbar = xtilde = None
     else:
+        rest = (d_out,) + x.shape[1:-1]  # the rows of xbar: D' or D' x B
         if _projected:
             xbar, x = x, None
         else:
             with scope(SCOPE_PROJECT):
-                xbar = matmul(p.W1, _cols(x), buffer(ws, "xbar", (d_out, n)))
-                xbar = xbar.reshape((d_out,) + x.shape[1:])
-        xtilde = xbar
+                # Into the mixed heads' buffer, which is free until the mixing.
+                xbar = matmul(p.W1, _cols(x), buffer(ws, "mixed", (d_out, n)))
+            xbar = _copy(_time_major(xbar.reshape(rest + (t,))),
+                         buffer(ws, "xbar", (t,) + rest))
+            xbar = _steps_last(xbar)
+        xb = _time_major(xbar, t, -1)  # (T, R): R = D'*B rows of T steps
+        r = xb.shape[1]
+        xtilde = xb
         if k:
             # A Python float: each scalar operation on the 0-d view takes about 1 us.
             lam = float(p.lam)
             if not 0.0 <= lam <= 1.0:
                 raise ConstraintError(f"lam must lie in [0, 1], got {lam}")
-            rows = d_out * n // t
             with scope(SCOPE_ATTENTION):
-                # W_k^T @ xbar^T: the (K, T, rows) scores block, time-major.
-                e = matmul(p.heads.transpose(0, 2, 1), _rows(xbar).T,
-                           buffer(ws, "time_major", (k, t, rows)))
-            masks = softmax_rows(e.transpose(0, 2, 1), buffer(ws, "masks", (k, rows, t)))
-            masks = masks.reshape((k,) + xbar.shape)
+                # e_k^T = W_k^T @ xbar^T for all heads in one product, whose
+                # row (t, k) is step t of head k: the (T, K, R) scores block.
+                e = matmul(p.heads.transpose(2, 0, 1).reshape(t * k, t), xb,
+                           buffer(ws, "masks", (t * k, r))).reshape(t, k, r)
+            masks = _steps_last(e)
+            softmax_rows(masks, masks)
             with scope(SCOPE_MIX):
                 # lam*(xbar*a) + (1-lam)*xbar, taken as xbar*(lam*a + (1-lam)).
-                mixed = scale(masks, lam, buffer(ws, "mixed", masks.shape))
+                mixed = scale(e, lam, buffer(ws, "mixed", e.shape))
                 mixed += 1.0 - lam
-                mixed = hadamard(xbar, mixed, mixed)
+                mixed = hadamard(xb[:, None], mixed, mixed)
+            masks = masks.reshape((k,) + rest + (t,))
             if p.Wtilde1 is None:
-                xtilde = mixed[0]
+                xtilde = mixed[:, 0]
             else:
-                stacked = mixed.reshape((k * d_out,) + xbar.shape[1:])
+                # Per step, the K*D' rows [mix_1; ...; mix_K] of every window.
+                stacked = mixed.reshape(t, k * d_out, r // d_out)
                 with scope(SCOPE_RECOMBINE):
-                    xtilde = matmul(p.Wtilde1, _cols(stacked),
-                                    buffer(ws, "xtilde", (d_out, n)))
-                xtilde = xtilde.reshape(xbar.shape)
+                    xtilde = matmul(p.Wtilde1, stacked,
+                                    buffer(ws, "xtilde", (t, d_out, r // d_out)))
+                stacked = _steps_last(stacked.reshape((t, k * d_out) + rest[1:]))
         with scope(SCOPE_OUTPUT):
-            z = matmul(_rows(xtilde), p.W2, buffer(ws, "z", (d_out * n // t, t_out)))
-        z = z.reshape(xbar.shape[:-1] + (t_out,))
+            z = matmul(xtilde.reshape(t, r).T, p.W2, buffer(ws, "z", (r, t_out)))
+        z = z.reshape(rest + (t_out,))
+        xtilde = _steps_last(xtilde.reshape((t,) + rest))
     z += p.B if z.ndim == 2 else p.B[:, None]
     y = apply_activation(z, activation, buffer(ws, "z", z.shape))
     return y, LayerCache(activation=activation, x=x, xbar=xbar, masks=masks,
@@ -401,11 +438,10 @@ def _check_cache(cache: LayerCache, params: LayerParams, grad_y: Matrix) -> None
 
 
 def _softmax_rows_backward(grad_a: Matrix, a: Matrix, ws: Workspace | None) -> Matrix:
-    # Row-wise Jacobian of the softmax: de = a * (da - sum(da * a, row)),
-    # written over grad_a.
+    # Row-wise Jacobian of the softmax over the time axis of (T, K, R)
+    # blocks: de = a * (da - sum(da * a, over t)), written over grad_a.
     prod = np.multiply(grad_a, a, out=buffer(ws, "product", a.shape))
-    inner = time_major(prod, buffer(ws, "time_major", prod.shape[-1:] + prod.shape[:-1]))
-    grad_a -= inner.sum(axis=0)[..., None]
+    grad_a -= prod.sum(axis=0)
     grad_a *= a
     return grad_a
 
@@ -435,25 +471,30 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
     grads.B[...] += dz if dz.ndim == 2 else _batch_sum(dz)
     if cache.u is not None:
         return _temporal_first_backward(cache, params, dz, grads, ws, input_grad)
-    grads.W2[...] += matmul(_rows(cache.xtilde).T, _rows(dz))
+    (d_out, _), (t, _) = params.W1.shape, params.W2.shape
+    rest = cache.xbar.shape[:-1]
+    xtilde = _time_major(cache.xtilde, t, -1)
+    r = xtilde.shape[1]
+    grads.W2[...] += matmul(xtilde, _rows(dz))
     # Nothing reads xtilde after dW2, so a workspace backward writes over it.
-    dxtilde = matmul(_rows(dz), params.W2.T, None if ws is None else _rows(cache.xtilde))
-    dxtilde = dxtilde.reshape(cache.xtilde.shape)
+    dxbar = dxtilde = matmul(params.W2, _rows(dz).T, None if ws is None else xtilde)
 
-    dxbar = dxtilde
     k = len(params.heads)
     if k:
-        xbar, a, lam = cache.xbar, cache.masks, float(params.lam)
+        # Time-major (T, K, R) blocks, xbar broadcast over the heads.
+        xbar = _time_major(cache.xbar, t, 1, r)
+        a, lam = _time_major(cache.masks, t, k, r), float(params.lam)
         # Of the workspace's stacked heads and dmixed buffers, one holds
         # dL/dmixed and the other is free: nothing reads stacked after dWtilde1.
         if params.Wtilde1 is None:
-            dmixed, free = dxtilde[None], buffer(ws, "dmixed", a.shape)
+            dmixed, free = dxtilde[:, None], buffer(ws, "dmixed", a.shape)
         else:
-            grads.Wtilde1[...] += matmul(_cols(dxtilde), _cols(cache.stacked).T)
-            dmixed = matmul(params.Wtilde1.T, _cols(dxtilde),
-                            buffer(ws, "dmixed", _cols(cache.stacked).shape))
+            stacked = _time_major(cache.stacked, t, k * d_out, r // d_out)
+            dxtilde = dxtilde.reshape(t, d_out, r // d_out)
+            grads.Wtilde1[...] += matmul(dxtilde, stacked.transpose(0, 2, 1)).sum(axis=0)
+            dmixed = matmul(params.Wtilde1.T, dxtilde, buffer(ws, "dmixed", stacked.shape))
             dmixed = dmixed.reshape(a.shape)
-            free = None if ws is None else cache.stacked.reshape(a.shape)
+            free = None if ws is None else stacked.reshape(a.shape)
 
         # dL/dlam = sum(dmixed * (xbar*a - xbar)), then the softmax's upstream
         # lam * (dmixed * xbar): the operations of these expressions in their
@@ -464,18 +505,23 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
         grads.lam[...] += float(np.sum(dlam))
         grad_a = np.multiply(dmixed, xbar, out=dlam)
         grad_a *= lam
-        de = _softmax_rows_backward(grad_a, a, ws).reshape(k, -1, xbar.shape[-1])
-        grads.heads[...] += matmul(_rows(xbar).T, de)
-        dheads = matmul(de, params.heads.transpose(0, 2, 1),
-                        buffer(ws, "product", de.shape)).reshape(a.shape)
-        # dxbar = sum over heads of ((1 - lam)*dmixed + lam*(dmixed*a)) + dheads
-        mix = np.multiply(dmixed, a, out=buffer(ws, "time_major", a.shape))
+        de = _softmax_rows_backward(grad_a, a, ws).reshape(t * k, r)
+        # dW_k = xbar^T @ de_k, every head in one product: column (t, k)
+        # of the (T, T*K) result is column t of dW_k.
+        grads.heads[...] += matmul(xbar[:, 0], de.T).reshape(t, t, k).transpose(2, 0, 1)
+        # dxbar = sum over heads of (de_k @ W_k^T + (1 - lam)*dmixed + lam*(dmixed*a)),
+        # the first term summed over the heads inside one product.
+        dxbar = matmul(params.heads.transpose(1, 2, 0).reshape(t, t * k), de,
+                       buffer(ws, "product", (t, r)))
+        mix = np.multiply(dmixed, a, out=de.reshape(a.shape))
         mix *= lam
         dmixed *= 1.0 - lam
         dmixed += mix
-        dmixed += dheads
-        dxbar = dmixed.sum(axis=0)
+        dxbar += dmixed.sum(axis=1)
 
+    # Feature-major again, for the products with x.
+    dxbar = _copy(_steps_last(dxbar.reshape((t,) + rest)),
+                  buffer(ws, "dxbar", rest + (t,)))
     grads.W1[...] += matmul(_cols(dxbar), _cols(cache.x).T)
     if not input_grad:
         return grads, None

@@ -13,17 +13,17 @@ site instead of deep inside a layer. The row softmax also raises
 
 numpy reduces the last axis of an array one row at a time, at a fixed
 cost per row that dominates for short rows: the attention scores of a
-batch, (K, D'*B, T) at T = 5, are thousands of rows of five.
-Over a time-major block, with the time axis before the rows, the same
-reduction is one pass that combines whole slices elementwise: on a
-2-core x86 box a max over (5, 768, 5) scores takes 216 us over rows and
-24 us as a time-major copy plus its reduction. :func:`time_major` makes
-such a copy, with the last axis first; :func:`softmax_rows` works in
-place on scores that a product has written time-major already (see
-:func:`mtabl.layers.layer_forward`), and on a copy of any others.
-A max is exact either way. A sum over the time axis adds the T terms in
-order, as numpy's row sum does for T < 8; numpy adds longer rows
-pairwise, so there the two sums differ in the last bits.
+batch are thousands of rows of T = 5. A reduction runs in memory order,
+though, so over rows that lie time-major in memory, with the time axis
+outermost, it is one pass that combines whole slices elementwise: on a
+2-core x86 box a max over (5, 768, 5) scores takes 319 us over C-ordered
+rows and 12 us over the same rows time-major. The attention layers keep
+their scores, masks and mixed heads time-major (see
+:mod:`mtabl.layers`), so :func:`softmax_rows` takes that path with no
+copy. A max is exact either way. A sum over time-major rows adds the T
+terms in order, as numpy's sum over C-ordered rows does for T < 8;
+numpy adds longer C-ordered rows pairwise, so there the two sums differ
+in the last bits.
 
 Every operation takes an optional ``out`` array for its result, as
 numpy's ufuncs do; the module itself keeps no buffers (see
@@ -110,8 +110,9 @@ def matmul(a: Matrix, b: Matrix, out: Matrix | None = None) -> Matrix:
 
 
 def hadamard(a: Matrix, b: Matrix, out: Matrix | None = None) -> Matrix:
-    """Elementwise product; ``a`` may broadcast over leading axes of ``b``."""
-    if a.shape != b.shape[b.ndim - a.ndim:]:
+    """Elementwise product; ``a`` may broadcast over axes of ``b``, leading
+    ones or ones where ``a`` has length 1."""
+    if a.ndim > b.ndim or any(m not in (1, n) for m, n in zip(a.shape[::-1], b.shape[::-1])):
         raise DimensionError(f"hadamard: shapes differ, {a.shape} vs {b.shape}")
     _tick(b.size)
     return np.multiply(a, b, out=out)
@@ -122,46 +123,30 @@ def scale(a: Matrix, s: float, out: Matrix | None = None) -> Matrix:
     return np.multiply(a, s, out=out)
 
 
-def time_major(a: Matrix, out: Matrix | None = None) -> Matrix:
-    """A C-ordered copy of ``a`` with its last axis first: (T, ...) for (..., T).
-
-    A reduction over the last axis of the copy's source is one reduction
-    over axis 0 of the copy, see the module docstring.
-    """
-    last_first = a.transpose(a.ndim - 1, *range(a.ndim - 1))
-    if out is None:
-        return last_first.copy()
-    if out.shape != last_first.shape:
-        raise DimensionError(f"time_major: {a.shape} does not fit into {out.shape}")
-    np.copyto(out, last_first)
-    return out
-
-
 def softmax_rows(e: Matrix, out: Matrix | None = None) -> Matrix:
     """Softmax over the last axis, stabilized by subtracting each row's maximum.
 
-    The max, exp and normaliser run over the time axis of a time-major
-    block. When ``e`` lies time-major in memory, a swapped view of a
-    C-ordered (..., T, N) block such as a product of transposed factors
-    writes, that block is normalised in place; any other ``e`` is first
-    copied by :func:`time_major`. The rows then go to ``out``, which may be
-    ``e``. A row that does not sum to 1 within ``MASK_ROW_SUM_TOL``, such as
-    one with a non-finite score, raises :class:`DivergenceError`.
+    ``e`` may lie in memory in any order; rows that lie time-major are
+    reduced in one pass each (see the module docstring). The result goes
+    to ``out``, which may be ``e``, else to a new array in the layout of
+    ``e``; the normaliser sums the rows in the layout of the result. A row
+    that does not sum to 1 within ``MASK_ROW_SUM_TOL``, such as one with a
+    non-finite score, raises :class:`DivergenceError`.
     """
     if out is None:
-        out = np.empty(e.shape)
+        out = np.empty_like(e, dtype=np.float64)
     elif out.shape != e.shape:
         raise DimensionError(f"softmax_rows: {e.shape} does not fit into {out.shape}")
-    rows, axis, dest = ((e.swapaxes(-1, -2), -2, out.swapaxes(-1, -2))
-                        if e.ndim > 1 and e.swapaxes(-1, -2).flags.c_contiguous
-                        else (time_major(e), 0, np.moveaxis(out, -1, 0)))
-    rows -= rows.max(axis=axis, keepdims=True)
-    np.exp(rows, out=rows)
-    rows /= rows.sum(axis=axis, keepdims=True)
+    # One row-sized scratch holds the maxima, the normalisers, then the check.
+    rows = e.max(axis=-1, keepdims=True)
+    np.subtract(e, rows, out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True, out=rows)
+    out.sum(axis=-1, keepdims=True, out=rows)
+    rows -= 1.0
     # Written so that a NaN row fails too.
-    if not np.abs(rows.sum(axis=axis) - 1.0).max(initial=0.0) <= MASK_ROW_SUM_TOL:
+    if not np.abs(rows, out=rows).max(initial=0.0) <= MASK_ROW_SUM_TOL:
         raise DivergenceError(
             "attention mask rows do not sum to 1 (non-finite attention scores)"
         )
-    np.copyto(dest, rows)
     return out

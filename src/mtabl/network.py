@@ -19,21 +19,25 @@ caches are overwritten by the next forward through it.
 not temporal-first (topology A): W1 @ X acts on each event alone, and
 consecutive windows share T-1 of their T events. A temporal-first layer
 (B and C) mixes a window's steps in X @ W2 first, so it takes the
-gathered batch. Probabilities stay within 1e-12 relative, labels equal.
+gathered batch. The projected windows go straight into the time-major
+block the attention layer works on, one strided copy per run of windows
+one event apart (one run per day of a partition). Probabilities stay
+within 1e-12 relative, labels equal.
 It sizes its chunks by doubles, not windows: a chunk takes as many windows
 as fit ``_PREDICT_DOUBLES`` (1.2 MB) in the widest buffer its forward
 writes, so memory does not grow with the selection, and A, at 30 doubles
 a window, runs 5120-window chunks where C, at 600, runs 256. A copies the
 columns that windows not consecutive cover, 400 doubles a window at most,
-so it runs 384 of those a chunk.
+so it runs 384 of those a chunk, in start order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .data import N_CLASSES
 from .errors import ConfigurationError, DimensionError
@@ -61,6 +65,9 @@ LAYER_KINDS = (KIND_BL, KIND_TABL, KIND_MTABL)
 # one chunk only, so memory does not grow with the number of samples.
 # 256 windows of topology C's 600 doubles.
 _PREDICT_DOUBLES = 256 * 600
+# Windows a run must average for the per-event path to copy the runs: one
+# strided copy of a run costs about as much as taking 64 windows one by one.
+_RUN_WINDOWS = 64
 
 # Hidden shapes for the two- and three-layer topologies; overridable.
 DEFAULT_HIDDEN = {
@@ -302,6 +309,29 @@ def _window_doubles(params: list, projected: bool) -> int:
     return w
 
 
+def _project(windows, w1: Matrix, ws: Workspace) -> np.ndarray:
+    """W1 @ X of each window, as the (D', B, T) view of a time-major
+    (T, D', B) block in the ``x`` buffer of ``ws``. W1 multiplies each
+    event the windows cover once; a run of windows one event apart is then
+    one strided copy of that product, and windows further apart are taken
+    one by one."""
+    windows = windows.covered()
+    with scope(SCOPE_PROJECT):
+        p = matmul(w1, windows.series)
+    t, starts = windows.window, windows.starts
+    block = ws.take("x", (t, len(p), len(starts)))
+    breaks = np.flatnonzero(starts[1:] != starts[:-1] + 1) + 1
+    if len(breaks) * _RUN_WINDOWS < len(starts):
+        # steps[i, :, s] = p[:, s + i], step i of the window that starts at s.
+        (row, col), n = p.strides, p.shape[1] - t + 1
+        steps = as_strided(p, (t, len(p), n), (col, row, col), writeable=False)
+        for lo, hi in zip([0, *breaks], [*breaks, len(starts)]):
+            np.copyto(block[..., lo:hi], steps[..., starts[lo]:starts[lo] + hi - lo])
+    else:
+        np.copyto(block, np.take(p, starts + np.arange(t)[:, None], axis=1).transpose(1, 0, 2))
+    return block.transpose(1, 2, 0)
+
+
 def predict_labels(spec: NetworkSpec, params: list, windows) -> list[int]:
     """Hard class decisions for :class:`~mtabl.data.Windows`, batched through
     one shared :class:`~mtabl.layers.Workspace`: each chunk is gathered
@@ -309,22 +339,29 @@ def predict_labels(spec: NetworkSpec, params: list, windows) -> list[int]:
     holds as many windows as fit ``_PREDICT_DOUBLES`` doubles in the widest
     of those buffers, so a narrow network runs few large chunks. A first
     layer that takes W1 @ X first gets each event's projection once per
-    chunk, gathered in place of the windows."""
+    chunk, copied time-major in place of the windows (:func:`_project`);
+    it runs windows that are not consecutive in start order."""
     ws = Workspace(shared=True)
     per_event = not temporal_first(params[0])
     projected = per_event and windows.consecutive()
+    order = None
+    if per_event and not projected:
+        # In start order, windows that share events share a chunk, so each
+        # chunk covers fewer columns, in whatever order they were drawn.
+        order = np.argsort(windows.starts, kind="stable")
+        windows = windows[order]
+        projected = windows.consecutive()
     size = max(_PREDICT_DOUBLES // _window_doubles(params, projected), 1)
-    out = []
+    labels = np.empty(len(windows), np.int64)
     for start in range(0, len(windows), size):
         chunk = windows[start:start + size]
-        if per_event:
-            chunk = chunk.covered()
-            with scope(SCOPE_PROJECT):
-                chunk = replace(chunk, series=matmul(params[0].W1, chunk.series))
+        x = _project(chunk, params[0].W1, ws) if per_event else gather(chunk, ws)
         # Index the result so that no chunk's caches outlive its forward.
-        probs = network_forward(gather(chunk, ws), spec, params, ws, per_event)[0]
-        out += np.argmax(probs[:, :, 0], axis=0).tolist()
-    return out
+        probs = network_forward(x, spec, params, ws, per_event)[0]
+        labels[start:start + size] = np.argmax(probs[:, :, 0], axis=0)
+    if order is not None:
+        labels[order] = labels.copy()
+    return labels.tolist()
 
 
 def attention_lambdas(params: list) -> list[float]:

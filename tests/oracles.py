@@ -85,6 +85,12 @@ def tabl_forward_scalar(x, w1, w, w2, b, lam, activation="identity"):
     return _activation_loops(z, activation)
 
 
+def attention_masks_scalar(x, w1, heads):
+    """Every head's mask softmax(W1 @ x @ W_k) of one window, row by row."""
+    xbar = matmul_loops(w1, x)
+    return [_softmax_rows_loops(matmul_loops(xbar, w)) for w in heads]
+
+
 def mtabl_forward_scalar(x, w1, heads, wtilde1, w2, b, lam, activation="identity"):
     """Multi-head forward: per-head mixing, row stacking, recombination."""
     xbar = matmul_loops(w1, x)

@@ -15,9 +15,10 @@ from mtabl.layers import (
     layer_layout,
     temporal_first,
 )
-from mtabl.network import init_network_params, topology
+from mtabl.network import init_network_params, network_forward, topology
 
 from oracles import (
+    attention_masks_scalar,
     bl_feature_first,
     bl_forward_scalar,
     mtabl_forward_scalar,
@@ -377,6 +378,30 @@ class TestBackward:
             y, cache = layer_forward(rng.normal(size=cached[:2]), make(rng, *cached))
             with pytest.raises(CacheMismatchError, match="input do not match"):
                 layer_backward(cache, make(rng, *given), np.zeros_like(y))
+
+
+@pytest.mark.parametrize("kind,heads,topo", [("tabl", 1, "A"), ("mtabl", 3, "B"),
+                                              ("mtabl", 5, "C")])
+def test_masks_keep_the_contract_perfbench_reads(rng, kind, heads, topo):
+    # cache.masks is (K, D', [B,] T), every row sums to 1, and each window's
+    # masks are the scalar oracle's, for a single window and for a batch.
+    spec = topology(topo, attention_kind=kind, heads=heads)
+    params = init_network_params(spec, 3)
+    batch = rng.normal(size=(40, 6, 10))
+    p = params[-1]
+    d_out, t = p.W1.shape[0], p.W2.shape[0]
+    heads_ = [w.tolist() for w in p.heads]
+    for x in (batch, batch[:, 4]):
+        masks = network_forward(x, spec, params)[1][-1].masks
+        windows = x.shape[1:-1]
+        assert masks.shape == (heads, d_out) + windows + (t,)
+        assert np.abs(masks.sum(axis=-1) - 1.0).max() <= 1e-12
+        x_att = network_forward(x, spec, params)[1][-1].x
+        for b in np.ndindex(windows):
+            expected = attention_masks_scalar(x_att[(slice(None),) + b].tolist(),
+                                              p.W1.tolist(), heads_)
+            got = masks[(slice(None), slice(None)) + b]
+            assert np.abs(got - np.array(expected)).max() <= 1e-12
 
 
 class TestParamPlumbing:

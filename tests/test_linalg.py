@@ -13,8 +13,8 @@ from mtabl.linalg import (
     scale,
     scope,
     softmax_rows,
-    time_major,
 )
+from mtabl.layers import LayerParams, layer_forward
 
 from oracles import _softmax_rows_loops, matmul_loops, softmax_over_rows
 
@@ -100,6 +100,16 @@ class TestHadamard:
         a, b = rng.normal(size=(2, 3)), rng.normal(size=(4, 2, 3))
         assert np.array_equal(hadamard(a, b), np.stack([a * m for m in b]))
 
+    def test_first_operand_broadcasts_over_its_unit_axes(self, rng):
+        # xbar (T, 1, R) over the (T, K, R) heads block; counted as b.
+        a, b = rng.normal(size=(5, 1, 3)), rng.normal(size=(5, 4, 3))
+        with count_multiplications() as counter:
+            out = hadamard(a, b)
+        assert np.array_equal(out, np.stack([a[:, 0] * b[:, i] for i in range(4)], axis=1))
+        assert counter.total == b.size
+        with pytest.raises(DimensionError):
+            hadamard(b, a)
+
     @settings(max_examples=25, deadline=None)
     @given(small_matrices())
     def test_commutative_exactly(self, a):
@@ -155,27 +165,42 @@ def _scores(rng, lead, t):
     return rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
 
 
+def _time_major(a):
+    """``a`` as rows that lie time-major in memory: the (..., T) view of a
+    C-ordered (T, ...) copy, as the attention layers keep their blocks."""
+    return np.moveaxis(np.moveaxis(a, -1, 0).copy(), 0, -1)
+
+
 @pytest.mark.parametrize("lead", LEADS, ids=str)
 @pytest.mark.parametrize("t", TIMES)
 class TestTimeMajorRows:
     def test_copy_puts_the_last_axis_first(self, rng, lead, t):
-        a = _scores(rng, lead, t)
-        rows = time_major(a)
-        assert rows.flags.c_contiguous and rows.shape == (t,) + lead
-        assert np.array_equal(rows, np.moveaxis(a, -1, 0))
-        out = np.empty_like(rows)
-        assert time_major(a, out) is out and np.array_equal(out, rows)
+        # The attention forward copies W1 @ X with its time axis first, and
+        # its masks and mixed features stay time-major: xbar of one window
+        # (D',) or a batch (D', B), and the masks of K = 2 heads (K, D', B).
+        d_out, batch, k = (lead[0], (), 1) if len(lead) == 1 else (lead[-2], lead[-1:], 2)
+        d = 4
+        p = LayerParams.pack(rng.normal(size=(d_out, d)), rng.normal(size=(t, 2)),
+                             rng.normal(size=(d_out, 2)), rng.normal(size=(k, t, t)),
+                             np.eye(d_out, d_out * k) if k > 1 else None, 0.5)
+        x = rng.normal(size=(d,) + batch + (t,))
+        _, cache = layer_forward(x, p)
+        expected = np.einsum("ed,d...->e...", p.W1, x)
+        assert np.abs(cache.xbar - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert (cache.masks if len(lead) == 3 else cache.xbar).shape == lead + (t,)
+        for block in (cache.xbar, cache.masks, cache.xtilde):
+            assert np.moveaxis(block, -1, 0).flags.c_contiguous
 
     def test_max_is_the_row_max_bit_for_bit(self, rng, lead, t):
         a = _scores(rng, lead, t)
-        assert time_major(a).max(axis=0).tobytes() == a.max(axis=-1).tobytes()
+        assert _time_major(a).max(axis=-1).tobytes() == a.max(axis=-1).tobytes()
 
     def test_sum_is_the_row_sum(self, rng, lead, t):
-        # numpy adds rows of 8 or more pairwise, time_major's sum in order:
-        # each is within (t - 1) * eps * sum|a| of the exact sum, so their
-        # difference is within twice that.
+        # numpy adds C-ordered rows of 8 or more pairwise, time-major rows in
+        # order: each is within (t - 1) * eps * sum|a| of the exact sum, so
+        # their difference is within twice that.
         a = _scores(rng, lead, t)
-        rows, expected = time_major(a).sum(axis=0), a.sum(axis=-1)
+        rows, expected = _time_major(a).sum(axis=-1), a.sum(axis=-1)
         if t < 8:
             assert rows.tobytes() == expected.tobytes()
         else:
@@ -184,22 +209,23 @@ class TestTimeMajorRows:
 
     def test_softmax_matches_the_row_softmax(self, rng, lead, t):
         e = _scores(rng, lead, t)
-        out, expected = softmax_rows(e), softmax_over_rows(e)
+        out, expected = softmax_rows(_time_major(e)), softmax_over_rows(e)
         if t < 8:
             assert out.tobytes() == expected.tobytes()
         else:
             # Only the normaliser's summation order differs.
             assert (np.abs(out - expected) <= t * EPS * expected).all()
+        assert softmax_rows(e).tobytes() == expected.tobytes()  # C-ordered rows
 
     def test_softmax_in_place_equals_fresh(self, rng, lead, t):
-        e = _scores(rng, lead, t)
+        e = _time_major(_scores(rng, lead, t))
         expected = softmax_rows(e)
         assert softmax_rows(e, e) is e and e.tobytes() == expected.tobytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_mask_check_rejects_a_non_finite_row(self, rng, lead, t, bad):
-        e = _scores(rng, lead, t)
+        e = _time_major(_scores(rng, lead, t))
         softmax_rows(e)
         e[(-1,) * len(lead) + (0,)] = bad
         with pytest.raises(DivergenceError, match="attention mask rows"):
@@ -208,34 +234,32 @@ class TestTimeMajorRows:
 
 @pytest.mark.parametrize("k,t,n", [(1, 10, 7), (3, 5, 4), (5, 5, 1), (2, 1, 3)])
 class TestTimeMajorBlock:
-    """Scores that a product writes time-major, (K, T, N), passed as their
-    swapped (K, N, T) view: normalised in place, written out row-major."""
+    """Scores that a product writes time-major, (T, K, N), passed as their
+    (K, N, T) view: normalised in place, in the block's own layout."""
 
     def test_softmax_matches_the_loops(self, rng, k, t, n):
-        block = 3.0 * rng.normal(size=(k, t, n))
-        rows = block.swapaxes(-1, -2)
+        block = 3.0 * rng.normal(size=(t, k, n))
+        rows = np.moveaxis(block, 0, -1)
         expected = [np.array(_softmax_rows_loops(head.tolist())) for head in rows]
-        out = np.empty((k, n, t))
-        assert softmax_rows(rows, out) is out and out.flags.c_contiguous
-        for head, want in zip(out, expected):
+        assert softmax_rows(rows, rows) is rows and block.flags.c_contiguous
+        for head, want in zip(rows, expected):
             assert (np.abs(head - want) <= 1e-12 * want).all()
-        assert block.swapaxes(-1, -2).tobytes() == out.tobytes()  # normalised in place
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_mask_check_rejects_a_non_finite_score(self, rng, k, t, n, bad):
-        block = rng.normal(size=(k, t, n))
-        block[-1, 0, -1] = bad
+        block = rng.normal(size=(t, k, n))
+        block[0, -1, -1] = bad
+        rows = np.moveaxis(block, 0, -1)
         with pytest.raises(DivergenceError, match="attention mask rows"):
-            softmax_rows(block.swapaxes(-1, -2), np.empty((k, n, t)))
+            softmax_rows(rows, rows)
 
 
-def test_time_major_and_softmax_check_out_shapes():
-    a = np.zeros((3, 4))
-    with pytest.raises(DimensionError, match="time_major"):
-        time_major(a, np.empty((3, 4)))
+def test_softmax_checks_its_out_shape():
     with pytest.raises(DimensionError, match="softmax_rows"):
-        softmax_rows(a, np.empty((1, 4)))
+        softmax_rows(np.zeros((3, 4)), np.empty((1, 4)))
+
+
 
 
 class TestPlumbing:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mtabl.network
-from mtabl.data import synth_generate
+from mtabl.data import Windows, synth_generate
 from mtabl.layers import Workspace, layer_backward, layer_forward, temporal_first
 from mtabl.linalg import matmul
 from mtabl.losses import cross_entropy, inverse_frequency_weights
@@ -42,6 +42,11 @@ STEP_PEAK_BYTES = 500_000
 # 3.46 MB measured with every layer writing the same buffers, 5.30 MB when
 # each layer kept its own.
 PREDICT_PEAK_BYTES = 4_200_000
+# Fresh allocations of one 5120-window A/TABL predict_labels after a warm-up
+# call: 4.02 MB measured, three 1.2-MB time-major blocks (projected windows,
+# masks, mixed heads); 5.37 MB when the scores took a fourth block and the
+# masks were copied out of it.
+A_PREDICT_PEAK_BYTES = 4_500_000
 
 
 def _dataset(n=215):
@@ -123,9 +128,10 @@ def test_bl_backward_allocates_no_batch_sized_array():
 
 
 def test_attention_forward_takes_its_time_major_copy_from_the_workspace():
-    # The softmax's time-major copy of the (5, 768, 5) scores comes from the
-    # layer's workspace: 93 KB measured (the row maxima and sums), against
-    # 247 KB when the copy was a fresh array.
+    # The time-major copy of xbar and the (5, 3, 256, 5) scores block come
+    # from the layer's workspace: 94 KB measured (the softmax's row scratch
+    # and numpy's buffer for its broadcast subtraction), against 247 KB when
+    # the softmax took a fresh time-major copy of the scores.
     spec = SPECS["C/mtabl5"]()
     params = init_network_params(spec, 0)
     batch = _dataset(600).train[:256]
@@ -277,3 +283,19 @@ def test_predict_layers_share_their_buffers():
     finally:
         tracemalloc.stop()
     assert peak < PREDICT_PEAK_BYTES
+
+
+def test_a_predict_allocates_three_blocks_a_chunk():
+    spec = SPECS["A/tabl"]()
+    params = init_network_params(spec, 0)
+    rng = np.random.default_rng(0)
+    windows = Windows(rng.normal(size=(INPUT[0], 5120 + INPUT[1] - 1)), np.arange(5120),
+                      rng.integers(0, 3, 5120), INPUT[1])
+    predict_labels(spec, params, windows)
+    tracemalloc.start()
+    try:
+        predict_labels(spec, params, windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < A_PREDICT_PEAK_BYTES
