@@ -116,26 +116,10 @@ class Windows:
         return np.take(self.series, self.starts[:, None] + np.arange(self.window), axis=1,
                        out=out, mode="wrap")
 
-    def covered(self) -> "Windows":
-        """The same windows over only the series columns they cover, their
-        starts shifted to match; a view of the series when those columns
-        are consecutive. The work and memory are those of the windows'
-        own columns, however far apart they lie."""
-        lo, hi = (self.starts.min(), self.starts.max() + self.window) if len(self) else (0, 0)
-        part = Windows(self.series[:, lo:hi], self.starts - lo, self.labels, self.window)
-        if self.consecutive():
-            return part
-        columns = np.unique(self.starts[:, None] + np.arange(self.window))
-        if len(columns) == hi - lo:
-            return part
-        # A window's columns are all kept, so they stay consecutive.
-        return Windows(self.series[:, columns], np.searchsorted(columns, self.starts),
-                       self.labels, self.window)
-
     def consecutive(self) -> bool:
         """Whether the windows are sorted with no gap between neighbours, as
         in a partition: then they, and every slice of them, cover
-        consecutive columns."""
+        consecutive columns, which prediction projects once per event."""
         steps = self.starts[1:] - self.starts[:-1]
         return bool(((0 <= steps) & (steps <= self.window)).all())
 
@@ -380,16 +364,14 @@ def synth_generate(n_samples: int, n_features: int = 8, window: int = 10,
 
 def save_dataset(path, dataset: Dataset) -> None:
     """Binary dataset cache of every partition's series, window starts and
-    labels; reloading reproduces the windows bit-exactly. Only the series
-    columns some window covers are written, so the cache of a subset of
-    windows is the size of that subset."""
+    labels, each series written whole; reloading reproduces the windows
+    bit-exactly."""
     from .serialize import write_container
 
     dims = dataset.sample_dims()
     blocks = []
     for name, part in dataset.partitions():
         if part:
-            part = part.covered()
             blocks += [(f"{name}/series", part.series), (f"{name}/starts", part.starts[:, None]),
                        (f"{name}/labels", part.labels[:, None])]
     # Largest first: a reader allocating in file order then takes the large

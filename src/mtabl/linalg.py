@@ -82,15 +82,23 @@ def count_multiplications() -> Iterator[MultiplicationCounter]:
         _counter = previous
 
 
-@contextmanager
-def scope(label: str) -> Iterator[None]:
-    """Attribute multiplications performed inside the block to ``label``."""
-    global _scope_label
-    previous, _scope_label = _scope_label, label
-    try:
-        yield
-    finally:
-        _scope_label = previous
+class scope:
+    """Attribute multiplications performed inside the block to ``label``;
+    a class, as a generator context manager costs about three times as
+    much to enter and leave."""
+
+    __slots__ = ("label", "previous")
+
+    def __init__(self, label: str) -> None:
+        self.label = label
+
+    def __enter__(self) -> None:
+        global _scope_label
+        self.previous, _scope_label = _scope_label, self.label
+
+    def __exit__(self, *exc) -> None:
+        global _scope_label
+        _scope_label = self.previous
 
 
 def _tick(n: int) -> None:

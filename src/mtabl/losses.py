@@ -13,18 +13,9 @@ from .linalg import Matrix
 PROB_FLOOR = 1e-300
 
 
-class CrossEntropy(tuple):
-    """``(loss, grad)`` from :func:`cross_entropy`; ``clamped`` counts the
-    true-class probabilities that were floored before the log."""
-
-    def __new__(cls, loss: float, grad: Matrix, clamped: int):
-        result = super().__new__(cls, (loss, grad))
-        result.clamped = clamped
-        return result
-
-
-def cross_entropy(probs: Matrix, label, class_weights=None) -> CrossEntropy:
-    """Summed loss and its fused gradient for one window or a batch.
+def cross_entropy(probs: Matrix, label, class_weights=None) -> tuple[float, Matrix, int]:
+    """Summed loss, its fused gradient and the count of true-class
+    probabilities floored before the log, for one window or a batch.
 
     ``probs`` is the softmax output of the network: (3, 1) with an int
     ``label``, or (3, B, 1) with an array of B labels. The loss is summed
@@ -52,7 +43,7 @@ def cross_entropy(probs: Matrix, label, class_weights=None) -> CrossEntropy:
     onehot = np.zeros_like(columns)
     onehot[classes, windows] = 1.0
     grad = (w * (columns - onehot)).reshape(probs.shape)
-    return CrossEntropy(loss, grad, int(np.count_nonzero(p < PROB_FLOOR)))
+    return loss, grad, int(np.count_nonzero(p < PROB_FLOOR))
 
 
 def inverse_frequency_weights(labels) -> np.ndarray:

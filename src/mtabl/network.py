@@ -16,19 +16,19 @@ the same workspace to every step, so the returned probabilities and
 caches are overwritten by the next forward through it.
 
 :func:`predict_labels` projects each event once when the first layer is
-not temporal-first (topology A): W1 @ X acts on each event alone, and
-consecutive windows share T-1 of their T events. A temporal-first layer
-(B and C) mixes a window's steps in X @ W2 first, so it takes the
-gathered batch. The projected windows go straight into the time-major
-block the attention layer works on, one strided copy per run of windows
-one event apart (one run per day of a partition). Probabilities stay
-within 1e-12 relative, labels equal.
+not temporal-first (topology A) and the windows are consecutive, as in a
+partition or a slice of one (:meth:`~mtabl.data.Windows.consecutive`):
+W1 @ X acts on each event alone, and consecutive windows share T-1 of
+their T events. A temporal-first layer (B and C), or a selection in any
+other order, takes the gathered batch. The projected windows go straight
+into the time-major block the attention layer works on, one strided copy
+per run of windows one event apart (one run per day of a partition).
+Probabilities stay within 1e-12 relative, labels equal.
 It sizes its chunks by doubles, not windows: a chunk takes as many windows
 as fit ``_PREDICT_DOUBLES`` (1.2 MB) in the widest buffer its forward
 writes, so memory does not grow with the selection, and A, at 30 doubles
-a window, runs 5120-window chunks where C, at 600, runs 256. A copies the
-columns that windows not consecutive cover, 400 doubles a window at most,
-so it runs 384 of those a chunk, in start order.
+a window, runs 5120-window chunks where C, at 600, runs 256; A gathers a
+selection that is not consecutive 384 windows a chunk.
 """
 
 from __future__ import annotations
@@ -295,12 +295,10 @@ def gather(windows, ws: Workspace | None = None) -> np.ndarray:
 
 def _window_doubles(params: list, projected: bool) -> int:
     """Doubles per window in the widest buffer a predict forward writes: the
-    first layer's input, W1 @ X when ``projected`` and else D x T (the
-    gathered windows, or the series columns that a scattered selection's
-    windows cover, which the per-event path copies before projecting them),
-    then per layer its output, and u = X @ W2 of a temporal-first layer or
-    the (max(K, 1), D', T) heads block (scores, masks, mixed) of a
-    feature-first one."""
+    first layer's input, W1 @ X when ``projected`` and else the gathered
+    D x T window, then per layer its output, and u = X @ W2 of a
+    temporal-first layer or the (max(K, 1), D', T) heads block (scores,
+    masks, mixed) of a feature-first one."""
     w = params[0].W1.shape[0 if projected else 1] * params[0].W2.shape[0]
     for p in params:
         (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
@@ -310,15 +308,15 @@ def _window_doubles(params: list, projected: bool) -> int:
 
 
 def _project(windows, w1: Matrix, ws: Workspace) -> np.ndarray:
-    """W1 @ X of each window, as the (D', B, T) view of a time-major
-    (T, D', B) block in the ``x`` buffer of ``ws``. W1 multiplies each
-    event the windows cover once; a run of windows one event apart is then
-    one strided copy of that product, and windows further apart are taken
-    one by one."""
-    windows = windows.covered()
-    with scope(SCOPE_PROJECT):
-        p = matmul(w1, windows.series)
+    """W1 @ X of each of the consecutive ``windows``, as the (D', B, T) view
+    of a time-major (T, D', B) block in the ``x`` buffer of ``ws``. W1
+    multiplies each event of the windows' span once; a run of windows one
+    event apart is then one strided copy of that product, and windows
+    further apart are taken one by one."""
     t, starts = windows.window, windows.starts
+    with scope(SCOPE_PROJECT):
+        p = matmul(w1, windows.series[:, starts[0]:starts[-1] + t])
+    starts = starts - starts[0]
     block = ws.take("x", (t, len(p), len(starts)))
     breaks = np.flatnonzero(starts[1:] != starts[:-1] + 1) + 1
     if len(breaks) * _RUN_WINDOWS < len(starts):
@@ -339,28 +337,22 @@ def predict_labels(spec: NetworkSpec, params: list, windows) -> list[int]:
     holds as many windows as fit ``_PREDICT_DOUBLES`` doubles in the widest
     of those buffers, so a narrow network runs few large chunks. A first
     layer that takes W1 @ X first gets each event's projection once per
-    chunk, copied time-major in place of the windows (:func:`_project`);
-    it runs windows that are not consecutive in start order."""
+    chunk of consecutive windows, copied time-major in place of the
+    windows (:func:`_project`); any other selection is gathered in the
+    caller's order."""
+    dims = (windows.series.shape[0], windows.window)
+    if dims != spec.input_dims:
+        raise DimensionError(f"input {dims} does not match network input {spec.input_dims}")
     ws = Workspace(shared=True)
-    per_event = not temporal_first(params[0])
-    projected = per_event and windows.consecutive()
-    order = None
-    if per_event and not projected:
-        # In start order, windows that share events share a chunk, so each
-        # chunk covers fewer columns, in whatever order they were drawn.
-        order = np.argsort(windows.starts, kind="stable")
-        windows = windows[order]
-        projected = windows.consecutive()
+    projected = not temporal_first(params[0]) and windows.consecutive()
     size = max(_PREDICT_DOUBLES // _window_doubles(params, projected), 1)
     labels = np.empty(len(windows), np.int64)
     for start in range(0, len(windows), size):
         chunk = windows[start:start + size]
-        x = _project(chunk, params[0].W1, ws) if per_event else gather(chunk, ws)
+        x = _project(chunk, params[0].W1, ws) if projected else gather(chunk, ws)
         # Index the result so that no chunk's caches outlive its forward.
-        probs = network_forward(x, spec, params, ws, per_event)[0]
+        probs = network_forward(x, spec, params, ws, projected)[0]
         labels[start:start + size] = np.argmax(probs[:, :, 0], axis=0)
-    if order is not None:
-        labels[order] = labels.copy()
     return labels.tolist()
 
 

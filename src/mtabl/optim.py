@@ -180,8 +180,7 @@ def batch_gradients(spec: NetworkSpec, params: NetworkParams, batch: Windows,
     if not batch:
         raise ConfigurationError("batch must be nonempty")
     probs, caches = network_forward(gather(batch, ws), spec, params, ws)
-    result = cross_entropy(probs, batch.labels, class_weights)
-    loss_sum, grad_scores = result
+    loss_sum, grad_scores, clamped = cross_entropy(probs, batch.labels, class_weights)
     if not math.isfinite(loss_sum):
         raise DivergenceError(
             f"non-finite loss, first bad values in {_first_nonfinite_layer(spec, caches)}"
@@ -189,7 +188,7 @@ def batch_gradients(spec: NetworkSpec, params: NetworkParams, batch: Windows,
     grads = network_backward(spec, params, caches, grad_scores, ws)
     inv = 1.0 / len(batch)
     grads.flat *= inv
-    return loss_sum * inv, grads, result.clamped
+    return loss_sum * inv, grads, clamped
 
 
 def _class_weights(cfg: OptimConfig, dataset: Dataset):

@@ -178,7 +178,7 @@ def gradcheck(spec: NetworkSpec, params, sample, *,
     backward, the numeric side re-evaluates the actual loss.
     """
     probs, caches = network_forward(sample.x, spec, params)
-    _, grad_scores = cross_entropy(probs, sample.label)
+    grad_scores = cross_entropy(probs, sample.label)[1]
     grads = network_backward(spec, params, caches, grad_scores)
 
     def loss_fn(p):

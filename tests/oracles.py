@@ -141,7 +141,7 @@ def per_window_gradients(spec, params, batch, class_weights=None):
     for sample in batch:
         probs, caches = network_forward(sample.x, spec, params)
         clamped += int(probs[sample.label, 0] < PROB_FLOOR)
-        loss, grad_scores = cross_entropy(probs, sample.label, class_weights)
+        loss, grad_scores, _ = cross_entropy(probs, sample.label, class_weights)
         grads = network_backward(spec, params, caches, grad_scores)
         total += grads.flat
         loss_sum += loss

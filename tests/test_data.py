@@ -449,27 +449,11 @@ class TestDatasetCache:
         subset = replace(ds, train=ds.train[:10], validation=ds.validation[5:15],
                          test=ds.test[[7, 3, 3]])
         save_dataset(sub, subset)
-        window_bytes = 40 * 10 * 8
-        assert full.stat().st_size > 3000 * window_bytes
-        assert sub.stat().st_size < 2 * 23 * window_bytes
-        # Every column of the full dataset is covered, so it is written whole.
         assert load_dataset(full).train.series.tobytes() == ds.train.series.tobytes()
         loaded = load_dataset(sub)
         for name, part in subset.partitions():
             assert getattr(loaded, name).x.tobytes() == part.x.tobytes()
             assert getattr(loaded, name).labels.tolist() == part.labels.tolist()
-
-    def test_overlapping_subset_keeps_shared_columns_once(self, tmp_path):
-        path = tmp_path / "d.txt"
-        write_day(path, n_events=60)
-        ds = split_days([path], 1, 0, 0, window=10)
-        picked = replace(ds, train=ds.train[[30, 2, 5, 2]])
-        cache = tmp_path / "cache.mtabl"
-        save_dataset(cache, picked)
-        loaded = load_dataset(cache).train
-        assert loaded.series.shape == (40, 23)  # columns 2..14 and 30..39
-        assert loaded.starts.tolist() == [13, 0, 3, 0]
-        assert loaded.x.tobytes() == picked.train.x.tobytes()
 
     def test_round_trip_with_stats(self, tmp_path):
         files_dir = tmp_path / "days"

@@ -13,19 +13,19 @@ def column(values):
 
 class TestCrossEntropy:
     def test_perfect_prediction_zero_loss(self):
-        loss, grad = cross_entropy(column([0.0, 1.0, 0.0]), 1)
+        loss, grad, _ = cross_entropy(column([0.0, 1.0, 0.0]), 1)
         assert loss == 0.0
         assert np.abs(grad).max() <= 1e-15
 
     def test_uniform_prediction(self):
-        loss, _ = cross_entropy(column([1 / 3, 1 / 3, 1 / 3]), 0)
+        loss, _, _ = cross_entropy(column([1 / 3, 1 / 3, 1 / 3]), 0)
         assert abs(loss - math.log(3.0)) <= 1e-12
 
     def test_weight_scales_loss_and_gradient(self):
         probs = column([0.2, 0.5, 0.3])
         weights = np.array([1.0, 2.0, 1.0])
-        base_loss, base_grad = cross_entropy(probs, 1)
-        loss, grad = cross_entropy(probs, 1, weights)
+        base_loss, base_grad, _ = cross_entropy(probs, 1)
+        loss, grad, _ = cross_entropy(probs, 1, weights)
         assert abs(loss - 2.0 * base_loss) <= 1e-12
         assert np.abs(grad - 2.0 * base_grad).max() <= 1e-15
 
@@ -42,7 +42,7 @@ class TestCrossEntropy:
 
         probs = np.exp(scores - scores.max())
         probs /= probs.sum()
-        _, grad = cross_entropy(probs, 2, weights)
+        _, grad, _ = cross_entropy(probs, 2, weights)
         step = 1e-7
         for i in range(3):
             up, down = scores.copy(), scores.copy()
@@ -57,12 +57,12 @@ class TestCrossEntropy:
             raw = rng.uniform(0.01, 1.0, 3)
             probs = column(raw / raw.sum())
             label = int(rng.integers(3))
-            loss, _ = cross_entropy(probs, label)
+            loss, _, _ = cross_entropy(probs, label)
             assert loss >= 0.0
             assert (loss == 0.0) == (probs[label, 0] == 1.0)
 
     def test_tiny_probability_clamped_to_finite_loss(self):
-        loss, _ = cross_entropy(column([1e-320, 0.5, 0.5]), 0)
+        loss, _, _ = cross_entropy(column([1e-320, 0.5, 0.5]), 0)
         assert math.isfinite(loss)
 
     def test_bad_inputs(self):
@@ -83,7 +83,7 @@ class TestCrossEntropy:
     @pytest.mark.parametrize("labels", [[0, 1, 2], [0.0, 1.0, 2.0], [-0.0, 2.0, 1.0],
                                         [True, False, True]])
     def test_whole_labels_of_any_dtype_accepted(self, labels):
-        loss, _ = cross_entropy(np.full((3, 3, 1), 1 / 3), np.array(labels))
+        loss, _, _ = cross_entropy(np.full((3, 3, 1), 1 / 3), np.array(labels))
         assert loss == pytest.approx(3 * math.log(3))
 
 
@@ -93,21 +93,20 @@ class TestBatchedCrossEntropy:
         probs = raw / raw.sum(axis=0)
         labels = rng.integers(0, 3, 9)
         weights = np.array([0.7, 1.5, 0.8])
-        result = cross_entropy(probs, labels, weights)
-        loss, grad = result
+        loss, grad, clamped = cross_entropy(probs, labels, weights)
         singles = [cross_entropy(probs[:, b], int(labels[b]), weights) for b in range(9)]
-        assert abs(loss - sum(l for l, _ in singles)) <= 1e-12
+        assert abs(loss - sum(l for l, _, _ in singles)) <= 1e-12
         assert grad.shape == probs.shape
-        for b, (_, g) in enumerate(singles):
+        for b, (_, g, _) in enumerate(singles):
             assert np.array_equal(grad[:, b], g)
-        assert result.clamped == 0
+        assert clamped == 0
 
     def test_counts_floored_probabilities(self):
         probs = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.0, 0.0, 0.0]])[:, :, None]
-        result = cross_entropy(probs, np.array([0, 2, 2]))
-        assert result.clamped == 2
-        assert math.isfinite(result[0])
-        assert cross_entropy(column([1e-320, 0.5, 0.5]), 0).clamped == 1
+        loss, _, clamped = cross_entropy(probs, np.array([0, 2, 2]))
+        assert clamped == 2
+        assert math.isfinite(loss)
+        assert cross_entropy(column([1e-320, 0.5, 0.5]), 0)[2] == 1
 
     def test_bad_batched_inputs(self):
         probs = np.full((3, 4, 1), 1 / 3)

@@ -101,7 +101,7 @@ class TestForwardBackward:
         x = rng.normal(size=(5, 4))
         label = 2
         probs, caches = network_forward(x, spec, params)
-        _, grad_scores = cross_entropy(probs, label)
+        _, grad_scores, _ = cross_entropy(probs, label)
         # network_backward never computes layer 0's dL/dx; the layers give it,
         # along the same sweep.
         grads = params.like(np.zeros_like(params.flat))

@@ -120,7 +120,7 @@ class TestStep:
         spec = spec_for(ds, kind="tabl", heads=1)
         params = init_network_params(spec, 8)
         probs, caches = network_forward(sample.x, spec, params)
-        _, grad_scores = cross_entropy(probs, sample.label)
+        _, grad_scores, _ = cross_entropy(probs, sample.label)
         grads = network_backward(spec, params, caches, grad_scores)
         cfg = OptimConfig(algorithm="sgd-momentum", learning_rate=0.1, momentum=0.9)
         state = TrainState.initial(params, cfg)
@@ -160,7 +160,7 @@ class TestBatchGradients:
         losses = []
         for s in batch:
             probs, caches = network_forward(s.x, spec, params)
-            l, gs = cross_entropy(probs, s.label)
+            l, gs, _ = cross_entropy(probs, s.label)
             g = network_backward(spec, params, caches, gs)
             per_sample.append(g)
             losses.append(l)

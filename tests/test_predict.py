@@ -1,9 +1,9 @@
 """predict_labels against the gathered forward it shortcuts.
 
 A first layer that projects features first (topology A) takes W1 @ X once
-per event its windows cover, then gathers the windows of that projected
-series; a temporal-first first layer (topologies B and C) takes the
-gathered (D, B, T) batch. The per-event product runs over other matrix
+per event of consecutive windows, then copies the windows of that
+projected series; a temporal-first first layer (topologies B and C), or a
+selection that is not consecutive, takes the gathered (D, B, T) batch. The per-event product runs over other matrix
 shapes than the gathered one, so its probabilities may differ in the last
 bits: they must stay within 1e-12 relative of the gathered forward, and
 the labels must be equal.
@@ -60,6 +60,8 @@ CHUNK = {
     "C/mtabl5": 256,  # 600: the outputs of both BL layers
     "C/mtabl5-30x10-200x5": 153,  # 1000: the (200, 5) output
 }
+# A gathers windows that are not consecutive, 400 doubles a window.
+SCATTERED_CHUNK = 384
 
 
 def day_windows(events=(300, 250, 200), seed=0):
@@ -88,14 +90,6 @@ def recorded(monkeypatch):
     return calls
 
 
-def run_order(windows):
-    """The order in which the per-event path runs the windows: start order
-    when they are not consecutive."""
-    if windows.consecutive():
-        return np.arange(len(windows))
-    return np.argsort(windows.starts, kind="stable")
-
-
 def selections():
     part = day_windows()
     rng = np.random.default_rng(1)
@@ -121,19 +115,21 @@ def test_per_event_path_matches_the_gathered_forward(monkeypatch, name, case, se
 
     gathered = network_forward(windows.x, spec, params)[0][:, :, 0]
     assert labels == np.argmax(gathered, axis=0).tolist()
-    chunk = CHUNK[name]
-    assert [x.shape for x, _, _ in calls] == [
-        (3, len(windows[i:i + chunk]), WINDOW) for i in range(0, len(windows), chunk)]
-    assert all(projected for _, projected, _ in calls)
+    # Windows that are not consecutive take the gathered path.
+    projected = windows.consecutive()
+    assert projected == (case != "gaps and repeats")
+    rows, chunk = (3, CHUNK[name]) if projected else (N_FEATURES, SCATTERED_CHUNK)
+    assert [(x.shape, p) for x, p, _ in calls] == [
+        ((rows, len(windows[i:i + chunk]), WINDOW), projected)
+        for i in range(0, len(windows), chunk)]
     probs = np.concatenate([p[:, :, 0] for _, _, p in calls], axis=1)
-    gathered = gathered[:, run_order(windows)]
     assert np.all(np.abs(probs - gathered) <= REL_TOL * np.abs(gathered))
 
 
 @pytest.mark.parametrize("name", ["A/tabl", "A/mtabl3"])
 def test_scattered_selection_runs_chunks_its_copy_fits(monkeypatch, name):
-    # A chunk of windows that are not consecutive copies the series columns
-    # they cover, up to 40 x 10 doubles a window: 384 windows a chunk.
+    # Windows that are not consecutive are gathered in the caller's order,
+    # 40 x 10 doubles a window: 384 windows a chunk.
     spec = SPECS[name]()
     params = init_network_params(spec, 0)
     day = day_windows((6000,))
@@ -141,12 +137,16 @@ def test_scattered_selection_runs_chunks_its_copy_fits(monkeypatch, name):
     assert not windows.consecutive()
     calls = recorded(monkeypatch)
     labels = predict_labels(spec, params, windows)
-    assert [x.shape[1] for x, _, _ in calls] == [384, 384, 232]
-    gathered = network_forward(windows.x, spec, params)[0][:, :, 0]
-    assert labels == np.argmax(gathered, axis=0).tolist()
-    probs = np.concatenate([p[:, :, 0] for _, _, p in calls], axis=1)
-    gathered = gathered[:, run_order(windows)]
-    assert np.all(np.abs(probs - gathered) <= REL_TOL * np.abs(gathered))
+    assert [(x.shape, p) for x, p, _ in calls] == [
+        ((N_FEATURES, n, WINDOW), False) for n in (384, 384, 232)]
+    expected = []
+    for (x, _, probs), start in zip(calls, (0, 384, 768)):
+        chunk = windows[start:start + x.shape[1]].x
+        assert x.tobytes() == chunk.tobytes()
+        fresh = network_forward(chunk, spec, params)[0]
+        assert probs.tobytes() == fresh.tobytes()
+        expected += np.argmax(fresh[:, :, 0], axis=0).tolist()
+    assert labels == expected
 
 
 def test_empty_selection_predicts_nothing(monkeypatch):
@@ -169,6 +169,17 @@ def test_temporal_first_networks_take_the_gathered_batch(monkeypatch, name):
     assert calls[0][0].tobytes() == windows[:256].x.tobytes()
     probs = network_forward(windows.x, spec, params)[0]
     assert labels == np.argmax(probs[:, :, 0], axis=0).tolist()
+
+
+@pytest.mark.parametrize("dims", [(8, WINDOW), (N_FEATURES, 8)])
+@pytest.mark.parametrize("name", ["A/tabl", "C/mtabl5"])
+def test_windows_of_the_wrong_shape_raise_alike_on_both_paths(name, dims):
+    spec = SPECS[name]()
+    params = init_network_params(spec, 0)
+    (d, t), n = dims, 300
+    windows = Windows(np.zeros((d, n)), np.arange(n - t + 1), np.zeros(n - t + 1, np.int64), t)
+    with pytest.raises(DimensionError, match="does not match network input"):
+        predict_labels(spec, params, windows)
 
 
 def test_projected_input_of_the_wrong_shape_raises():

@@ -194,7 +194,7 @@ def test_backward_with_workspace_skips_only_the_input_gradient():
     params = init_network_params(spec, 2)
     batch = _dataset().train[:32]
     probs, caches = network_forward(batch.x, spec, params)
-    _, grad_scores = cross_entropy(probs, batch.labels)
+    _, grad_scores, _ = cross_entropy(probs, batch.labels)
     grads = network_backward(spec, params, caches, grad_scores)
 
     ws = Workspace()
@@ -263,8 +263,9 @@ def test_predict_through_the_shared_workspace_is_bit_identical(monkeypatch, name
         chunk = windows[start:start + n]
         assert in_x and projected == (not temporal_first(params[0]))
         if projected:
-            chunk = chunk.covered()
-            chunk = replace(chunk, series=matmul(params[0].W1, chunk.series))
+            lo, hi = chunk.starts[0], chunk.starts[-1] + chunk.window
+            chunk = replace(chunk, series=matmul(params[0].W1, chunk.series[:, lo:hi]),
+                            starts=chunk.starts - lo)
         fresh = network_forward(chunk.gather(), spec, params, None, projected)[0]
         assert probs.tobytes() == fresh.tobytes()
         expected += np.argmax(fresh[:, :, 0], axis=0).tolist()
