@@ -2,8 +2,9 @@
 
 Subcommands: train, eval, gradcheck, complexity, synth. train and gradcheck
 run a :class:`RunConfig`: its defaults, overridden by a JSON file
-(``--config``), overridden by explicit flags. train writes the effective
-configuration next to its outputs; fed back in, it reproduces the run.
+(``--config``, which may hold a whole run), overridden by flags for the keys
+the command reads. train writes the effective configuration next to its
+outputs; fed back in, it reproduces the run.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 data error,
 4 numeric failure (divergence or a failed gradient check).
@@ -84,8 +85,6 @@ class RunConfig:
         check_choices(self)
         if not 1 <= self.heads <= 8:
             raise ConfigurationError(f"heads must lie in [1, 8], got {self.heads}")
-        if self.layer == KIND_TABL and self.heads != 1:
-            raise ConfigurationError("heads above 1 requires layer mtabl")
         if self.window < 1:
             raise ConfigurationError("window must be positive")
         if not self.seeds or min(self.seeds) < 0 or self.synth_seed < 0:
@@ -93,17 +92,22 @@ class RunConfig:
                                      f"int >= 0, got {self.seeds} and {self.synth_seed}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError(f"seeds must not repeat, got {self.seeds}")
+        if self.optim.seed != 0:
+            raise ConfigurationError("optim.seed must be 0: each run takes its seed from seeds")
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser, keys) -> None:
+    """--config, --seed and a flag for each RunConfig or OptimConfig field in ``keys``."""
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--seeds", type=int, help="number of independent seeded runs")
+    if "seeds" in keys:
+        p.add_argument("--seeds", type=int, help="number of independent seeded runs")
     p.add_argument("--seed", type=int, help="base seed for the first run")
-    p.add_argument("--lr", type=float, dest="learning_rate")
+    if "learning_rate" in keys:
+        p.add_argument("--lr", type=float, dest="learning_rate")
     for cls in (RunConfig, OptimConfig):
         kinds = get_type_hints(cls)
         for f in fields(cls):
-            if f.name in ("seeds", "optim", "seed", "learning_rate"):
+            if f.name not in keys or f.name in ("seeds", "optim", "seed", "learning_rate"):
                 continue
             flag, kind = "--" + f.name.replace("_", "-"), kinds[f.name]
             if kind is bool:
@@ -120,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train one network per seed and aggregate")
-    _add_run_flags(p_train)
+    _add_run_flags(p_train, [f.name for cls in (RunConfig, OptimConfig) for f in fields(cls)])
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
@@ -131,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", help="where to write the report files")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    _add_run_flags(p_grad)
+    _add_run_flags(p_grad, ["topology", "layer", "heads", "window", "data", "synth",
+                            "synth_features", "fix_attention_diag"])
     p_grad.add_argument("--step", type=float, default=1e-5)
     p_grad.add_argument("--threshold", type=float, default=1e-4)
 
@@ -188,15 +193,16 @@ def run_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(values, dict):
             raise ConfigurationError(f"config file {args.config} must hold a JSON object")
         _check_value(values, RunConfig, "")
-    flags = {k: v for k, v in vars(args).items() if v is not None and k not in ("seed", "seeds")}
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    seed, count = flags.pop("seed", None), flags.pop("seeds", None)
     optim_flags = {f.name: flags[f.name] for f in fields(OptimConfig) if f.name in flags}
     optim = OptimConfig(**{**values.pop("optim", {}), **optim_flags})
     run_flags = {f.name: flags[f.name] for f in fields(RunConfig) if f.name in flags}
     cfg = RunConfig(**{**values, **run_flags, "optim": optim})
-    if args.seed is None and args.seeds is None:
+    if seed is None and count is None:
         return cfg
-    base = cfg.seeds[0] if args.seed is None else args.seed
-    count = len(cfg.seeds) if args.seeds is None else args.seeds
+    base = cfg.seeds[0] if seed is None else seed
+    count = len(cfg.seeds) if count is None else count
     return replace(cfg, seeds=list(range(base, base + count)))
 
 

@@ -156,7 +156,7 @@ def topology(name: str, *, input_dims: tuple[int, int] = (40, 10),
 
     A is the attention layer alone; B puts one BL layer in front of it;
     C puts two. Hidden shapes default to :data:`DEFAULT_HIDDEN` and can be
-    overridden per layer.
+    overridden per layer. A tabl attention layer takes exactly one head.
     """
     name = name.upper()
     if name not in DEFAULT_HIDDEN:
@@ -172,7 +172,7 @@ def topology(name: str, *, input_dims: tuple[int, int] = (40, 10),
               for dims in hidden]
     layers.append(LayerSpec(kind=attention_kind, out_dims=(N_CLASSES, 1),
                             activation="softmax", fix_attention_diag=fix_attention_diag,
-                            heads=heads if attention_kind == KIND_MTABL else 1))
+                            heads=heads))
     return NetworkSpec(input_dims=input_dims, layers=tuple(layers))
 
 

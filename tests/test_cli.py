@@ -108,14 +108,23 @@ def flag_surface(command):
     return surface
 
 
+RUN_FLAGS = {**PARENT_RUN_FLAGS, **ADDED_RUN_FLAGS}
+# The run flags each command keeps: gradcheck reads only the network's keys
+# and the first run's seed.
+COMMAND_RUN_FLAGS = {
+    "train": list(RUN_FLAGS),
+    "gradcheck": ["--config", "--seed", "--topology", "--layer", "--heads", "--window",
+                  "--data", "--synth", "--synth-features", "--fix-attention-diag"],
+}
+
+
 @pytest.mark.parametrize("command,extra", [
     ("train", {}),
     ("gradcheck", {"--step": ("step", float, None, 1e-5),
                    "--threshold": ("threshold", float, None, 1e-4)}),
 ])
 def test_run_flags_keep_the_parents(command, extra):
-    expected = {option: (*spec, None)
-                for option, spec in {**PARENT_RUN_FLAGS, **ADDED_RUN_FLAGS}.items()}
+    expected = {option: (*RUN_FLAGS[option], None) for option in COMMAND_RUN_FLAGS[command]}
     assert flag_surface(command) == {**expected, **extra}
 
 
@@ -183,7 +192,8 @@ class TestTrainCommand:
         ([], {"topology": "Z", "synth": True}, 2),
         (["--data", "absent"], None, 3),
         (["--synth", "--seed", "-1"], None, 2),
-    ], ids=["batch-size-0", "topology-z", "missing-data-dir", "negative-seed"])
+        (["--synth", "--heads", "2"], None, 2),
+    ], ids=["batch-size-0", "topology-z", "missing-data-dir", "negative-seed", "tabl-two-heads"])
     def test_failed_run_writes_nothing(self, tmp_path, monkeypatch, extra, config, code):
         monkeypatch.chdir(tmp_path)
         if config is not None:
@@ -243,9 +253,10 @@ class TestTrainCommand:
         ('{"synth": "no"}', 2, "'synth'"),
         ('{"horizon": 7}', 2, "horizon"),
         ('{"seeds": [0, 0]}', 2, "seeds must not repeat"),
+        ('{"optim": {"seed": 5}}', 2, "optim.seed"),
     ], ids=["json-list", "not-json", "directory", "heads-str", "heads-float", "optim-list",
             "seeds-int", "optim-unknown-key", "lr-str", "synth-str", "horizon-choice",
-            "seeds-repeated"])
+            "seeds-repeated", "optim-seed"])
     def test_bad_config_file(self, tmp_path, capsys, content, code, named):
         config = tmp_path / "config.json"
         if content is None:
@@ -381,6 +392,33 @@ class TestGradcheckCommand:
                     "--heads", "3", "--window", "6",
                     "--synth-features", "5"]) == 0
         assert "passed=True" in capsys.readouterr().out
+
+    def test_train_config_gives_the_flags_check(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(train_args(out, seeds=1, epochs=1, extra=["--seed", "3"])) == 0
+        capsys.readouterr()
+        assert run(["gradcheck", "--config", str(out / "config.json")]) == 0
+        from_config = capsys.readouterr().out
+        assert run(["gradcheck", "--synth", "--synth-features", "6", "--window", "8",
+                    "--layer", "mtabl", "--heads", "2", "--seed", "3"]) == 0
+        from_flags = capsys.readouterr().out
+        assert from_config.splitlines()[0] == from_flags.splitlines()[0]
+        assert "passed=True" in from_config
+
+    @pytest.mark.parametrize("flag", ["--step=0", "--step=nan", "--step=inf", "--step=-1e-5",
+                                      "--threshold=inf", "--threshold=nan"])
+    def test_step_and_threshold_that_test_nothing_exit_2(self, capsys, flag):
+        # In process, so an exception escaping main fails the test.
+        assert run(["gradcheck", "--window", "4", "--synth-features", "3", flag]) == 2
+        err = capsys.readouterr().err
+        assert "step must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--max-epochs=999", "--horizon=100", "--lr-decay=5",
+                                      "--out=run", "--seeds=2"])
+    def test_train_only_flags_are_refused(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(["gradcheck", flag])
+        assert exc.value.code == 2
 
 
 class TestComplexityCommand:

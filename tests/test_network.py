@@ -37,6 +37,11 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             LayerSpec(kind="bl", out_dims=(3, 1), heads=2)
 
+    @pytest.mark.parametrize("name", ["A", "C"])
+    def test_topology_with_tabl_rejects_heads(self, name):
+        with pytest.raises(ConfigurationError, match="one head"):
+            topology(name, heads=3)
+
     def test_topology_presets_chain(self):
         for name, depth in (("A", 1), ("B", 2), ("C", 3)):
             spec = topology(name, input_dims=(40, 10), attention_kind="mtabl", heads=3)

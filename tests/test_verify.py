@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mtabl.data import SeriesSample
+from mtabl.errors import ConfigurationError
 from mtabl.layers import LayerParams, layer_backward, layer_forward, temporal_first
 from mtabl.network import init_network_params, topology
 from mtabl.verify import (
@@ -90,6 +91,48 @@ class TestGradcheckLayer:
         worst = compare_to_finite_differences(loss_fn, params, corrupted).worst_block()
         assert worst.name == "heads"
         assert worst.worst_coord == (k, i, j)
+
+    def test_tie_names_the_coordinate_furthest_off(self):
+        # A linear loss: every central difference lies far within the
+        # quotient's resolution (3.6e-10 here), so every coordinate scores 0.
+        params, _, _ = random_layer_case("tabl", np.random.default_rng(3))
+        slope = np.random.default_rng(4).normal(0.0, 1e-3, params.flat.size)
+        analytic = params.like(slope.copy())
+        i, j = analytic.W1.shape[0] - 1, analytic.W1.shape[1] - 1
+        analytic.W1[i, j] += 1e-10
+        report = compare_to_finite_differences(lambda p: float(slope @ p.flat), params, analytic)
+        assert report.passed and report.max_rel_err == 0.0
+        assert report.blocks["W1"].worst_coord == (i, j)
+
+    def test_non_finite_analytic_gradient_fails(self):
+        params, activation, x = random_layer_case("tabl", np.random.default_rng(3))
+        y0, cache = layer_forward(x, params, activation)
+        analytic, _ = layer_backward(cache, params, y0)
+        i, j = analytic.W2.shape[0] - 1, analytic.W2.shape[1] - 1
+        analytic.W2[i, j] = np.nan
+
+        def loss_fn(p):
+            return 0.5 * float(np.sum(layer_forward(x, p, activation)[0] ** 2))
+
+        report = compare_to_finite_differences(loss_fn, params, analytic)
+        assert not report.passed
+        assert report.worst_block().name == "W2"
+        assert report.worst_block().worst_coord == (i, j)
+
+    def test_check_that_tested_nothing_fails(self):
+        params, _, _ = random_layer_case("tabl", np.random.default_rng(3))
+        report = compare_to_finite_differences(lambda p: float("nan"), params, params)
+        assert len(report.untestable) == params.flat.size
+        assert not report.blocks and not report.passed
+
+    @pytest.mark.parametrize("step,threshold", [(0.0, 1e-4), (float("nan"), 1e-4),
+                                                (float("inf"), 1e-4), (-1e-5, 1e-4),
+                                                (1e-5, float("inf")), (1e-5, -1.0)])
+    def test_step_and_threshold_must_be_usable(self, step, threshold):
+        params, _, _ = random_layer_case("tabl", np.random.default_rng(3))
+        with pytest.raises(ConfigurationError, match="step must be finite"):
+            compare_to_finite_differences(lambda p: 0.0, params, params,
+                                          step=step, threshold=threshold)
 
     def test_boundary_lam_marked_untestable_not_failed(self):
         rng = np.random.default_rng(5)
