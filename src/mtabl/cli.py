@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Subcommands: train, eval, gradcheck, complexity, synth. train and gradcheck
-run a :class:`RunConfig`: its defaults, overridden by a JSON file
-(``--config``, which may hold a whole run), overridden by flags for the keys
-the command reads. train writes the effective configuration next to its
-outputs; fed back in, it reproduces the run.
+Subcommands: train, eval, gradcheck, complexity. train and gradcheck run a
+:class:`RunConfig`: its defaults, overridden by a JSON file (``--config``,
+which may hold a whole run), overridden by flags for the keys the command
+reads. A run's data come from day files (``data``) or the generator
+(``synth``), never both. train writes the effective configuration next to
+its outputs; fed back in, it reproduces the run.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 data error,
 4 numeric failure (divergence or a failed gradient check).
@@ -94,6 +95,8 @@ class RunConfig:
             raise ConfigurationError(f"seeds must not repeat, got {self.seeds}")
         if self.optim.seed != 0:
             raise ConfigurationError("optim.seed must be 0: each run takes its seed from seeds")
+        if self.synth and self.data is not None:
+            raise ConfigurationError("data and synth exclude each other: pick one data source")
 
 
 def _add_run_flags(p: argparse.ArgumentParser, keys) -> None:
@@ -135,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", help="where to write the report files")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    _add_run_flags(p_grad, ["topology", "layer", "heads", "window", "data", "synth",
-                            "synth_features", "fix_attention_diag"])
+    _add_run_flags(p_grad, ["topology", "layer", "heads", "window", "synth_features",
+                            "fix_attention_diag"])
     p_grad.add_argument("--step", type=float, default=1e-5)
     p_grad.add_argument("--threshold", type=float, default=1e-4)
 
@@ -148,14 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cx.add_argument("--measure", action="store_true",
                       help="also run the instrumented forward and compare")
     p_cx.add_argument("--out", help="optional JSON output path")
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic dataset cache")
-    p_synth.add_argument("--samples", type=int, default=240)
-    p_synth.add_argument("--features", type=int, default=8)
-    p_synth.add_argument("--window", type=int, default=10)
-    p_synth.add_argument("--difficulty", choices=["single", "multi"], default="single")
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--out", required=True, help="cache file to write")
     return parser
 
 
@@ -208,7 +203,7 @@ def run_config(args: argparse.Namespace) -> RunConfig:
 
 def _network(cfg: RunConfig) -> NetworkSpec:
     """The run's network; only day files give N_FEATURES feature rows."""
-    features = cfg.synth_features if cfg.synth or cfg.data is None else data_mod.N_FEATURES
+    features = cfg.synth_features if cfg.data is None else data_mod.N_FEATURES
     return topology(cfg.topology, input_dims=(features, cfg.window), attention_kind=cfg.layer,
                     heads=cfg.heads, fix_attention_diag=cfg.fix_attention_diag)
 
@@ -351,7 +346,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    # Runs on random data, so a dataset is optional.
+    # Runs on random data: a run's data source only sets the feature count.
     cfg = run_config(args)
     rng = np.random.default_rng(cfg.seeds[0])
     spec = _network(cfg)
@@ -389,24 +384,11 @@ def cmd_complexity(args) -> int:
     return EXIT_OK
 
 
-def cmd_synth(args) -> int:
-    dataset = data_mod.synth_generate(
-        args.samples, n_features=args.features, window=args.window,
-        seed=args.seed, difficulty=args.difficulty,
-    )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    data_mod.save_dataset(out, dataset)
-    counts = {name: len(part) for name, part in dataset.partitions()}
-    print(f"wrote {out}: {counts}")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {"train": cmd_train, "eval": cmd_eval, "gradcheck": cmd_gradcheck,
-                "complexity": cmd_complexity, "synth": cmd_synth}
+                "complexity": cmd_complexity}
     try:
         return handlers[args.command](args)
     except (ConfigurationError, ConstraintError, DimensionError) as err:

@@ -160,7 +160,7 @@ class Dataset:
                 return part.series.shape[0], part.window
         raise ConfigurationError("dataset has no samples")
 
-    def labels(self, partition: str = "train") -> list[int]:
+    def labels(self, partition: str) -> list[int]:
         return getattr(self, partition).labels.tolist()
 
 
@@ -271,7 +271,8 @@ def split_days(files, train_days: int, val_days: int, test_days: int, *,
     ``val_days`` validation, the next ``test_days`` test. Days are never
     shared between partitions. With training days, every partition is
     z-scored with their statistics (:func:`normalize`); with none, the
-    series stay raw and the dataset carries no statistics.
+    series stay raw and the dataset carries no statistics. The provenance
+    records each file's name, not its path.
     """
     files = [str(f) for f in files]
     needed = train_days + val_days + test_days
@@ -289,7 +290,7 @@ def split_days(files, train_days: int, val_days: int, test_days: int, *,
     dataset = Dataset(
         train=train, validation=validation, test=test,
         provenance={
-            "files": files[:needed], "window": window, "horizon": horizon,
+            "files": [Path(f).name for f in files[:needed]], "window": window, "horizon": horizon,
             "split": [train_days, val_days, test_days], "transposed": transposed,
         },
     )

@@ -264,7 +264,7 @@ class LayerCache:
     xtilde: Matrix | None
     z: Matrix  # with a workspace, y overwrites it: the backward reads only z > 0
     y: Matrix
-    u: Matrix | None = None
+    u: Matrix | None
 
 
 def apply_activation(z: Matrix, kind: str, out: Matrix | None = None) -> Matrix:
@@ -284,7 +284,7 @@ def apply_activation(z: Matrix, kind: str, out: Matrix | None = None) -> Matrix:
     raise ConfigurationError(f"unknown activation {kind!r}")
 
 
-def activation_backward(grad_y: Matrix, cache: LayerCache, ws: Workspace | None = None) -> Matrix:
+def activation_backward(grad_y: Matrix, cache: LayerCache, ws: Workspace | None) -> Matrix:
     """Pull the upstream gradient back through the activation: dL/dy -> dL/dz,
     into the ``grad`` buffer of ``ws`` when given; identity returns ``grad_y``."""
     kind, out = cache.activation, buffer(ws, "grad", grad_y.shape)

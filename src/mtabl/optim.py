@@ -95,7 +95,7 @@ class EpochRecord:
     learning_rate: float
     lambdas: list[float]
     clamp_events: int
-    val_report: EvalReport | None = None
+    val_report: EvalReport | None
 
     def to_dict(self) -> dict:
         d = {k: v for k, v in vars(self).items() if k != "val_report"}

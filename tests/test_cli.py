@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mtabl.cli import build_parser, main, run_config
-from mtabl.data import load_dataset
+from mtabl.data import load_dataset, save_dataset, synth_generate
 from mtabl.serialize import load_checkpoint, read_container, save_checkpoint, write_container
 
 
@@ -110,11 +110,11 @@ def flag_surface(command):
 
 RUN_FLAGS = {**PARENT_RUN_FLAGS, **ADDED_RUN_FLAGS}
 # The run flags each command keeps: gradcheck reads only the network's keys
-# and the first run's seed.
+# and the first run's seed; its feature count comes from --synth-features.
 COMMAND_RUN_FLAGS = {
     "train": list(RUN_FLAGS),
     "gradcheck": ["--config", "--seed", "--topology", "--layer", "--heads", "--window",
-                  "--data", "--synth", "--synth-features", "--fix-attention-diag"],
+                  "--synth-features", "--fix-attention-diag"],
 }
 
 
@@ -171,6 +171,20 @@ class TestTrainCommand:
         effective = json.loads((out / "config.json").read_text())
         assert effective == {**PARENT_CONFIG, "out": str(out)}
 
+    def test_synthetic_run_writes_the_generators_cache(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["train", "--synth", "--synth-samples", "45", "--synth-features", "5",
+                    "--window", "6", "--synth-difficulty", "multi", "--synth-seed", "3",
+                    "--max-epochs", "1", "--out", str(out)]) == 0
+        ds = load_dataset(out / "dataset.mtabl")
+        assert sum(len(part) for _, part in ds.partitions()) == 45
+        assert ds.sample_dims() == (5, 6)
+        assert ds.provenance["difficulty"] == "multi"
+        # The library call that writes a cache without training writes the same bytes.
+        save_dataset(tmp_path / "lib.mtabl",
+                     synth_generate(45, n_features=5, window=6, seed=3, difficulty="multi"))
+        assert (tmp_path / "lib.mtabl").read_bytes() == (out / "dataset.mtabl").read_bytes()
+
     def test_default_config_keeps_the_parents(self, tmp_path):
         out = tmp_path / "run"
         assert run(["train", "--synth", "--max-epochs", "1", "--out", str(out)]) == 0
@@ -193,7 +207,9 @@ class TestTrainCommand:
         (["--data", "absent"], None, 3),
         (["--synth", "--seed", "-1"], None, 2),
         (["--synth", "--heads", "2"], None, 2),
-    ], ids=["batch-size-0", "topology-z", "missing-data-dir", "negative-seed", "tabl-two-heads"])
+        (["--synth", "--data", "X"], None, 2),
+    ], ids=["batch-size-0", "topology-z", "missing-data-dir", "negative-seed", "tabl-two-heads",
+            "synth-and-data"])
     def test_failed_run_writes_nothing(self, tmp_path, monkeypatch, extra, config, code):
         monkeypatch.chdir(tmp_path)
         if config is not None:
@@ -399,11 +415,24 @@ class TestGradcheckCommand:
         capsys.readouterr()
         assert run(["gradcheck", "--config", str(out / "config.json")]) == 0
         from_config = capsys.readouterr().out
-        assert run(["gradcheck", "--synth", "--synth-features", "6", "--window", "8",
+        assert run(["gradcheck", "--synth-features", "6", "--window", "8",
                     "--layer", "mtabl", "--heads", "2", "--seed", "3"]) == 0
         from_flags = capsys.readouterr().out
         assert from_config.splitlines()[0] == from_flags.splitlines()[0]
         assert "passed=True" in from_config
+
+    def test_day_file_run_config_checks_forty_features(self, tmp_path, capsys):
+        day_dir = tmp_path / "days"
+        write_days(day_dir)
+        out = tmp_path / "run"
+        assert run(["train", "--data", str(day_dir), "--train-days", "2", "--val-days", "1",
+                    "--test-days", "1", "--seeds", "1", "--max-epochs", "1",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["gradcheck", "--config", str(out / "config.json")]) == 0
+        from_config = capsys.readouterr().out
+        assert run(["gradcheck", "--synth-features", "40"]) == 0
+        assert from_config == capsys.readouterr().out and "passed=True" in from_config
 
     @pytest.mark.parametrize("flag", ["--step=0", "--step=nan", "--step=inf", "--step=-1e-5",
                                       "--threshold=inf", "--threshold=nan"])
@@ -414,7 +443,7 @@ class TestGradcheckCommand:
         assert "step must be finite" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--max-epochs=999", "--horizon=100", "--lr-decay=5",
-                                      "--out=run", "--seeds=2"])
+                                      "--out=run", "--seeds=2", "--data=.", "--synth"])
     def test_train_only_flags_are_refused(self, flag):
         with pytest.raises(SystemExit) as exc:
             run(["gradcheck", flag])
@@ -436,19 +465,6 @@ class TestComplexityCommand:
 
     def test_bad_range(self):
         assert run(["complexity", "--heads-range", "3", "1"]) == 2
-
-
-class TestSynthCommand:
-    def test_writes_loadable_cache(self, tmp_path, capsys):
-        out = tmp_path / "synth.mtabl"
-        assert run(["synth", "--samples", "45", "--features", "5",
-                    "--window", "6", "--difficulty", "multi",
-                    "--seed", "3", "--out", str(out)]) == 0
-        ds = load_dataset(out)
-        total = sum(len(part) for _, part in ds.partitions())
-        assert total == 45
-        assert ds.sample_dims() == (5, 6)
-        assert ds.provenance["difficulty"] == "multi"
 
 
 def test_usage_error_on_unknown_command():

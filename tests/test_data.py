@@ -185,7 +185,8 @@ class TestSplitAndNormalize:
         assert len(ds.train) == 6 * per_day
         assert len(ds.validation) == 1 * per_day
         assert len(ds.test) == 3 * per_day
-        assert ds.provenance["files"] == files
+        # Names, not paths: the cache does not depend on where the days lie.
+        assert ds.provenance["files"] == [f"day{i:02d}.txt" for i in range(10)]
 
     def test_no_sample_leakage_between_partitions(self, tmp_path):
         files = self.make_files(tmp_path)
