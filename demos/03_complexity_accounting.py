@@ -53,7 +53,7 @@ WINDOWS = 256
 spec = topology("C", input_dims=(D, T), attention_kind="mtabl", heads=5)
 params = init_network_params(spec, 0)
 rng = np.random.default_rng(0)
-batch = Windows.separate(rng.normal(size=(D, WINDOWS, T)),
+batch = Windows.separate(rng.normal(size=(D, T, WINDOWS)),
                          rng.integers(3, size=WINDOWS).tolist())
 with count_multiplications() as counter:
     batch_gradients(spec, params, batch, None)

@@ -131,8 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--dataset-cache", help="dataset container written by train")
-    p_eval.add_argument("--data", help="directory of day files")
+    source = p_eval.add_mutually_exclusive_group()
+    source.add_argument("--dataset-cache", help="dataset container written by train "
+                        "(default: the one the checkpoint records)")
+    source.add_argument("--data", help="directory of day files")
     p_eval.add_argument("--split", choices=["train", "validation", "test"],
                         default="test")
     p_eval.add_argument("--out", help="where to write the report files")
@@ -317,9 +319,6 @@ def _check_preprocessing(path, meta: dict) -> None:
 
 def cmd_eval(args) -> int:
     spec, params, meta = load_checkpoint(args.checkpoint)
-    cache = args.dataset_cache or meta.get("dataset_cache")
-    if cache is not None and not isinstance(cache, str):
-        raise FormatError(f"{args.checkpoint}: dataset_cache is {cache!r}, expected a path")
     if args.data:
         files = _day_files(args.data)
         _check_preprocessing(args.checkpoint, meta)
@@ -329,10 +328,15 @@ def cmd_eval(args) -> int:
         if meta["feature_mean"] is not None:
             dataset = data_mod.standardize(dataset, np.array(meta["feature_mean"]),
                                            np.array(meta["feature_std"]))
-    elif cache and Path(cache).exists():
-        dataset = data_mod.load_dataset(cache)
     else:
-        raise DataError("no dataset: pass --dataset-cache or --data")
+        cache = args.dataset_cache or meta.get("dataset_cache")
+        if cache is None:
+            raise DataError("no dataset: pass --dataset-cache or --data")
+        if not isinstance(cache, str):
+            raise FormatError(f"{args.checkpoint}: dataset_cache is {cache!r}, expected a path")
+        if not Path(cache).is_file():
+            raise DataError(f"no dataset cache at {cache}")
+        dataset = data_mod.load_dataset(cache)
     windows = getattr(dataset, args.split)
     if not windows:
         raise DataError(f"dataset has no {args.split} samples")

@@ -76,7 +76,7 @@ class Windows:
 
     An int index gives one :class:`SeriesSample` viewing the series; a
     slice, index array or mask gives Windows over the same series, whose
-    ``x`` gathers them into one feature-major (D, B, T) batch.
+    ``x`` gathers them into one (D, T, B) batch, the batch axis last.
     """
 
     series: Matrix
@@ -86,9 +86,9 @@ class Windows:
 
     @classmethod
     def separate(cls, x: np.ndarray, labels) -> "Windows":
-        """The windows of a (D, B, T) batch laid end to end, each its own day."""
-        d, b, t = x.shape
-        return cls(np.ascontiguousarray(x).reshape(d, b * t),
+        """The windows of a (D, T, B) batch laid end to end, each its own day."""
+        d, t, b = x.shape
+        return cls(np.ascontiguousarray(x.swapaxes(1, 2)).reshape(d, b * t),
                    np.arange(b, dtype=np.int64) * t, np.asarray(labels, np.int64), t)
 
     @classmethod
@@ -106,14 +106,15 @@ class Windows:
         return self.gather()
 
     def gather(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The windows as one C-ordered (D, B, T) batch, which the layers
-        reshape without a copy; written into ``out`` when given."""
+        """The windows as one C-ordered (D, T, B) batch, window b being
+        ``[..., b]``, which the layers reshape without a copy; written into
+        ``out`` when given."""
         if len(self) and not (0 <= self.starts.min()
                               and self.starts.max() <= self.series.shape[1] - self.window):
             raise IndexError(f"window starts outside a series of {self.series.shape[1]} events")
         # Checked above, so "wrap" never wraps; unlike "raise" it writes
         # straight into ``out`` instead of through a temporary copy.
-        return np.take(self.series, self.starts[:, None] + np.arange(self.window), axis=1,
+        return np.take(self.series, np.arange(self.window)[:, None] + self.starts, axis=1,
                        out=out, mode="wrap")
 
     def consecutive(self) -> bool:
@@ -333,9 +334,9 @@ def synth_generate(n_samples: int, n_features: int = 8, window: int = 10,
 
     labels = np.arange(n_samples, dtype=np.int64) % N_CLASSES
     rng.shuffle(labels)
-    batch = np.empty((n_features, n_samples, window))
+    batch = np.empty((n_features, window, n_samples))
     for i, label in enumerate(labels):
-        x = batch[:, i]
+        x = batch[..., i]
         x[...] = rng.normal(0.0, noise, (n_features, window))
         if difficulty == "single":
             x[:marked_rows, anchors[label]] += signal
@@ -350,7 +351,7 @@ def synth_generate(n_samples: int, n_features: int = 8, window: int = 10,
 
     n_train = round(split[0] * n_samples)
     bounds = (0, n_train, n_train + round(split[1] * n_samples), n_samples)
-    train, validation, test = (Windows.separate(batch[:, lo:hi], labels[lo:hi])
+    train, validation, test = (Windows.separate(batch[..., lo:hi], labels[lo:hi])
                                for lo, hi in zip(bounds, bounds[1:]))
     return Dataset(
         train=train, validation=validation, test=test,

@@ -41,26 +41,33 @@ The K score matrices W_k are one (K, T, T) block ``heads``, and the heads
 are one more array axis: masks and mixed features are (K, D', T), each
 computed for all heads by one operation.
 
-A batch of B windows is one feature-major (D, B, T) array, window b being
-``X[:, b, :]``, and W1 @ X is one GEMM over ``X.reshape(D, B*T)``. A (D, T)
-window takes the same path without the batch axis, so each head's mask is
-(D', T) for a window, (D', B, T) for a batch.
+A batch of B windows is one C-ordered (D, T, B) array, window b being
+``X[..., b]``; a (D, T) window runs as a batch of one and comes back
+without the batch axis, so a head's mask is (D', T) or (D', T, B). A
+temporal-first layer takes u[d] = W2^T @ X[d] for each feature row d
+and z = W1 @ u as one GEMM; its backward takes dW1 and dL/du as one GEMM
+each, dW2 as the sum over d of X[d] @ dL/du[d]^T, and dL/dx[d] as
+W2 @ dL/du[d]. The bias add, relu and dL/dB run along the contiguous
+batch axis. relu's forward keeps z > 0 as a boolean mask
+(``LayerCache.positive``), and its backward multiplies dL/dy by it, so
+dL/dz has the bits of ``g * (z > 0).astype(float)``, signed zeros too.
 
 From xbar to z a feature-first layer works time-major, with the time
 axis first in memory: the softmax (which also checks that every mask row
 sums to 1) and its backward reduce over the T steps of each of the
 K*D'*B mask rows in one pass over whole slices, not one short row at a
-time (see :mod:`mtabl.linalg`). xbar is copied once into a (T, D'*B)
-block (predict_labels writes it there directly), and no later step
-copies: the scores of all heads are one GEMM of the (T*K, T) rows of the
-W_k^T with that block, a (T, K, D'*B) block that the softmax normalises
-in place; the mixing broadcasts xbar over the heads; Wtilde1 recombines
-the K*D' rows of each step; and z = xtilde @ W2 reads the transposed
-xtilde block and comes out feature-major. The backward works on the
-same blocks (dW_k and the heads' part of dL/dxbar are one GEMM each over
-the (T*K, D'*B) block of dL/de) and copies dL/dxbar back to (D', B, T)
-for dW1 and dL/dx. The cache holds (D', [B,] T) views of the blocks, so
-``masks`` is (K, D', [B,] T), as in the maths.
+time (see :mod:`mtabl.linalg`). W1 @ X[:, t] goes for each step t
+straight into a (T, D', B) block (predict_labels copies its projected
+windows there), and no later step copies: the scores of all heads are
+one GEMM of the (T*K, T) rows of the W_k^T with that block, a
+(T, K, D'*B) block that the softmax normalises in place; the mixing
+broadcasts xbar over the heads; Wtilde1 recombines the K*D' rows of each
+step; and z[d'] = W2^T @ xtilde[d'] reads the xtilde block through a
+transposed view. The backward works on the same blocks (dW_k and the
+heads' part of dL/dxbar are one GEMM each over the (T*K, D'*B) block of
+dL/de) and takes dW1 and dL/dx step by step from dL/dxbar's block. The
+cache holds (D', T, B) views of the blocks, so ``masks`` is
+(K, D', T[, B]), as in the maths.
 
 Parameters live in one contiguous float64 vector: :class:`LayerParams`
 holds named views into it, laid out by :func:`layer_layout`, and
@@ -78,7 +85,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -188,7 +195,8 @@ class LayerParams:
 class Workspace:
     """Buffers that one caller reuses across the passes of a network.
 
-    One flat float64 array per key; :meth:`take` returns its leading
+    One flat array per key, float64 but for relu's boolean mask
+    ``positive``; :meth:`take` returns its leading
     elements reshaped (a short last batch gets a contiguous prefix) and
     replaces it by a larger array when asked for more. ``Workspace()``
     keys buffers by layer and role, so a training step keeps every layer's
@@ -201,14 +209,19 @@ class Workspace:
 
     A result lives until a pass writes its key again: a layer's output and
     cache until the next forward through its view (any view, if shared) or
-    a backward through a workspace, which writes dL/dxtilde over
+    a backward through a workspace. That backward writes dL/dz over dL/dy
+    and dL/dx over the layer's input when they lie in a relu or identity
+    layer's output buffer (role ``z``; a softmax writes role ``y``, which
+    its backward reads), so in a network each layer's dL/dx replaces the
+    previous layer's output, which that layer's backward reads next; it
+    writes dL/dxtilde over
     ``xtilde`` (dL/du over ``u`` in a temporal-first layer) and its
     scratch over the stacked heads of an attention layer.
     ``network_backward`` gives all layers the unkeyed view, so they share
-    the backward roles ``grad`` (dL/dz, then dL/dx, over the upstream
-    gradient when that is the previous dL/dx), ``dmixed``, ``product``
-    (relu's z > 0 first) and ``dxbar``. A pass without a workspace
-    touches none.
+    the backward roles ``grad`` (dL/dz, then dL/dx, where there is no such
+    array to replace), ``dmixed`` and ``product`` (the
+    softmax backward's scratch, then dL/dxbar). A pass without a
+    workspace touches none.
     """
 
     def __init__(self, shared: bool = False):
@@ -225,19 +238,33 @@ class Workspace:
         view._layer = i
         return view
 
-    def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
-        """The buffer of ``role`` in this view, as a C-ordered array of ``shape``."""
+    def take(self, role: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """The buffer of ``role`` in this view, as a C-ordered array of ``shape``;
+        a role always takes one ``dtype``."""
         size = math.prod(shape)
         key = (self._layer, role)
         flat = self._buffers.get(key)
         if flat is None or flat.size < size:
-            flat = self._buffers[key] = np.empty(size)
+            flat = self._buffers[key] = np.empty(size, dtype)
         return flat[:size].reshape(shape)
 
 
-def buffer(ws: Workspace | None, role: str, shape: tuple[int, ...]) -> np.ndarray | None:
-    """``ws.take(role, shape)``, or None (a fresh result) without a workspace."""
-    return None if ws is None else ws.take(role, shape)
+def buffer(ws: Workspace | None, role: str, shape: tuple[int, ...],
+           dtype=np.float64) -> np.ndarray | None:
+    """``ws.take(role, shape, dtype)``, or None (a fresh result) without a workspace."""
+    return None if ws is None else ws.take(role, shape, dtype)
+
+
+def _over(ws: Workspace | None, a: np.ndarray) -> np.ndarray | None:
+    """Where a backward writes a result shaped like ``a``, which it has
+    read: over ``a`` when it is a relu or identity output in ``ws`` (role
+    ``z``, which no backward reads), where the next step reads it while it
+    is still in cache, else into the ``grad`` buffer of ``ws``."""
+    if ws is None:
+        return None
+    if any(a.base is flat for (_, role), flat in ws._buffers.items() if role == "z"):
+        return a
+    return ws.take("grad", a.shape)
 
 
 def _blocks(flat: np.ndarray, layout) -> list[tuple[str, np.ndarray]]:
@@ -253,18 +280,19 @@ def _blocks(flat: np.ndarray, layout) -> list[tuple[str, np.ndarray]]:
 class LayerCache:
     """Every intermediate the backward pass needs, kept per forward call.
 
-    A temporal-first BL layer keeps ``u`` = x @ W2, and no xbar or xtilde.
+    A temporal-first BL layer keeps ``u`` = W2^T @ x, and no xbar or xtilde.
     """
 
     activation: str
     x: Matrix | None  # None after a projected forward, which has no backward
     xbar: Matrix | None  # from here to xtilde: views of time-major blocks
-    masks: np.ndarray  # (K, D', [B,] T), one mask per head
+    masks: np.ndarray  # (K, D', T[, B]), one mask per head
     stacked: Matrix | None  # the mixed heads [mix_1; ...; mix_K] when recombined
     xtilde: Matrix | None
-    z: Matrix  # with a workspace, y overwrites it: the backward reads only z > 0
+    z: Matrix  # with a workspace, y overwrites it
     y: Matrix
     u: Matrix | None
+    positive: np.ndarray | None  # relu's z > 0, what its backward reads
 
 
 def apply_activation(z: Matrix, kind: str, out: Matrix | None = None) -> Matrix:
@@ -275,7 +303,7 @@ def apply_activation(z: Matrix, kind: str, out: Matrix | None = None) -> Matrix:
         return np.maximum(z, 0.0, out=out)
     if kind == "softmax":
         # Over the feature axis, one column per window.
-        if z.shape[-1] != 1:
+        if z.shape[1] != 1:
             raise ConfigurationError(
                 f"softmax activation needs a single output column, got shape {z.shape}"
             )
@@ -286,48 +314,23 @@ def apply_activation(z: Matrix, kind: str, out: Matrix | None = None) -> Matrix:
 
 def activation_backward(grad_y: Matrix, cache: LayerCache, ws: Workspace | None) -> Matrix:
     """Pull the upstream gradient back through the activation: dL/dy -> dL/dz,
-    into the ``grad`` buffer of ``ws`` when given; identity returns ``grad_y``."""
-    kind, out = cache.activation, buffer(ws, "grad", grad_y.shape)
+    with ``ws`` over ``grad_y`` or into its ``grad`` buffer (see :func:`_over`);
+    identity returns ``grad_y``."""
+    kind, out = cache.activation, _over(ws, grad_y)
     if kind == "identity":
         return grad_y
-    if kind == "relu":  # z > 0 as 1.0 or 0.0: the factors of a boolean mask
-        mask = np.greater(cache.z, 0.0, out=buffer(ws, "product", grad_y.shape))
-        return np.multiply(grad_y, mask, out=out)
+    if kind == "relu":  # the boolean mask multiplies as 1.0 or 0.0, so -0.0 stays
+        return np.multiply(grad_y, cache.positive, out=out)
     if kind == "softmax":
         y = cache.y
         return np.multiply(y, grad_y - np.sum(y * grad_y, axis=0), out=out)
     raise ConfigurationError(f"unknown activation {kind!r}")
 
 
-def _cols(a: np.ndarray) -> Matrix:
-    """(D, [B,] T) as (D, B*T): the feature axis against everything else."""
-    return a.reshape(a.shape[0], -1)
-
-
-def _rows(a: np.ndarray) -> Matrix:
-    """(D, [B,] T) as (D*B, T): the time axis against everything else."""
-    return a.reshape(-1, a.shape[-1])
-
-
-def _time_major(a: np.ndarray, *shape: int) -> np.ndarray:
-    """(..., T) as (T, ...), reshaped to ``shape`` if given: a view when ``a``
-    lies time-major in memory, as the forward leaves it. Transposes cost a
-    sixth of ``np.moveaxis``."""
-    a = a.transpose(a.ndim - 1, *range(a.ndim - 1))
-    return a.reshape(shape) if shape else a
-
-
-def _steps_last(a: np.ndarray) -> np.ndarray:
-    """(T, ...) as (..., T), a view."""
-    return a.transpose(*range(1, a.ndim), 0)
-
-
-def _copy(a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``a`` copied C-ordered, into ``out`` when given."""
-    if out is None:
-        return a.copy()
-    np.copyto(out, a)
-    return out
+def _each(cache: LayerCache, f) -> LayerCache:
+    """The cache with ``f`` applied to each of its arrays."""
+    return replace(cache, **{name: f(a) for name, a in vars(cache).items()
+                             if isinstance(a, np.ndarray)})
 
 
 def temporal_first(p: LayerParams) -> bool:
@@ -340,44 +343,41 @@ def temporal_first(p: LayerParams) -> bool:
 
 def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
                   ws: Workspace | None = None, _projected: bool = False):
-    """Forward pass over one (D, T) window or a (D, B, T) batch.
+    """Forward pass over one (D, T) window or a (D, T, B) batch.
 
-    Returns the output, (D', T') or (D', B, T'), and its cache, in ``ws``
+    Returns the output, (D', T') or (D', T', B), and its cache, in ``ws``
     (one layer's view of a workspace) when given. ``_projected`` (internal,
-    from :func:`mtabl.network.predict_labels`): ``x`` is W1 @ X, (D', B, T),
+    from :func:`mtabl.network.predict_labels`): ``x`` is W1 @ X, (D', T, B),
     of a layer that is not temporal-first, and the cache has no backward;
     a view of a time-major block is used in place, any other ``x`` copied.
     """
     (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
-    rows = d_out if _projected else d
-    if (x.ndim not in (2, 3) or (x.shape[0], x.shape[-1]) != (rows, t)
+    if (x.ndim not in (2, 3) or x.shape[:2] != (d_out if _projected else d, t)
             or _projected and temporal_first(p)):
         raise DimensionError(f"{'projected ' * _projected}input {x.shape} does not fit "
                              f"W1 {p.W1.shape} and W2 {p.W2.shape} of this layer")
-    n = x.size // rows  # windows times time steps
-    k = len(p.heads)
-    masks, stacked, u = np.empty((0, d_out) + x.shape[1:]), None, None
+    if x.ndim == 2:  # one window is a batch of one
+        y, cache = layer_forward(x[..., None], p, activation, ws, _projected)
+        return y[..., 0], _each(cache, lambda a: a[..., 0])
+    b, k = x.shape[2], len(p.heads)
+    masks, stacked, u = np.empty((0, d_out, t, b)), None, None
     if temporal_first(p):
         with scope(SCOPE_OUTPUT):
-            u = matmul(_rows(x), p.W2, buffer(ws, "u", (x.size // t, t_out)))
-            u = u.reshape(x.shape[:-1] + (t_out,))
+            # W2^T @ X[d] for each of the D feature rows, (T', B) each.
+            u = matmul(p.W2.T, x, buffer(ws, "u", (d, t_out, b)))
         with scope(SCOPE_PROJECT):
-            z = matmul(p.W1, _cols(u), buffer(ws, "z", (d_out, u.size // d)))
-        z = z.reshape((d_out,) + u.shape[1:])
+            z = matmul(p.W1, u.reshape(d, -1), buffer(ws, "z", (d_out, t_out * b)))
         xbar = xtilde = None
     else:
-        rest = (d_out,) + x.shape[1:-1]  # the rows of xbar: D' or D' x B
+        r = d_out * b  # the rows of the time-major blocks: D' x B
         if _projected:
             xbar, x = x, None
         else:
             with scope(SCOPE_PROJECT):
-                # Into the mixed heads' buffer, which is free until the mixing.
-                xbar = matmul(p.W1, _cols(x), buffer(ws, "mixed", (d_out, n)))
-            xbar = _copy(_time_major(xbar.reshape(rest + (t,))),
-                         buffer(ws, "xbar", (t,) + rest))
-            xbar = _steps_last(xbar)
-        xb = _time_major(xbar, t, -1)  # (T, R): R = D'*B rows of T steps
-        r = xb.shape[1]
+                # W1 @ X[:, t] for each step, straight into the (T, D', B) block.
+                xbar = matmul(p.W1, x.swapaxes(0, 1),
+                              buffer(ws, "xbar", (t, d_out, b))).swapaxes(0, 1)
+        xb = xbar.swapaxes(0, 1).reshape(t, r)
         xtilde = xb
         if k:
             # A Python float: each scalar operation on the 0-d view takes about 1 us.
@@ -389,31 +389,36 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
                 # row (t, k) is step t of head k: the (T, K, R) scores block.
                 e = matmul(p.heads.transpose(2, 0, 1).reshape(t * k, t), xb,
                            buffer(ws, "masks", (t * k, r))).reshape(t, k, r)
-            masks = _steps_last(e)
-            softmax_rows(masks, masks)
+            rows = e.transpose(1, 2, 0)  # (K, R, T): one mask row per window and feature
+            softmax_rows(rows, rows)
             with scope(SCOPE_MIX):
                 # lam*(xbar*a) + (1-lam)*xbar, taken as xbar*(lam*a + (1-lam)).
                 mixed = scale(e, lam, buffer(ws, "mixed", e.shape))
                 mixed += 1.0 - lam
                 mixed = hadamard(xb[:, None], mixed, mixed)
-            masks = masks.reshape((k,) + rest + (t,))
+            masks = e.reshape(t, k, d_out, b).transpose(1, 2, 0, 3)
             if p.Wtilde1 is None:
                 xtilde = mixed[:, 0]
             else:
                 # Per step, the K*D' rows [mix_1; ...; mix_K] of every window.
-                stacked = mixed.reshape(t, k * d_out, r // d_out)
+                stacked = mixed.reshape(t, k * d_out, b)
                 with scope(SCOPE_RECOMBINE):
-                    xtilde = matmul(p.Wtilde1, stacked,
-                                    buffer(ws, "xtilde", (t, d_out, r // d_out)))
-                stacked = _steps_last(stacked.reshape((t, k * d_out) + rest[1:]))
+                    xtilde = matmul(p.Wtilde1, stacked, buffer(ws, "xtilde", (t, d_out, b)))
+                stacked = stacked.swapaxes(0, 1)
+        xtilde = xtilde.reshape(t, d_out, b).swapaxes(0, 1)
         with scope(SCOPE_OUTPUT):
-            z = matmul(xtilde.reshape(t, r).T, p.W2, buffer(ws, "z", (r, t_out)))
-        z = z.reshape(rest + (t_out,))
-        xtilde = _steps_last(xtilde.reshape((t,) + rest))
-    z += p.B if z.ndim == 2 else p.B[:, None]
-    y = apply_activation(z, activation, buffer(ws, "z", z.shape))
+            # W2^T @ xtilde[d'] for each of the D' rows, (T', B) each.
+            z = matmul(p.W2.T, xtilde, buffer(ws, "z", (d_out, t_out, b)))
+    z = z.reshape(d_out, t_out, b)
+    z += p.B[..., None]
+    positive = (np.greater(z, 0.0, out=buffer(ws, "positive", z.shape, np.bool_))
+                if activation == "relu" else None)
+    # A softmax backward reads y: its own role keeps it from the next
+    # layer's backward, which writes dL/dx over a ``z`` buffer.
+    y = apply_activation(z, activation, buffer(ws, "y" if activation == "softmax" else "z",
+                                               z.shape))
     return y, LayerCache(activation=activation, x=x, xbar=xbar, masks=masks,
-                         stacked=stacked, xtilde=xtilde, z=z, y=y, u=u)
+                         stacked=stacked, xtilde=xtilde, z=z, y=y, u=u, positive=positive)
 
 
 def _check_cache(cache: LayerCache, params: LayerParams, grad_y: Matrix) -> None:
@@ -430,10 +435,10 @@ def _check_cache(cache: LayerCache, params: LayerParams, grad_y: Matrix) -> None
     if cache.x is None:
         raise CacheMismatchError("the cache of a projected forward holds no input")
     (d_out, d), (t, t_out) = params.W1.shape, params.W2.shape
-    first, shape = ((cache.u, cache.x.shape[:-1] + (t_out,)) if temporal_first(params)
-                    else (cache.xbar, (d_out,) + cache.x.shape[1:]))
-    if (first is None or first.shape != shape
-            or (cache.x.shape[0], cache.x.shape[-1]) != (d, t)):
+    first, shape = ((cache.u, (d, t_out)) if temporal_first(params)
+                    else (cache.xbar, (d_out, t)))
+    if (first is None or first.shape != shape + cache.x.shape[2:]
+            or cache.x.shape[:2] != (d, t)):
         raise CacheMismatchError("cached products or input do not match W1 and W2")
 
 
@@ -458,39 +463,44 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
     of a batch, are added into ``grads``, which has the layout of
     ``params`` (a zeroed one when omitted). Returns ``(grads, grad_x)``,
     ``grad_x`` None when ``input_grad`` is false. With a workspace, dL/dz
-    and then ``grad_x`` go to its ``grad`` buffer, over ``grad_y`` when
-    that is where it lies, dL/dxtilde over ``cache.xtilde`` (dL/du
-    over ``cache.u`` in a temporal-first layer), and the heads'
-    intermediates over ``cache.stacked`` and the workspace's buffers.
+    goes over ``grad_y`` and ``grad_x`` over ``cache.x`` when they lie in
+    a ``z`` buffer of the workspace, else to its ``grad`` buffer,
+    dL/dxtilde over ``cache.xtilde`` (dL/du over ``cache.u`` in a
+    temporal-first layer), and the heads' intermediates over
+    ``cache.stacked`` and the workspace's buffers.
     """
     _check_cache(cache, params, grad_y)
     if grads is None:
         grads = params.like(np.zeros_like(params.flat))
+    if grad_y.ndim == 2:  # one window is a batch of one
+        _, grad_x = layer_backward(_each(cache, lambda a: a[..., None]), params,
+                                   grad_y[..., None], grads, ws=ws, input_grad=input_grad,
+                                   grad_wrt_preactivation=grad_wrt_preactivation)
+        return grads, None if grad_x is None else grad_x[..., 0]
     dz = grad_y if grad_wrt_preactivation else activation_backward(grad_y, cache, ws)
     # In-place adds through the views: the frozen fields cannot be rebound.
-    grads.B[...] += dz if dz.ndim == 2 else _batch_sum(dz)
+    grads.B[...] += dz.sum(axis=2)
     if cache.u is not None:
         return _temporal_first_backward(cache, params, dz, grads, ws, input_grad)
     (d_out, _), (t, _) = params.W1.shape, params.W2.shape
-    rest = cache.xbar.shape[:-1]
-    xtilde = _time_major(cache.xtilde, t, -1)
-    r = xtilde.shape[1]
-    grads.W2[...] += matmul(xtilde, _rows(dz))
+    r = d_out * dz.shape[2]
+    grads.W2[...] += matmul(cache.xtilde, dz.swapaxes(1, 2)).sum(axis=0)
     # Nothing reads xtilde after dW2, so a workspace backward writes over it.
-    dxbar = dxtilde = matmul(params.W2, _rows(dz).T, None if ws is None else xtilde)
+    block = np.empty((t, d_out, dz.shape[2])) if ws is None else cache.xtilde.swapaxes(0, 1)
+    dxbar = dxtilde = matmul(params.W2, dz, block.swapaxes(0, 1)).swapaxes(0, 1).reshape(t, r)
 
     k = len(params.heads)
     if k:
         # Time-major (T, K, R) blocks, xbar broadcast over the heads.
-        xbar = _time_major(cache.xbar, t, 1, r)
-        a, lam = _time_major(cache.masks, t, k, r), float(params.lam)
+        xbar = cache.xbar.swapaxes(0, 1).reshape(t, 1, r)
+        a, lam = cache.masks.transpose(2, 0, 1, 3).reshape(t, k, r), float(params.lam)
         # Of the workspace's stacked heads and dmixed buffers, one holds
         # dL/dmixed and the other is free: nothing reads stacked after dWtilde1.
         if params.Wtilde1 is None:
             dmixed, free = dxtilde[:, None], buffer(ws, "dmixed", a.shape)
         else:
-            stacked = _time_major(cache.stacked, t, k * d_out, r // d_out)
-            dxtilde = dxtilde.reshape(t, d_out, r // d_out)
+            stacked = cache.stacked.swapaxes(0, 1)
+            dxtilde = dxtilde.reshape(t, d_out, -1)
             grads.Wtilde1[...] += matmul(dxtilde, stacked.transpose(0, 2, 1)).sum(axis=0)
             dmixed = matmul(params.Wtilde1.T, dxtilde, buffer(ws, "dmixed", stacked.shape))
             dmixed = dmixed.reshape(a.shape)
@@ -519,34 +529,30 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
         dmixed += mix
         dxbar += dmixed.sum(axis=1)
 
-    # Feature-major again, for the products with x.
-    dxbar = _copy(_steps_last(dxbar.reshape((t,) + rest)),
-                  buffer(ws, "dxbar", rest + (t,)))
-    grads.W1[...] += matmul(_cols(dxbar), _cols(cache.x).T)
+    # Step by step on the (T, D', B) block: dW1 = sum over t of
+    # dxbar[t] @ X[:, t]^T, and dL/dx[:, t] = W1^T @ dxbar[t].
+    dxbar = dxbar.reshape(t, d_out, -1)
+    grads.W1[...] += matmul(dxbar, cache.x.transpose(1, 2, 0)).sum(axis=0)
     if not input_grad:
         return grads, None
-    # dz is dead by now, so dL/dx may take its buffer.
-    grad_x = matmul(params.W1.T, _cols(dxbar), buffer(ws, "grad", _cols(cache.x).shape))
-    return grads, grad_x.reshape(cache.x.shape)
+    # dz is dead by now, so dL/dx may take its buffer, and x was last read for dW1.
+    grad_x = np.empty(cache.x.shape) if ws is None else _over(ws, cache.x)
+    matmul(params.W1.T, dxbar, grad_x.swapaxes(0, 1))
+    return grads, grad_x
 
 
 def _temporal_first_backward(cache: LayerCache, params: LayerParams, dz: Matrix,
                              grads: LayerParams, ws: Workspace | None, input_grad: bool):
-    """:func:`layer_backward` after dL/dB for z = W1 @ u + B, u = x @ W2."""
-    u = cache.u
-    grads.W1[...] += matmul(_cols(dz), _cols(u).T)
+    """:func:`layer_backward` after dL/dB for z = W1 @ u + B, u[d] = W2^T @ x[d]."""
+    u, d_out = cache.u, len(params.W1)
+    dz = dz.reshape(d_out, -1)
+    grads.W1[...] += matmul(dz, u.reshape(len(u), -1).T)
     # Nothing reads u after dW1, so a workspace backward writes dL/du over it.
-    du = matmul(params.W1.T, _cols(dz), None if ws is None else _cols(u)).reshape(u.shape)
-    grads.W2[...] += matmul(_rows(cache.x).T, _rows(du))
+    du = matmul(params.W1.T, dz, None if ws is None else u.reshape(len(u), -1))
+    du = du.reshape(u.shape)
+    # dW2 = sum over the feature rows d of x[d] @ du[d]^T.
+    grads.W2[...] += matmul(cache.x, du.swapaxes(1, 2)).sum(axis=0)
     if not input_grad:
         return grads, None
-    # dz is dead by now, so dL/dx may take its buffer.
-    grad_x = matmul(_rows(du), params.W2.T, buffer(ws, "grad", _rows(cache.x).shape))
-    return grads, grad_x.reshape(cache.x.shape)
-
-
-def _batch_sum(dz: np.ndarray) -> Matrix:
-    """dz (D', B, T') summed over the batch. einsum adds the windows in the
-    order sum(axis=1) does, bit for bit, and about 5x faster for T' > 1;
-    for T' = 1 numpy's sum adds pairwise, which einsum does not."""
-    return np.einsum("dbt->dt", dz) if dz.shape[-1] > 1 else dz.sum(axis=1)
+    # dz is dead by now, so dL/dx may take its buffer, and x was last read for dW2.
+    return grads, matmul(params.W2, du, _over(ws, cache.x))

@@ -5,7 +5,8 @@ often views (a transpose, a block of a flat parameter vector, or a batch
 of windows reshaped to 2-D by the layers); either operand may carry a
 leading stack axis, such as the K attention heads of a layer. The
 elementwise operations and the row softmax take arrays of any rank; a
-"row" is the last axis, so a (D, B, T) batch of windows has D*B rows.
+"row" is the last axis, so the (K, D'*B, T) masks of a batch of B
+windows have K*D'*B rows.
 Every operation validates shapes eagerly and raises
 :class:`DimensionError` on mismatch, so shape bugs surface at the call
 site instead of deep inside a layer. The row softmax also raises

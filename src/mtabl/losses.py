@@ -18,16 +18,16 @@ def cross_entropy(probs: Matrix, label, class_weights=None) -> tuple[float, Matr
     probabilities floored before the log, for one window or a batch.
 
     ``probs`` is the softmax output of the network: (3, 1) with an int
-    ``label``, or (3, B, 1) with an array of B labels. The loss is summed
+    ``label``, or (3, 1, B) with an array of B labels. The loss is summed
     over the windows. The gradient, shaped like ``probs``, is taken with
     respect to the pre-softmax scores, folding the softmax Jacobian into
     the cross-entropy derivative: w * (probs - onehot), which is what the
     network backward takes.
     """
     labels = np.asarray(label)
-    if probs.shape != (N_CLASSES,) + labels.shape + (1,):
+    if probs.shape != (N_CLASSES, 1) + labels.shape:
         raise DimensionError(
-            f"probs must be ({N_CLASSES}, 1) for one label or ({N_CLASSES}, B, 1) "
+            f"probs must be ({N_CLASSES}, 1) for one label or ({N_CLASSES}, 1, B) "
             f"for B labels, got {probs.shape} for label shape {labels.shape}"
         )
     # min/max, 6x cheaper than np.isin; NaN fails them, a fraction the % test.

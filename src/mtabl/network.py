@@ -3,17 +3,19 @@ forward/backward over a stack of bilinear layers.
 
 A network is an ordered list of layer descriptors whose shapes chain, with
 the attention layer last producing a (3, 1) column of class probabilities
-per window. Inputs are one (D, T) window or a feature-major (D, B, T)
-batch (see :mod:`mtabl.layers`).
+per window. Inputs are one (D, T) window or a (D, T, B) batch, the batch
+axis last (see :mod:`mtabl.layers`).
 Shape mismatches are configuration errors raised at construction, never at
 run time. A network's parameters are one float64 vector whose layout
 follows from the spec (:class:`NetworkParams`).
 
 The passes take an optional :class:`~mtabl.layers.Workspace`: layer i
 writes its output and cache into the workspace's layer-i view, and the
-backward layers share one set of scratch buffers. A training loop passes
-the same workspace to every step, so the returned probabilities and
-caches are overwritten by the next forward through it.
+backward layers share one set of scratch buffers; each layer's dL/dx
+goes over the previous layer's output, which is dead by then, while it
+is still in cache. A training loop passes the same workspace to every
+step, so the returned probabilities and caches are overwritten by the
+next pass through it.
 
 :func:`predict_labels` projects each event once when the first layer is
 not temporal-first (topology A) and the windows are consecutive, as in a
@@ -252,11 +254,11 @@ def init_network_params(spec: NetworkSpec, seed_or_rng) -> NetworkParams:
 
 def network_forward(x: np.ndarray, spec: NetworkSpec, params: list,
                     ws: Workspace | None = None, _projected: bool = False):
-    """Run the stack on one (D, T) window or a (D, B, T) batch; returns the
-    class probabilities, (3, 1) or (3, B, 1), and every layer's cache,
+    """Run the stack on one (D, T) window or a (D, T, B) batch; returns the
+    class probabilities, (3, 1) or (3, 1, B), and every layer's cache,
     in ``ws`` when one is given. ``_projected`` (internal, from
     :func:`predict_labels`): ``x`` is the first layer's projection W1 @ X."""
-    if not (_projected or x.ndim in (2, 3) and (x.shape[0], x.shape[-1]) == spec.input_dims):
+    if not (_projected or x.ndim in (2, 3) and x.shape[:2] == spec.input_dims):
         raise DimensionError(f"input {x.shape} does not match network input {spec.input_dims}")
     caches = []
     out = x
@@ -288,15 +290,15 @@ def network_backward(spec: NetworkSpec, params: NetworkParams, caches: list, gra
 
 
 def gather(windows, ws: Workspace | None = None) -> np.ndarray:
-    """The (D, B, T) batch of :class:`~mtabl.data.Windows`, into ``ws`` when given."""
+    """The (D, T, B) batch of :class:`~mtabl.data.Windows`, into ``ws`` when given."""
     d, t = windows.series.shape[0], windows.window
-    return windows.gather(buffer(ws, "x", (d, len(windows), t)))
+    return windows.gather(buffer(ws, "x", (d, t, len(windows))))
 
 
 def _window_doubles(params: list, projected: bool) -> int:
     """Doubles per window in the widest buffer a predict forward writes: the
     first layer's input, W1 @ X when ``projected`` and else the gathered
-    D x T window, then per layer its output, and u = X @ W2 of a
+    D x T window, then per layer its output, and u = W2^T @ X of a
     temporal-first layer or the (max(K, 1), D', T) heads block (scores,
     masks, mixed) of a feature-first one."""
     w = params[0].W1.shape[0 if projected else 1] * params[0].W2.shape[0]
@@ -308,7 +310,7 @@ def _window_doubles(params: list, projected: bool) -> int:
 
 
 def _project(windows, w1: Matrix, ws: Workspace) -> np.ndarray:
-    """W1 @ X of each of the consecutive ``windows``, as the (D', B, T) view
+    """W1 @ X of each of the consecutive ``windows``, as the (D', T, B) view
     of a time-major (T, D', B) block in the ``x`` buffer of ``ws``. W1
     multiplies each event of the windows' span once; a run of windows one
     event apart is then one strided copy of that product, and windows
@@ -327,7 +329,7 @@ def _project(windows, w1: Matrix, ws: Workspace) -> np.ndarray:
             np.copyto(block[..., lo:hi], steps[..., starts[lo]:starts[lo] + hi - lo])
     else:
         np.copyto(block, np.take(p, starts + np.arange(t)[:, None], axis=1).transpose(1, 0, 2))
-    return block.transpose(1, 2, 0)
+    return block.swapaxes(0, 1)
 
 
 def predict_labels(spec: NetworkSpec, params: list, windows) -> list[int]:
@@ -352,7 +354,7 @@ def predict_labels(spec: NetworkSpec, params: list, windows) -> list[int]:
         x = _project(chunk, params[0].W1, ws) if projected else gather(chunk, ws)
         # Index the result so that no chunk's caches outlive its forward.
         probs = network_forward(x, spec, params, ws, projected)[0]
-        labels[start:start + size] = np.argmax(probs[:, :, 0], axis=0)
+        labels[start:start + size] = np.argmax(probs[:, 0], axis=0)
     return labels.tolist()
 
 

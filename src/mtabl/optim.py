@@ -2,15 +2,17 @@
 the [0, 1] projection of the attention mixing coefficient, and epoch
 orchestration with seeded shuffling.
 
-The loop is sequential over optimizer steps. A batch is one (D, B, T)
+The loop is sequential over optimizer steps. A batch is one (D, T, B)
 forward and backward pass whose GEMMs sum each gradient over the windows
-in BLAS order, so the mean gradient matches the mean of one-window
-gradients to 1e-12 of its largest entry (3e-14 measured at batch 256),
-not bit for bit; two runs with the same seed, config and data stay
-bit-identical. Parameters, gradients and optimizer moments are flat
-vectors of one layout, so an update is a few vector operations applied
-in place. Model selection keeps the parameters of the best validation
-macro-F1 epoch (best training loss when there is no validation split).
+in BLAS order (dW2 of a BL layer per feature row, then across the rows;
+dL/dB by numpy's pairwise sum over the batch axis), so the mean gradient
+matches the mean of one-window gradients to 1e-12 of its largest entry
+(5.2e-16 measured at batch 256), not bit for bit; two runs with the same
+seed, config and data stay bit-identical for a given BLAS thread count.
+Parameters, gradients and optimizer moments are flat vectors of one
+layout, so an update is a few vector operations applied in place. Model
+selection keeps the parameters of the best validation macro-F1 epoch
+(best training loss when there is no validation split).
 """
 
 from __future__ import annotations

@@ -150,12 +150,12 @@ def per_window_gradients(spec, params, batch, class_weights=None):
 
 def bl_feature_first(x, w1, w2, b, activation, grad_y):
     """BL forward and backward as the paper writes it, (W1 @ X) @ W2, one
-    window at a time. ``x`` is (D, T) or (D, B, T) and ``grad_y`` dL/dy in
+    window at a time. ``x`` is (D, T) or (D, T, B) and ``grad_y`` dL/dy in
     the output's shape; the activation is identity or relu. Returns
     (y, dW1, dW2, dB, dL/dx), the parameter gradients summed over windows."""
     batched = x.ndim == 3
-    xs = [x[:, i] for i in range(x.shape[1])] if batched else [x]
-    gys = [grad_y[:, i] for i in range(grad_y.shape[1])] if batched else [grad_y]
+    xs = [x[..., i] for i in range(x.shape[2])] if batched else [x]
+    gys = [grad_y[..., i] for i in range(grad_y.shape[2])] if batched else [grad_y]
     dw1, dw2, db = np.zeros_like(w1), np.zeros_like(w2), np.zeros_like(b)
     ys, gxs = [], []
     relu = activation == "relu"
@@ -170,7 +170,7 @@ def bl_feature_first(x, w1, w2, b, activation, grad_y):
         dw1 += dxbar @ xw.T
         gxs.append(w1.T @ dxbar)
     if batched:
-        return np.stack(ys, axis=1), dw1, dw2, db, np.stack(gxs, axis=1)
+        return np.stack(ys, axis=-1), dw1, dw2, db, np.stack(gxs, axis=-1)
     return ys[0], dw1, dw2, db, gxs[0]
 
 

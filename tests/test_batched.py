@@ -1,4 +1,4 @@
-"""Batched (D, B, T) passes against the one-window path they replace.
+"""Batched (D, T, B) passes against the one-window path they replace.
 
 A batch sums every parameter gradient inside one matrix product, so the
 summation order differs from adding window by window: gradients must
@@ -16,12 +16,13 @@ import pytest
 import mtabl.network
 from mtabl.data import Windows, synth_generate
 from mtabl.errors import ConstraintError, DivergenceError
-from mtabl.layers import layer_forward
+from mtabl.layers import Workspace, layer_forward
 from mtabl.linalg import count_multiplications
 from mtabl.losses import inverse_frequency_weights
 from mtabl.network import (
     LayerSpec,
     NetworkSpec,
+    gather,
     init_network_params,
     network_forward,
     predict_labels,
@@ -56,7 +57,7 @@ def windows(n, seed=0, dims=INPUT):
     for _ in range(n):
         xs.append(rng.normal(size=dims))
         labels.append(int(rng.integers(3)))
-    return Windows.separate(np.stack(xs, axis=1), labels)
+    return Windows.separate(np.stack(xs, axis=-1), labels)
 
 
 def relative_gap(a, b):
@@ -153,6 +154,37 @@ def test_seeded_training_is_bit_identical():
     assert [r.to_dict() for r in log_a] == [r.to_dict() for r in log_b]
 
 
+class TestBatchLayout:
+    """A batch is (D, T, B), window b at ``[..., b]``: the batch axis is the
+    contiguous one in every layer's input and output."""
+
+    @pytest.mark.parametrize("workspace", [False, True])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_layers_pass_their_outputs_on_uncopied(self, name, workspace):
+        spec = SPECS[name]()
+        params = init_network_params(spec, 2)
+        ws = Workspace() if workspace else None
+        x = gather(windows(9, seed=3), ws)
+        probs, caches = network_forward(x, spec, params, ws)
+        inputs = [x] + [cache.y for cache in caches[:-1]]
+        for cache, given, (d_out, t_out) in zip(caches, inputs, spec.shapes()[1:]):
+            assert cache.x is given  # read in place by the next layer
+            assert cache.y.shape == (d_out, t_out, 9) and cache.y.flags.c_contiguous
+        assert probs is caches[-1].y
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_each_window_slice_is_the_window_pass(self, name):
+        spec = SPECS[name]()
+        params = init_network_params(spec, 2)
+        batch = windows(9, seed=3)
+        _, caches = network_forward(batch.x, spec, params)
+        for b, sample in enumerate(batch):
+            _, alone = network_forward(sample.x, spec, params)
+            for many, one in zip(caches, alone):
+                assert one.y.shape == many.y.shape[:2]
+                assert np.abs(many.y[..., b] - one.y).max() <= REL_TOL * np.abs(one.y).max()
+
+
 class TestSingleWindowContract:
     """What callers of the one-window API rely on."""
 
@@ -177,10 +209,10 @@ class TestSingleWindowContract:
         batch = windows(5)
         _, cache = layer_forward(batch.x, p, "softmax")
         (mask,) = cache.masks
-        assert mask.shape == (3, 5, 10)
+        assert mask.shape == (3, 10, 5)
         for b, sample in enumerate(batch):
             _, one = layer_forward(sample.x, p, "softmax")
-            assert np.abs(mask[:, b] - one.masks[0]).max() <= 1e-15
+            assert np.abs(mask[..., b] - one.masks[0]).max() <= 1e-15
 
     def test_predict_labels_takes_lists_and_slices(self, monkeypatch):
         # Slices and index lists of a partition are partitions too.
@@ -191,7 +223,7 @@ class TestSingleWindowContract:
         forward = mtabl.network.network_forward
 
         def recording(x, *args):
-            widths.append(x.shape[1])
+            widths.append(x.shape[2])
             return forward(x, *args)
 
         monkeypatch.setattr(mtabl.network, "network_forward", recording)
@@ -277,7 +309,7 @@ class TestSingleWindowContract:
         spec = SPECS["A/tabl"]()
         (p,) = init_network_params(spec, 0)
         x = windows(6).x
-        x[0, 4, 0] = np.nan  # one bad window among six
+        x[0, 0, 4] = np.nan  # one bad window among six
         with pytest.raises(DivergenceError, match="attention"):
             layer_forward(x, p, "softmax")
         p.lam[()] = 1.5

@@ -388,6 +388,34 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "data error" in err and "dataset_cache is 5" in err
 
+    def test_data_and_dataset_cache_together_exit_2(self, tmp_path, capsys):
+        # Each names the whole evaluation set, so one of them would go unread.
+        out = tmp_path / "run"
+        assert run(train_args(out, seeds=1, epochs=1)) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            run(["eval", "--checkpoint", str(out / "seed0" / "checkpoint.mtabl"),
+                 "--data", str(tmp_path), "--dataset-cache", str(out / "dataset.mtabl")])
+        assert exit_.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("named_by", ["flag", "checkpoint"])
+    def test_missing_dataset_cache_exits_3_naming_the_path(self, tmp_path, capsys, named_by):
+        out = tmp_path / "run"
+        assert run(train_args(out, seeds=1, epochs=1)) == 0
+        checkpoint = out / "seed0" / "checkpoint.mtabl"
+        missing = tmp_path / "nowhere" / "cache.mtabl"
+        argv = ["eval", "--checkpoint", str(checkpoint)]
+        if named_by == "flag":
+            argv += ["--dataset-cache", str(missing)]
+        else:
+            spec, params, meta = load_checkpoint(checkpoint)
+            save_checkpoint(checkpoint, spec, params, {**meta, "dataset_cache": str(missing)})
+        capsys.readouterr()
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(missing) in err
+
     def test_inconsistent_dataset_cache_exits_3_without_traceback(self, tmp_path):
         out = tmp_path / "run"
         assert run(train_args(out, seeds=1, epochs=1)) == 0

@@ -317,25 +317,25 @@ class TestWindows:
                "mask": np.arange(len(windows)) % 3 == 1}[which]
         batch = windows[idx]
         picked = np.arange(len(windows))[idx]
-        expected = (np.stack([windows[i].x for i in picked], axis=1) if len(picked)
-                    else np.empty((40, 0, 10)))
+        expected = (np.stack([windows[i].x for i in picked], axis=-1) if len(picked)
+                    else np.empty((40, 10, 0)))
         assert batch.x.shape == expected.shape
         assert batch.x.tobytes() == expected.tobytes()
-        # Laid out (D, B, T) in memory, so the layers reshape it without a copy.
+        # Laid out (D, T, B) in memory, so the layers reshape it without a copy.
         assert batch.x.flags.c_contiguous
         assert np.array_equal(batch.labels, windows.labels[idx])
 
     def test_gather_into_a_buffer_and_out_of_range_starts(self, tmp_path):
         _, windows = self.partition(tmp_path)
         batch = windows[[3, 40, 3]]
-        out = np.empty((40, 3, 10))
+        out = np.empty((40, 10, 3))
         assert batch.gather(out) is out
         assert out.tobytes() == batch.x.tobytes()
         n = windows.series.shape[1]
         for starts in ([0, n - 9], [-1]):
             bad = Windows(windows.series, np.array(starts), np.zeros(len(starts), np.int64), 10)
             with pytest.raises(IndexError, match="outside"):
-                bad.gather(out[:, :len(starts)])
+                bad.gather(out[..., :len(starts)])
 
     def test_days_sit_side_by_side_and_windows_stay_inside_one(self, tmp_path):
         events = (25, 14, 31)

@@ -10,6 +10,7 @@ from mtabl.errors import (
 from mtabl.layers import (
     LayerParams,
     Workspace,
+    activation_backward,
     layer_backward,
     layer_forward,
     layer_layout,
@@ -101,8 +102,8 @@ class TestAssociationOrder:
         d, t = dims
         ws = Workspace()
         # One window, then a batch and a short last batch through one workspace.
-        for x, w in ((rng.normal(size=dims), None), (rng.normal(size=(d, 8, t)), ws),
-                     (rng.normal(size=(d, 3, t)), ws)):
+        for x, w in ((rng.normal(size=dims), None), (rng.normal(size=(d, t, 8)), ws),
+                     (rng.normal(size=(d, t, 3)), ws)):
             y, cache = layer_forward(x, p, activation, w)
             y = y.copy()
             grad_y = rng.normal(size=y.shape)
@@ -124,16 +125,40 @@ class TestAssociationOrder:
             assert np.abs(y - expected).max() <= 1e-12
 
     def test_bias_gradient_sums_windows_like_numpy_sum(self, rng):
-        # dL/dB is dz summed over the batch axis; its bits must be those of
-        # dz.sum(axis=1), whatever the shape.
+        # dL/dB is dz summed over the contiguous batch axis; its bits must be
+        # those of dz.sum(axis=2), whatever the shape.
         for _ in range(200):
             d, t, d_out = rng.integers(1, 7, size=3)
             t_out, b = rng.integers(1, 12), rng.integers(1, 300)
             p = random_bl(rng, d, t, d_out, t_out)
-            _, cache = layer_forward(rng.normal(size=(d, b, t)), p)
-            grad_y = rng.normal(size=(d_out, b, t_out))
+            _, cache = layer_forward(rng.normal(size=(d, t, b)), p)
+            grad_y = rng.normal(size=(d_out, t_out, b))
             grads, _ = layer_backward(cache, p, grad_y, input_grad=False)
-            assert grads.B.tobytes() == grad_y.sum(axis=1).tobytes()
+            assert grads.B.tobytes() == grad_y.sum(axis=2).tobytes()
+
+
+@pytest.mark.parametrize("workspace", [False, True])
+def test_relu_mask_keeps_the_bits_of_a_float_factor(workspace):
+    # The forward keeps z > 0 as a boolean mask, and the backward multiplies
+    # by it: dL/dz must carry the bits of g * (z > 0).astype(float), so a
+    # negative g times a closed gate gives -0.0, not 0.0. W1 is zero, so z
+    # is B plus W1 @ u = +0.0; the -0.0 in B arrives as +0.0 (-0 + +0 = +0),
+    # which the gate treats alike.
+    special = np.array([0.0, -0.0, np.nan, 1.5, -1.5])
+    z = np.repeat(special, 2)[:, None]  # each row twice, for g of either sign
+    p = LayerParams.pack(W1=np.zeros((len(z), 2)), W2=np.ones((3, 1)), B=z)
+    assert temporal_first(p)
+    ws = Workspace() if workspace else None
+    _, cache = layer_forward(np.ones((2, 3, 4)), p, "relu", ws)
+    g = np.tile([1.25, -1.25], len(special))[:, None, None] * np.array([1.0, 2.0, -0.0, 0.5])
+    expected = g * (z[..., None] > 0).astype(float)
+    # In place when the workspace holds dL/dy, as it does in a network.
+    grad_y = g.copy() if ws is None else ws.take("grad", g.shape)
+    grad_y[...] = g
+    dz = activation_backward(grad_y, cache, ws)
+    assert np.shares_memory(dz, grad_y) == workspace
+    assert np.signbit(expected[expected == 0.0]).any()  # closed gates give -0.0
+    assert dz.tobytes() == expected.tobytes()
 
 
 class TestTABLForward:
@@ -216,29 +241,29 @@ class TestMixing:
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_batch_matches_the_paper_formula_window_by_window(self, rng, k, lam):
         p = self.layer(rng, k, lam)
-        x = rng.normal(size=(4, 6, 5))
+        x = rng.normal(size=(4, 5, 6))
         y, _ = layer_forward(x, p)
-        for b in range(x.shape[1]):
-            window = [x[:, b].tolist(), p.W1.tolist()]
+        for b in range(x.shape[2]):
+            window = [x[..., b].tolist(), p.W1.tolist()]
             rest = [p.W2.tolist(), p.B.tolist(), lam]
             expected = np.array(
                 tabl_forward_scalar(*window, p.heads[0].tolist(), *rest) if k == 1
                 else mtabl_forward_scalar(*window, [w.tolist() for w in p.heads],
                                           p.Wtilde1.tolist(), *rest))
-            assert np.abs(y[:, b] - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert np.abs(y[..., b] - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     @pytest.mark.parametrize("k", [1, 3])
     def test_mixing_is_exact_at_either_end(self, rng, k, lam):
         # lam = 0 passes xbar through, lam = 1 gives xbar*a, bit for bit.
         p = self.layer(rng, k, lam)
-        x = rng.normal(size=(4, 6, 5))
+        x = rng.normal(size=(4, 5, 6))
         y, cache = layer_forward(x, p)
         a, xbar = cache.masks, cache.xbar
         mixed = cache.xtilde[None] if k == 1 else cache.stacked.reshape(a.shape)
         assert mixed.tobytes() == (lam * (xbar * a) + (1.0 - lam) * xbar).tobytes()
         if k == 1 and lam == 0.0:  # the BL layer over the same xbar
-            z = (xbar.reshape(-1, 5) @ p.W2).reshape(3, 6, 2) + p.B[:, None]
+            z = p.W2.T @ xbar + p.B[..., None]
             assert y.tobytes() == z.tobytes()
 
 
@@ -383,24 +408,24 @@ class TestBackward:
 @pytest.mark.parametrize("kind,heads,topo", [("tabl", 1, "A"), ("mtabl", 3, "B"),
                                               ("mtabl", 5, "C")])
 def test_masks_keep_the_contract_perfbench_reads(rng, kind, heads, topo):
-    # cache.masks is (K, D', [B,] T), every row sums to 1, and each window's
+    # cache.masks is (K, D', T[, B]), every row sums to 1, and each window's
     # masks are the scalar oracle's, for a single window and for a batch.
     spec = topology(topo, attention_kind=kind, heads=heads)
     params = init_network_params(spec, 3)
-    batch = rng.normal(size=(40, 6, 10))
+    batch = rng.normal(size=(40, 10, 6))
     p = params[-1]
     d_out, t = p.W1.shape[0], p.W2.shape[0]
     heads_ = [w.tolist() for w in p.heads]
-    for x in (batch, batch[:, 4]):
+    for x in (batch, batch[..., 4]):
         masks = network_forward(x, spec, params)[1][-1].masks
-        windows = x.shape[1:-1]
-        assert masks.shape == (heads, d_out) + windows + (t,)
-        assert np.abs(masks.sum(axis=-1) - 1.0).max() <= 1e-12
+        windows = x.shape[2:]
+        assert masks.shape == (heads, d_out, t) + windows
+        assert np.abs(masks.sum(axis=2) - 1.0).max() <= 1e-12
         x_att = network_forward(x, spec, params)[1][-1].x
         for b in np.ndindex(windows):
-            expected = attention_masks_scalar(x_att[(slice(None),) + b].tolist(),
+            expected = attention_masks_scalar(x_att[(...,) + b].tolist(),
                                               p.W1.tolist(), heads_)
-            got = masks[(slice(None), slice(None)) + b]
+            got = masks[(...,) + b]
             assert np.abs(got - np.array(expected)).max() <= 1e-12
 
 

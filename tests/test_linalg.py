@@ -183,13 +183,15 @@ class TestTimeMajorRows:
         p = LayerParams.pack(rng.normal(size=(d_out, d)), rng.normal(size=(t, 2)),
                              rng.normal(size=(d_out, 2)), rng.normal(size=(k, t, t)),
                              np.eye(d_out, d_out * k) if k > 1 else None, 0.5)
-        x = rng.normal(size=(d,) + batch + (t,))
+        x = rng.normal(size=(d, t) + batch)
         _, cache = layer_forward(x, p)
         expected = np.einsum("ed,d...->e...", p.W1, x)
         assert np.abs(cache.xbar - expected).max() <= 1e-12 * np.abs(expected).max()
-        assert (cache.masks if len(lead) == 3 else cache.xbar).shape == lead + (t,)
+        # The time axis is a window's last, and comes before a batch's axis.
+        shape = lead[:len(lead) - len(batch)] + (t,) + batch
+        assert (cache.masks if len(lead) == 3 else cache.xbar).shape == shape
         for block in (cache.xbar, cache.masks, cache.xtilde):
-            assert np.moveaxis(block, -1, 0).flags.c_contiguous
+            assert np.moveaxis(block, -1 - len(batch), 0).flags.c_contiguous
 
     def test_max_is_the_row_max_bit_for_bit(self, rng, lead, t):
         a = _scores(rng, lead, t)

@@ -78,38 +78,38 @@ class TestCrossEntropy:
             cross_entropy(column([0.3, 0.3, 0.4]), label)
         labels = np.array([0, 1, 2, label, 1])
         with pytest.raises(DataError, match="labels must be 0, 1 or 2"):
-            cross_entropy(np.full((3, 5, 1), 1 / 3), labels)
+            cross_entropy(np.full((3, 1, 5), 1 / 3), labels)
 
     @pytest.mark.parametrize("labels", [[0, 1, 2], [0.0, 1.0, 2.0], [-0.0, 2.0, 1.0],
                                         [True, False, True]])
     def test_whole_labels_of_any_dtype_accepted(self, labels):
-        loss, _, _ = cross_entropy(np.full((3, 3, 1), 1 / 3), np.array(labels))
+        loss, _, _ = cross_entropy(np.full((3, 1, 3), 1 / 3), np.array(labels))
         assert loss == pytest.approx(3 * math.log(3))
 
 
 class TestBatchedCrossEntropy:
     def test_sums_the_per_window_losses(self, rng):
-        raw = rng.uniform(0.01, 1.0, (3, 9, 1))
+        raw = rng.uniform(0.01, 1.0, (3, 1, 9))
         probs = raw / raw.sum(axis=0)
         labels = rng.integers(0, 3, 9)
         weights = np.array([0.7, 1.5, 0.8])
         loss, grad, clamped = cross_entropy(probs, labels, weights)
-        singles = [cross_entropy(probs[:, b], int(labels[b]), weights) for b in range(9)]
+        singles = [cross_entropy(probs[..., b], int(labels[b]), weights) for b in range(9)]
         assert abs(loss - sum(l for l, _, _ in singles)) <= 1e-12
         assert grad.shape == probs.shape
         for b, (_, g, _) in enumerate(singles):
-            assert np.array_equal(grad[:, b], g)
+            assert np.array_equal(grad[..., b], g)
         assert clamped == 0
 
     def test_counts_floored_probabilities(self):
-        probs = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.0, 0.0, 0.0]])[:, :, None]
+        probs = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.0, 0.0, 0.0]])[:, None]
         loss, _, clamped = cross_entropy(probs, np.array([0, 2, 2]))
         assert clamped == 2
         assert math.isfinite(loss)
         assert cross_entropy(column([1e-320, 0.5, 0.5]), 0)[2] == 1
 
     def test_bad_batched_inputs(self):
-        probs = np.full((3, 4, 1), 1 / 3)
+        probs = np.full((3, 1, 4), 1 / 3)
         with pytest.raises(DimensionError):
             cross_entropy(probs, np.array([0, 1, 2]))
         with pytest.raises(DimensionError):

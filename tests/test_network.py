@@ -130,7 +130,7 @@ class TestForwardBackward:
     def test_predict_labels_in_range(self, rng):
         spec = spec_a(kind="mtabl", heads=2)
         params = init_network_params(spec, 5)
-        samples = Windows.separate(rng.normal(size=(6, 8, 4)), np.zeros(8))
+        samples = Windows.separate(rng.normal(size=(6, 4, 8)), np.zeros(8))
         preds = predict_labels(spec, params, samples)
         assert len(preds) == 8
         assert set(preds) <= {0, 1, 2}

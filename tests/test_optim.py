@@ -115,7 +115,7 @@ class TestStep:
         # One sample, one step, lr 0.1, zero momentum: every parameter
         # moves by exactly -0.1 times its analytic gradient.
         rng = np.random.default_rng(8)
-        ds = Dataset(train=Windows.separate(rng.normal(size=(4, 1, 5)), [2]))
+        ds = Dataset(train=Windows.separate(rng.normal(size=(4, 5, 1)), [2]))
         sample = ds.train[0]
         spec = spec_for(ds, kind="tabl", heads=1)
         params = init_network_params(spec, 8)
@@ -250,7 +250,7 @@ class TestTrain:
         # W1 @ X, and the divergence report must still find it.
         spec = topology("B", input_dims=(40, 10))
         params = init_network_params(spec, 0)
-        x = np.random.default_rng(0).normal(size=(40, 4, 10))
+        x = np.random.default_rng(0).normal(size=(40, 10, 4))
         _, cache = layer_forward(x, params[0], "relu")
         assert cache.xbar is None and cache.u is not None
         assert _first_nonfinite_layer(spec, [cache]) == "loss"

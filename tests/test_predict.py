@@ -3,10 +3,11 @@
 A first layer that projects features first (topology A) takes W1 @ X once
 per event of consecutive windows, then copies the windows of that
 projected series; a temporal-first first layer (topologies B and C), or a
-selection that is not consecutive, takes the gathered (D, B, T) batch. The per-event product runs over other matrix
-shapes than the gathered one, so its probabilities may differ in the last
-bits: they must stay within 1e-12 relative of the gathered forward, and
-the labels must be equal.
+selection that is not consecutive, takes the gathered (D, T, B) batch.
+The per-event product runs over other matrix shapes than the gathered
+one, so its probabilities may differ in the last bits: they must stay
+within 1e-12 relative of the gathered forward, and the labels must be
+equal.
 """
 
 import math
@@ -113,16 +114,16 @@ def test_per_event_path_matches_the_gathered_forward(monkeypatch, name, case, se
     calls = recorded(monkeypatch)
     labels = predict_labels(spec, params, windows)
 
-    gathered = network_forward(windows.x, spec, params)[0][:, :, 0]
+    gathered = network_forward(windows.x, spec, params)[0][:, 0]
     assert labels == np.argmax(gathered, axis=0).tolist()
     # Windows that are not consecutive take the gathered path.
     projected = windows.consecutive()
     assert projected == (case != "gaps and repeats")
     rows, chunk = (3, CHUNK[name]) if projected else (N_FEATURES, SCATTERED_CHUNK)
     assert [(x.shape, p) for x, p, _ in calls] == [
-        ((rows, len(windows[i:i + chunk]), WINDOW), projected)
+        ((rows, WINDOW, len(windows[i:i + chunk])), projected)
         for i in range(0, len(windows), chunk)]
-    probs = np.concatenate([p[:, :, 0] for _, _, p in calls], axis=1)
+    probs = np.concatenate([p[:, 0] for _, _, p in calls], axis=1)
     assert np.all(np.abs(probs - gathered) <= REL_TOL * np.abs(gathered))
 
 
@@ -138,14 +139,14 @@ def test_scattered_selection_runs_chunks_its_copy_fits(monkeypatch, name):
     calls = recorded(monkeypatch)
     labels = predict_labels(spec, params, windows)
     assert [(x.shape, p) for x, p, _ in calls] == [
-        ((N_FEATURES, n, WINDOW), False) for n in (384, 384, 232)]
+        ((N_FEATURES, WINDOW, n), False) for n in (384, 384, 232)]
     expected = []
     for (x, _, probs), start in zip(calls, (0, 384, 768)):
-        chunk = windows[start:start + x.shape[1]].x
+        chunk = windows[start:start + x.shape[2]].x
         assert x.tobytes() == chunk.tobytes()
         fresh = network_forward(chunk, spec, params)[0]
         assert probs.tobytes() == fresh.tobytes()
-        expected += np.argmax(fresh[:, :, 0], axis=0).tolist()
+        expected += np.argmax(fresh[:, 0], axis=0).tolist()
     assert labels == expected
 
 
@@ -165,10 +166,10 @@ def test_temporal_first_networks_take_the_gathered_batch(monkeypatch, name):
     calls = recorded(monkeypatch)
     labels = predict_labels(spec, params, windows)
     assert [(x.shape, projected) for x, projected, _ in calls] == [
-        ((N_FEATURES, 256, WINDOW), False), ((N_FEATURES, 44, WINDOW), False)]
+        ((N_FEATURES, WINDOW, 256), False), ((N_FEATURES, WINDOW, 44), False)]
     assert calls[0][0].tobytes() == windows[:256].x.tobytes()
     probs = network_forward(windows.x, spec, params)[0]
-    assert labels == np.argmax(probs[:, :, 0], axis=0).tolist()
+    assert labels == np.argmax(probs[:, 0], axis=0).tolist()
 
 
 @pytest.mark.parametrize("dims", [(8, WINDOW), (N_FEATURES, 8)])
@@ -186,19 +187,19 @@ def test_projected_input_of_the_wrong_shape_raises():
     spec = SPECS["A/tabl"]()
     params = init_network_params(spec, 0)
     with pytest.raises(DimensionError, match="projected input"):
-        network_forward(np.zeros((N_FEATURES, 4, WINDOW)), spec, params, None, True)
+        network_forward(np.zeros((N_FEATURES, WINDOW, 4)), spec, params, None, True)
     with pytest.raises(DimensionError, match="projected input"):
-        network_forward(np.zeros((3, 4, WINDOW - 1)), spec, params, None, True)
+        network_forward(np.zeros((3, WINDOW - 1, 4)), spec, params, None, True)
     # A temporal-first layer has no xbar to start from.
     (bl, *_) = init_network_params(SPECS["C/mtabl5"](), 0)
     with pytest.raises(DimensionError, match="projected input"):
-        layer_forward(np.zeros((60, 4, WINDOW)), bl, "relu", None, True)
+        layer_forward(np.zeros((60, WINDOW, 4)), bl, "relu", None, True)
 
 
 def test_projected_cache_cannot_run_backward():
     spec = SPECS["A/tabl"]()
     (p,) = init_network_params(spec, 0)
-    xbar = np.random.default_rng(0).normal(size=(3, 4, WINDOW))
+    xbar = np.random.default_rng(0).normal(size=(3, WINDOW, 4))
     probs, cache = layer_forward(xbar, p, "softmax", None, True)
     assert cache.x is None and cache.xbar is xbar
     with pytest.raises(CacheMismatchError, match="projected forward"):
@@ -224,20 +225,20 @@ def test_chunks_fit_the_widest_buffer_to_the_budget(monkeypatch, name):
     sizes = []
 
     class Recording(Workspace):
-        def take(self, role, shape):
+        def take(self, role, shape, dtype=np.float64):
             sizes.append(math.prod(shape))
-            return super().take(role, shape)
+            return super().take(role, shape, dtype)
 
     monkeypatch.setattr(mtabl.network, "Workspace", Recording)
     calls = recorded(monkeypatch)
     labels = predict_labels(spec, params, windows)
-    assert [x.shape[1] for x, _, _ in calls] == [
+    assert [x.shape[2] for x, _, _ in calls] == [
         len(windows[i:i + chunk]) for i in range(0, len(windows), chunk)]
     # The widest buffer fits the budget, and one more window would not.
     budget = mtabl.network._PREDICT_DOUBLES
     assert max(sizes) <= budget < max(sizes) // chunk * (chunk + 1)
     probs = network_forward(windows.x, spec, params)[0]
-    assert labels == np.argmax(probs[:, :, 0], axis=0).tolist()
+    assert labels == np.argmax(probs[:, 0], axis=0).tolist()
 
 
 # The benchmark counts one window's forward through network_forward: these

@@ -302,7 +302,7 @@ class TestDatasetValidation:
             return
         # Whatever loads must be consistent with what it claims.
         for _, part in loaded.partitions():
-            assert part.x.shape == (meta["sample_dims"][0], len(part), meta["sample_dims"][1])
+            assert part.x.shape == (*meta["sample_dims"], len(part))
             for sample in part:
                 assert sample.x.shape == tuple(meta["sample_dims"])
                 assert sample.label in (0, 1, 2)

@@ -18,6 +18,8 @@ from mtabl.layers import Workspace, layer_backward, layer_forward, temporal_firs
 from mtabl.linalg import matmul
 from mtabl.losses import cross_entropy, inverse_frequency_weights
 from mtabl.network import (
+    LayerSpec,
+    NetworkSpec,
     gather,
     init_network_params,
     network_backward,
@@ -35,11 +37,10 @@ SPECS = {
 }
 
 # Fresh allocations of one train-c step at batch 256 after a warm-up step:
-# 0.33 MB measured with a workspace (the attention forward's time-major
-# copies and the backward's (K, D', B) row sums), 16.1 MB without one.
+# 0.28 MB measured with a workspace, 12.3 MB without one.
 STEP_PEAK_BYTES = 500_000
 # Fresh allocations of one 256-window C predict_labels after a warm-up call:
-# 3.46 MB measured with every layer writing the same buffers, 5.30 MB when
+# 3.43 MB measured with every layer writing the same buffers, 5.30 MB when
 # each layer kept its own.
 PREDICT_PEAK_BYTES = 4_200_000
 # Fresh allocations of one 5120-window A/TABL predict_labels after a warm-up
@@ -110,7 +111,7 @@ def _warm_backward_peaks():
 
 
 def test_attention_backward_allocates_less_than_one_head_block():
-    # The (K, D', B, T) intermediates go to workspace buffers; 99 KB
+    # The (T, K, D'*B) intermediates go to workspace buffers; 95 KB
     # measured, against 769 KB when each was a fresh array.
     peaks, caches = _warm_backward_peaks()
     block = caches[0].masks.nbytes
@@ -118,17 +119,18 @@ def test_attention_backward_allocates_less_than_one_head_block():
 
 
 def test_bl_backward_allocates_no_batch_sized_array():
-    # relu's z > 0 goes to a workspace buffer; 58 KB and 20 KB measured
-    # (dW1 and the bias sum), against 220 KB each with a fresh boolean mask.
+    # relu's z > 0 is a workspace buffer the forward writes; 67 KB measured
+    # in each layer (dW1, the per-row dW2 products and the bias sum), against
+    # 220 KB each when the backward took a fresh boolean mask.
     peaks, caches = _warm_backward_peaks()
     for peak, cache in zip(peaks[1:], caches[1:]):
-        assert cache.activation == "relu" and cache.z.shape[1] == 256
+        assert cache.activation == "relu" and cache.z.shape[2] == 256
         assert peak < cache.z.size  # one byte per element: the boolean mask
     assert len(peaks) == 3
 
 
 def test_attention_forward_takes_its_time_major_copy_from_the_workspace():
-    # The time-major copy of xbar and the (5, 3, 256, 5) scores block come
+    # The time-major xbar block and the (5, 5, 3*256) scores block come
     # from the layer's workspace: 94 KB measured (the softmax's row scratch
     # and numpy's buffer for its broadcast subtraction), against 247 KB when
     # the softmax took a fresh time-major copy of the scores.
@@ -145,7 +147,7 @@ def test_attention_forward_takes_its_time_major_copy_from_the_workspace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cache.masks.shape == (5, 3, 256, 5) and peak < 128 * 1024
+    assert cache.masks.shape == (5, 3, 5, 256) and peak < 128 * 1024
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -187,6 +189,20 @@ def test_batch_gradients_bit_identical_with_workspace(name):
         loss_ws, grads_ws, clamped_ws = batch_gradients(spec, params, batch, weights, ws)
         assert (loss_ws, clamped_ws) == (loss, clamped)
         assert grads_ws.flat.tobytes() == grads.flat.tobytes()
+
+
+def test_hidden_softmax_layer_keeps_its_output_for_its_backward():
+    # A layer's backward writes dL/dx over its input when the workspace
+    # holds it; a softmax layer below it reads its own output, y, in its
+    # backward, so that output must lie outside the workspace.
+    spec = NetworkSpec(input_dims=(8, 10), layers=(
+        LayerSpec(kind="bl", out_dims=(6, 1), activation="softmax"),
+        LayerSpec(kind="tabl", out_dims=(3, 1), activation="softmax")))
+    batch = synth_generate(100, n_features=8, window=10, seed=0).train[:32]
+    params = init_network_params(spec, 0)
+    _, grads, _ = batch_gradients(spec, params, batch, None)
+    _, grads_ws, _ = batch_gradients(spec, params, batch, None, Workspace())
+    assert grads_ws.flat.tobytes() == grads.flat.tobytes()
 
 
 def test_backward_with_workspace_skips_only_the_input_gradient():
@@ -251,7 +267,7 @@ def test_predict_through_the_shared_workspace_is_bit_identical(monkeypatch, name
     def recording(x, spec, params, ws=None, projected=False):
         probs, caches = forward(x, spec, params, ws, projected)
         in_x = ws.take("x", x.shape).ctypes.data == x.ctypes.data
-        calls.append((x.shape[1], projected, probs.copy(), in_x))
+        calls.append((x.shape[2], projected, probs.copy(), in_x))
         return probs, caches
 
     monkeypatch.setattr(mtabl.network, "network_forward", recording)
@@ -268,7 +284,7 @@ def test_predict_through_the_shared_workspace_is_bit_identical(monkeypatch, name
                             starts=chunk.starts - lo)
         fresh = network_forward(chunk.gather(), spec, params, None, projected)[0]
         assert probs.tobytes() == fresh.tobytes()
-        expected += np.argmax(fresh[:, :, 0], axis=0).tolist()
+        expected += np.argmax(fresh[:, 0], axis=0).tolist()
     assert labels == expected
 
 
