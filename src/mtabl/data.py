@@ -120,7 +120,9 @@ class Windows:
     def consecutive(self) -> bool:
         """Whether the windows are sorted with no gap between neighbours, as
         in a partition: then they, and every slice of them, cover
-        consecutive columns, which prediction projects once per event."""
+        consecutive columns, which prediction may project once per event.
+        Windows laid end to end (:meth:`separate`) count as consecutive,
+        yet share no event."""
         steps = self.starts[1:] - self.starts[:-1]
         return bool(((0 <= steps) & (steps <= self.window)).all())
 

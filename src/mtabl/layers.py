@@ -51,6 +51,7 @@ W2 @ dL/du[d]. The bias add, relu and dL/dB run along the contiguous
 batch axis. relu's forward keeps z > 0 as a boolean mask
 (``LayerCache.positive``), and its backward multiplies dL/dy by it, so
 dL/dz has the bits of ``g * (z > 0).astype(float)``, signed zeros too.
+A forward-only pass, through a shared :class:`Workspace`, keeps no mask.
 
 From xbar to z a feature-first layer works time-major, with the time
 axis first in memory: the softmax (which also checks that every mask row
@@ -205,7 +206,10 @@ class Workspace:
     need only their output: all layers share one buffer per role, which
     grows to the largest layer's need on the first batch and is then
     reused. Sharing keeps a C prediction's buffers at the size of its
-    largest layer, not the sum over its layers.
+    largest layer, not the sum over its layers. Its caches are overwritten
+    layer by layer and serve no backward, so a forward through it keeps
+    no relu mask (a backward on such a cache raises
+    :class:`~mtabl.errors.CacheMismatchError`).
 
     A result lives until a pass writes its key again: a layer's output and
     cache until the next forward through its view (any view, if shared) or
@@ -220,14 +224,16 @@ class Workspace:
     ``network_backward`` gives all layers the unkeyed view, so they share
     the backward roles ``grad`` (dL/dz, then dL/dx, where there is no such
     array to replace), ``dmixed`` and ``product`` (the
-    softmax backward's scratch, then dL/dxbar). A pass without a
-    workspace touches none.
+    softmax backward's scratch, then dL/dxbar), and it keeps the gradient
+    vector it returns in ``grads``, zeroed in place on each call. A pass
+    without a workspace touches none.
     """
 
     def __init__(self, shared: bool = False):
         self._layer: int | None = None
         self._shared = shared
         self._buffers = {}
+        self.grads = None  # network_backward's NetworkParams
 
     def layer(self, i: int) -> "Workspace":
         """The view of layer ``i``: the same buffers, under keys of its own
@@ -292,7 +298,7 @@ class LayerCache:
     z: Matrix  # with a workspace, y overwrites it
     y: Matrix
     u: Matrix | None
-    positive: np.ndarray | None  # relu's z > 0, what its backward reads
+    positive: np.ndarray | None  # relu's z > 0, what its backward reads; None if shared
 
 
 def apply_activation(z: Matrix, kind: str, out: Matrix | None = None) -> Matrix:
@@ -348,12 +354,12 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
     Returns the output, (D', T') or (D', T', B), and its cache, in ``ws``
     (one layer's view of a workspace) when given. ``_projected`` (internal,
     from :func:`mtabl.network.predict_labels`): ``x`` is W1 @ X, (D', T, B),
-    of a layer that is not temporal-first, and the cache has no backward;
-    a view of a time-major block is used in place, any other ``x`` copied.
+    and the cache has no backward; the layer runs features first, also when
+    :func:`temporal_first` would take W1 @ (X @ W2), and a view of a
+    time-major block is used in place, any other ``x`` copied.
     """
     (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
-    if (x.ndim not in (2, 3) or x.shape[:2] != (d_out if _projected else d, t)
-            or _projected and temporal_first(p)):
+    if x.ndim not in (2, 3) or x.shape[:2] != (d_out if _projected else d, t):
         raise DimensionError(f"{'projected ' * _projected}input {x.shape} does not fit "
                              f"W1 {p.W1.shape} and W2 {p.W2.shape} of this layer")
     if x.ndim == 2:  # one window is a batch of one
@@ -361,7 +367,7 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
         return y[..., 0], _each(cache, lambda a: a[..., 0])
     b, k = x.shape[2], len(p.heads)
     masks, stacked, u = np.empty((0, d_out, t, b)), None, None
-    if temporal_first(p):
+    if temporal_first(p) and not _projected:
         with scope(SCOPE_OUTPUT):
             # W2^T @ X[d] for each of the D feature rows, (T', B) each.
             u = matmul(p.W2.T, x, buffer(ws, "u", (d, t_out, b)))
@@ -412,7 +418,7 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
     z = z.reshape(d_out, t_out, b)
     z += p.B[..., None]
     positive = (np.greater(z, 0.0, out=buffer(ws, "positive", z.shape, np.bool_))
-                if activation == "relu" else None)
+                if activation == "relu" and not (ws and ws._shared) else None)
     # A softmax backward reads y: its own role keeps it from the next
     # layer's backward, which writes dL/dx over a ``z`` buffer.
     y = apply_activation(z, activation, buffer(ws, "y" if activation == "softmax" else "z",
@@ -434,6 +440,9 @@ def _check_cache(cache: LayerCache, params: LayerParams, grad_y: Matrix) -> None
         )
     if cache.x is None:
         raise CacheMismatchError("the cache of a projected forward holds no input")
+    if cache.activation == "relu" and cache.positive is None:
+        raise CacheMismatchError("the cache holds no relu mask: a forward through a "
+                                 "shared workspace keeps none")
     (d_out, d), (t, t_out) = params.W1.shape, params.W2.shape
     first, shape = ((cache.u, (d, t_out)) if temporal_first(params)
                     else (cache.xbar, (d_out, t)))

@@ -17,20 +17,29 @@ is still in cache. A training loop passes the same workspace to every
 step, so the returned probabilities and caches are overwritten by the
 next pass through it.
 
-:func:`predict_labels` projects each event once when the first layer is
-not temporal-first (topology A) and the windows are consecutive, as in a
-partition or a slice of one (:meth:`~mtabl.data.Windows.consecutive`):
-W1 @ X acts on each event alone, and consecutive windows share T-1 of
-their T events. A temporal-first layer (B and C), or a selection in any
-other order, takes the gathered batch. The projected windows go straight
-into the time-major block the attention layer works on, one strided copy
-per run of windows one event apart (one run per day of a partition).
-Probabilities stay within 1e-12 relative, labels equal.
+:func:`predict_labels` projects each event once when the windows are
+consecutive, as in a partition or a slice of one
+(:meth:`~mtabl.data.Windows.consecutive`), and that writes fewer doubles
+a window than gathering: W1 @ X acts on each event alone, and
+consecutive windows share T-1 of their T events. For the first layer's
+(D, T) -> (D', T') and n windows spanning E events, it projects when
+D'*(T + E/n) < D*T + w, w being D*T' (u = W2^T @ X) for a temporal-first
+layer and D'*T (the xbar block) for any other (:func:`_projects`). So a
+day projects for A, C and B with a 20 x 5 hidden layer, and is gathered
+for B; windows laid end to end (E/n = T) are gathered for B and C. A
+projected first layer runs features first, even one that
+:func:`~mtabl.layers.temporal_first` would run temporal-first. The
+projected windows go straight into the time-major block the next step
+works on, one strided copy per run of windows one event apart (one run
+per day of a partition). Probabilities stay within 1e-12 relative,
+labels equal. A selection in any other order is gathered.
 It sizes its chunks by doubles, not windows: a chunk takes as many windows
 as fit ``_PREDICT_DOUBLES`` (1.2 MB) in the widest buffer its forward
 writes, so memory does not grow with the selection, and A, at 30 doubles
 a window, runs 5120-window chunks where C, at 600, runs 256; A gathers a
-selection that is not consecutive 384 windows a chunk.
+selection that is not consecutive 384 windows a chunk. Its forward runs
+through a shared workspace, whose caches serve no backward, so it keeps
+no relu mask.
 """
 
 from __future__ import annotations
@@ -275,10 +284,18 @@ def network_backward(spec: NetworkSpec, params: NetworkParams, caches: list, gra
     windows of a batch. The incoming gradient is taken with respect to the
     final layer's pre-activation scores, as produced by the fused softmax
     cross-entropy backward. With a workspace, the layers share its
-    backward scratch. The first layer's dL/dx, which no parameter gradient
-    needs, is never computed (:func:`~mtabl.layers.layer_backward` gives it).
+    backward scratch, and the gradients are its ``grads`` vector, zeroed in
+    place, which the next call overwrites. The first layer's dL/dx, which
+    no parameter gradient needs, is never computed
+    (:func:`~mtabl.layers.layer_backward` gives it).
     """
-    grads = params.like(np.zeros_like(params.flat))
+    grads = ws and ws.grads
+    if grads is None or grads.spec != params.spec:
+        grads = params.like(np.zeros_like(params.flat))
+        if ws is not None:
+            ws.grads = grads
+    else:
+        grads.flat.fill(0.0)
     upstream = grad
     last = len(params) - 1
     for i in range(last, -1, -1):
@@ -299,14 +316,28 @@ def _window_doubles(params: list, projected: bool) -> int:
     """Doubles per window in the widest buffer a predict forward writes: the
     first layer's input, W1 @ X when ``projected`` and else the gathered
     D x T window, then per layer its output, and u = W2^T @ X of a
-    temporal-first layer or the (max(K, 1), D', T) heads block (scores,
-    masks, mixed) of a feature-first one."""
+    temporal-first layer or the (max(K, 1), D', T) heads block of a
+    feature-first one; a projected first layer runs features first."""
     w = params[0].W1.shape[0 if projected else 1] * params[0].W2.shape[0]
-    for p in params:
+    for i, p in enumerate(params):
         (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
-        inner = d * t_out if temporal_first(p) else max(len(p.heads), 1) * d_out * t
+        inner = (d * t_out if temporal_first(p) and not (projected and i == 0)
+                 else max(len(p.heads), 1) * d_out * t)
         w = max(w, d_out * t_out, inner)
     return w
+
+
+def _projects(p: LayerParams, windows) -> bool:
+    """Whether :func:`predict_labels` projects each event of ``windows`` once,
+    given the first layer's ``p``: they are consecutive, not empty, and the
+    projected span and time-major block, D'*(T + E/n) doubles a window, are
+    fewer than the gathered window and its first product, D*T + w."""
+    if not (len(windows) and windows.consecutive()):
+        return False
+    (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
+    n, span = len(windows), windows.starts[-1] - windows.starts[0] + t
+    w = d * t_out if temporal_first(p) else d_out * t
+    return d_out * (t * n + span) < (d * t + w) * n
 
 
 def _project(windows, w1: Matrix, ws: Workspace) -> np.ndarray:
@@ -334,19 +365,19 @@ def _project(windows, w1: Matrix, ws: Workspace) -> np.ndarray:
 
 def predict_labels(spec: NetworkSpec, params: list, windows) -> list[int]:
     """Hard class decisions for :class:`~mtabl.data.Windows`, batched through
-    one shared :class:`~mtabl.layers.Workspace`: each chunk is gathered
-    into its ``x`` buffer, and every layer writes the same buffers. A chunk
-    holds as many windows as fit ``_PREDICT_DOUBLES`` doubles in the widest
-    of those buffers, so a narrow network runs few large chunks. A first
-    layer that takes W1 @ X first gets each event's projection once per
-    chunk of consecutive windows, copied time-major in place of the
-    windows (:func:`_project`); any other selection is gathered in the
-    caller's order."""
+    one shared :class:`~mtabl.layers.Workspace`, whose ``x`` buffer takes
+    each chunk, and every layer writes the same buffers. A chunk holds as
+    many windows as fit ``_PREDICT_DOUBLES`` doubles in the widest of those
+    buffers, so a narrow network runs few large chunks. Consecutive
+    windows, when :func:`_projects` finds that it writes fewer doubles,
+    get each event's projection W1 @ X once per chunk, copied time-major in
+    place of the windows (:func:`_project`), and the first layer runs
+    features first; any other selection is gathered in the caller's order."""
     dims = (windows.series.shape[0], windows.window)
     if dims != spec.input_dims:
         raise DimensionError(f"input {dims} does not match network input {spec.input_dims}")
     ws = Workspace(shared=True)
-    projected = not temporal_first(params[0]) and windows.consecutive()
+    projected = _projects(params[0], windows)
     size = max(_PREDICT_DOUBLES // _window_doubles(params, projected), 1)
     labels = np.empty(len(windows), np.int64)
     for start in range(0, len(windows), size):

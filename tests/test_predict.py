@@ -1,13 +1,18 @@
 """predict_labels against the gathered forward it shortcuts.
 
-A first layer that projects features first (topology A) takes W1 @ X once
-per event of consecutive windows, then copies the windows of that
-projected series; a temporal-first first layer (topologies B and C), or a
-selection that is not consecutive, takes the gathered (D, T, B) batch.
-The per-event product runs over other matrix shapes than the gathered
-one, so its probabilities may differ in the last bits: they must stay
-within 1e-12 relative of the gathered forward, and the labels must be
-equal.
+Consecutive windows take W1 @ X once per event and then copy the windows
+of that projected series, whenever that writes fewer doubles a window
+than gathering: D'*(T + E/n) against D*T + w, for the first layer's
+(D, T) -> (D', T'), the selection's span of E events over n windows,
+and w the first layer's first product, D*T' for u = W2^T @ X of a
+temporal-first layer and D'*T for xbar of any other. A day, or a slice
+of one (E/n near 1), projects for A, C and B with a 20 x 5 hidden layer,
+and is gathered for B; windows laid end to end (E/n = T) are gathered for
+B and C. A selection that is not consecutive takes the gathered (D, T, B)
+batch. The per-event product runs over other matrix shapes than the
+gathered one, so its probabilities may differ in the last bits: they must
+stay within 1e-12 relative of the gathered forward, and the labels must
+be equal.
 """
 
 import math
@@ -49,16 +54,16 @@ SPECS = {
     "C/mtabl5-30x10-200x5": lambda: topology("C", attention_kind="mtabl", heads=5,
                                              hidden_dims=[(30, 10), (200, 5)]),
 }
-# Windows per predict_labels chunk: _PREDICT_DOUBLES = 256 * 600 doubles
-# over the doubles per window of the widest buffer a forward writes, given
-# after each entry. B and C with default hidden layers keep 256-window chunks.
+# Windows per predict_labels chunk of a day: _PREDICT_DOUBLES = 256 * 600
+# doubles over the doubles per window of the widest buffer a forward writes,
+# given after each entry. B and C with default hidden layers keep 256-window chunks.
 CHUNK = {
     "A/tabl": 5120,  # 30: the (K, 3, 10) heads block
     "A/mtabl3": 1706,  # 90
     "A/mtabl5": 1024,  # 150
     "B/mtabl3": 256,  # 600: the (120, 5) output of the BL layer
-    "B/mtabl3-20x5": 384,  # 400: the gathered (40, 10) windows
-    "C/mtabl5": 256,  # 600: the outputs of both BL layers
+    "B/mtabl3-20x5": 768,  # 200: the projected (20, 10) windows
+    "C/mtabl5": 256,  # 600: the projected windows and the outputs of both BL layers
     "C/mtabl5-30x10-200x5": 153,  # 1000: the (200, 5) output
 }
 # A gathers windows that are not consecutive, 400 doubles a window.
@@ -162,6 +167,8 @@ def test_temporal_first_networks_take_the_gathered_batch(monkeypatch, name):
     spec = SPECS[name]()
     params = init_network_params(spec, 0)
     windows = day_windows()[100:400]
+    if name == "C/mtabl5":  # C projects a day; windows laid end to end are gathered
+        windows = Windows.separate(windows.x, windows.labels)
     assert temporal_first(params[0])
     calls = recorded(monkeypatch)
     labels = predict_labels(spec, params, windows)
@@ -170,6 +177,64 @@ def test_temporal_first_networks_take_the_gathered_batch(monkeypatch, name):
     assert calls[0][0].tobytes() == windows[:256].x.tobytes()
     probs = network_forward(windows.x, spec, params)[0]
     assert labels == np.argmax(probs[:, 0], axis=0).tolist()
+
+
+# Whether predict_labels projects the windows of a day (E/n near 1) and
+# windows laid end to end (E/n = T): D'*(T + E/n) at E/n = 1 and at 10,
+# against D*T + w.
+PROJECTS = {
+    "A/tabl": (True, True),  # 33 and 60 against 430
+    "A/mtabl3": (True, True),  # 33 and 60 against 430
+    "B/mtabl3": (False, False),  # 1320 and 2400 against 600
+    "B/mtabl3-20x5": (True, True),  # 220 and 400 against 600
+    "C/mtabl5": (True, False),  # 660 and 1200 against 800
+    "C/mtabl5-30x10-200x5": (True, True),  # 330 and 600 against 700
+}
+
+
+@pytest.mark.parametrize("case", ["whole partition", "slice from mid-day",
+                                  "windows end to end", "gaps and repeats"])
+@pytest.mark.parametrize("name", sorted(PROJECTS))
+def test_predict_takes_the_path_that_writes_fewer_doubles(monkeypatch, name, case):
+    spec = SPECS[name]()
+    params = init_network_params(spec, 0)
+    part = day_windows()
+    windows, expected = {
+        "whole partition": (part, PROJECTS[name][0]),
+        "slice from mid-day": (part[137:560], PROJECTS[name][0]),
+        "windows end to end": (Windows.separate(part[::3].x, part[::3].labels),
+                               PROJECTS[name][1]),
+        "gaps and repeats": (part[np.r_[400:500, 20:80, 7, 7]], False),
+    }[case]
+    calls = recorded(monkeypatch)
+    labels = predict_labels(spec, params, windows)
+    rows = len(params[0].W1) if expected else N_FEATURES
+    assert [(x.shape[:2], p) for x, p, _ in calls] == [((rows, WINDOW), expected)] * len(calls)
+    gathered = network_forward(windows.x, spec, params)[0][:, 0]
+    probs = np.concatenate([p[:, 0] for _, _, p in calls], axis=1)
+    assert np.all(np.abs(probs - gathered) <= REL_TOL * np.abs(gathered))
+    assert labels == np.argmax(gathered, axis=0).tolist()
+
+
+def test_c_prediction_projects_each_event_once_a_chunk():
+    # 600 windows of one day run in chunks of 256, 256 and 88, which span
+    # 627 events: the first BL layer's W1 (60 x 40) takes 627 * 2400
+    # multiplications where the gathered batch took W1 @ U, 600 * 24,000.
+    spec = SPECS["C/mtabl5"]()
+    params = init_network_params(spec, 0)
+    windows = day_windows((1000,))[200:800]
+    with count_multiplications() as counter:
+        predict_labels(spec, params, windows)
+    assert counter.by_scope[SCOPE_PROJECT] == 24_184_800  # 37,080,000 gathered
+    assert counter.total == 30_043_800  # 41,739,000 gathered
+
+
+def test_backward_after_a_forward_only_pass_names_the_missing_mask():
+    (bl, *_) = init_network_params(SPECS["C/mtabl5"](), 0)
+    y, cache = layer_forward(day_windows()[:4].x, bl, "relu", Workspace(shared=True))
+    assert cache.positive is None
+    with pytest.raises(CacheMismatchError, match="no relu mask"):
+        layer_backward(cache, bl, np.ones_like(y))
 
 
 @pytest.mark.parametrize("dims", [(8, WINDOW), (N_FEATURES, 8)])
@@ -190,10 +255,10 @@ def test_projected_input_of_the_wrong_shape_raises():
         network_forward(np.zeros((N_FEATURES, WINDOW, 4)), spec, params, None, True)
     with pytest.raises(DimensionError, match="projected input"):
         network_forward(np.zeros((3, WINDOW - 1, 4)), spec, params, None, True)
-    # A temporal-first layer has no xbar to start from.
+    # A temporal-first layer takes its projected input features first, W1 @ X.
     (bl, *_) = init_network_params(SPECS["C/mtabl5"](), 0)
     with pytest.raises(DimensionError, match="projected input"):
-        layer_forward(np.zeros((60, WINDOW, 4)), bl, "relu", None, True)
+        layer_forward(np.zeros((N_FEATURES, WINDOW, 4)), bl, "relu", None, True)
 
 
 def test_projected_cache_cannot_run_backward():

@@ -191,6 +191,18 @@ def test_batch_gradients_bit_identical_with_workspace(name):
         assert grads_ws.flat.tobytes() == grads.flat.tobytes()
 
 
+def test_backward_zeroes_the_workspace_gradient_vector_in_place():
+    spec = SPECS["C/mtabl5"]()
+    params = init_network_params(spec, 1)
+    data = _dataset()
+    ws = Workspace()
+    first = batch_gradients(spec, params, data.train[:32], None, ws)[1]
+    second = batch_gradients(spec, params, data.train[32:64], None, ws)[1]
+    assert second.flat is first.flat
+    fresh = batch_gradients(spec, params, data.train[32:64], None)[1]
+    assert second.flat.tobytes() == fresh.flat.tobytes()
+
+
 def test_hidden_softmax_layer_keeps_its_output_for_its_backward():
     # A layer's backward writes dL/dx over its input when the workspace
     # holds it; a softmax layer below it reads its own output, y, in its
