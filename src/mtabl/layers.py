@@ -224,16 +224,14 @@ class Workspace:
     ``network_backward`` gives all layers the unkeyed view, so they share
     the backward roles ``grad`` (dL/dz, then dL/dx, where there is no such
     array to replace), ``dmixed`` and ``product`` (the
-    softmax backward's scratch, then dL/dxbar), and it keeps the gradient
-    vector it returns in ``grads``, zeroed in place on each call. A pass
-    without a workspace touches none.
+    softmax backward's scratch, then dL/dxbar). A pass without a
+    workspace touches none.
     """
 
     def __init__(self, shared: bool = False):
         self._layer: int | None = None
         self._shared = shared
         self._buffers = {}
-        self.grads = None  # network_backward's NetworkParams
 
     def layer(self, i: int) -> "Workspace":
         """The view of layer ``i``: the same buffers, under keys of its own

@@ -19,15 +19,16 @@ next pass through it.
 
 :func:`predict_labels` projects each event once when the windows are
 consecutive, as in a partition or a slice of one
-(:meth:`~mtabl.data.Windows.consecutive`), and that writes fewer doubles
-a window than gathering: W1 @ X acts on each event alone, and
-consecutive windows share T-1 of their T events. For the first layer's
-(D, T) -> (D', T') and n windows spanning E events, it projects when
-D'*(T + E/n) < D*T + w, w being D*T' (u = W2^T @ X) for a temporal-first
-layer and D'*T (the xbar block) for any other (:func:`_projects`). So a
-day projects for A, C and B with a 20 x 5 hidden layer, and is gathered
-for B; windows laid end to end (E/n = T) are gathered for B and C. A
-projected first layer runs features first, even one that
+(:meth:`~mtabl.data.Windows.consecutive`), and the first layer's shapes
+say that this writes fewer doubles a window than gathering: W1 @ X acts
+on each event alone, and consecutive windows share T-1 of their T
+events. For the first layer's (D, T) -> (D', T') it projects when
+D'*(T + 1) < D*T + w, the doubles a window one event on writes each way,
+w being D*T' (u = W2^T @ X) for a temporal-first layer and D'*T (the
+xbar block) for any other (:func:`_projects`). So A, C and B with a
+20 x 5 hidden layer project any consecutive selection, windows laid end
+to end too, and B with its (120, 5) hidden layer gathers. A projected
+first layer runs features first, even one that
 :func:`~mtabl.layers.temporal_first` would run temporal-first. The
 projected windows go straight into the time-major block the next step
 works on, one strided copy per run of windows one event apart (one run
@@ -284,18 +285,10 @@ def network_backward(spec: NetworkSpec, params: NetworkParams, caches: list, gra
     windows of a batch. The incoming gradient is taken with respect to the
     final layer's pre-activation scores, as produced by the fused softmax
     cross-entropy backward. With a workspace, the layers share its
-    backward scratch, and the gradients are its ``grads`` vector, zeroed in
-    place, which the next call overwrites. The first layer's dL/dx, which
-    no parameter gradient needs, is never computed
-    (:func:`~mtabl.layers.layer_backward` gives it).
+    backward scratch. The first layer's dL/dx, which no parameter gradient
+    needs, is never computed (:func:`~mtabl.layers.layer_backward` gives it).
     """
-    grads = ws and ws.grads
-    if grads is None or grads.spec != params.spec:
-        grads = params.like(np.zeros_like(params.flat))
-        if ws is not None:
-            ws.grads = grads
-    else:
-        grads.flat.fill(0.0)
+    grads = params.like(np.zeros_like(params.flat))
     upstream = grad
     last = len(params) - 1
     for i in range(last, -1, -1):
@@ -329,15 +322,13 @@ def _window_doubles(params: list, projected: bool) -> int:
 
 def _projects(p: LayerParams, windows) -> bool:
     """Whether :func:`predict_labels` projects each event of ``windows`` once,
-    given the first layer's ``p``: they are consecutive, not empty, and the
-    projected span and time-major block, D'*(T + E/n) doubles a window, are
-    fewer than the gathered window and its first product, D*T + w."""
-    if not (len(windows) and windows.consecutive()):
-        return False
+    given the first layer's ``p``: they are consecutive, not empty, and a
+    window one event past the last writes fewer doubles projected, its new
+    event's W1 @ x and its time-major block, D'*(T + 1), than gathered, the
+    window and its first product, D*T + w."""
     (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
-    n, span = len(windows), windows.starts[-1] - windows.starts[0] + t
     w = d * t_out if temporal_first(p) else d_out * t
-    return d_out * (t * n + span) < (d * t + w) * n
+    return d_out * (t + 1) < d * t + w and len(windows) > 0 and windows.consecutive()
 
 
 def _project(windows, w1: Matrix, ws: Workspace) -> np.ndarray:
@@ -345,7 +336,8 @@ def _project(windows, w1: Matrix, ws: Workspace) -> np.ndarray:
     of a time-major (T, D', B) block in the ``x`` buffer of ``ws``. W1
     multiplies each event of the windows' span once; a run of windows one
     event apart is then one strided copy of that product, and windows
-    further apart are taken one by one."""
+    further apart are taken one step at a time, each straight into the
+    block."""
     t, starts = windows.window, windows.starts
     with scope(SCOPE_PROJECT):
         p = matmul(w1, windows.series[:, starts[0]:starts[-1] + t])
@@ -359,7 +351,8 @@ def _project(windows, w1: Matrix, ws: Workspace) -> np.ndarray:
         for lo, hi in zip([0, *breaks], [*breaks, len(starts)]):
             np.copyto(block[..., lo:hi], steps[..., starts[lo]:starts[lo] + hi - lo])
     else:
-        np.copyto(block, np.take(p, starts + np.arange(t)[:, None], axis=1).transpose(1, 0, 2))
+        for i in range(t):  # step i of every window, into its contiguous (D', B) slab
+            np.take(p, starts + i, axis=1, out=block[i], mode="clip")
     return block.swapaxes(0, 1)
 
 

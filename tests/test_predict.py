@@ -1,18 +1,17 @@
 """predict_labels against the gathered forward it shortcuts.
 
 Consecutive windows take W1 @ X once per event and then copy the windows
-of that projected series, whenever that writes fewer doubles a window
-than gathering: D'*(T + E/n) against D*T + w, for the first layer's
-(D, T) -> (D', T'), the selection's span of E events over n windows,
-and w the first layer's first product, D*T' for u = W2^T @ X of a
-temporal-first layer and D'*T for xbar of any other. A day, or a slice
-of one (E/n near 1), projects for A, C and B with a 20 x 5 hidden layer,
-and is gathered for B; windows laid end to end (E/n = T) are gathered for
-B and C. A selection that is not consecutive takes the gathered (D, T, B)
-batch. The per-event product runs over other matrix shapes than the
-gathered one, so its probabilities may differ in the last bits: they must
-stay within 1e-12 relative of the gathered forward, and the labels must
-be equal.
+of that projected series, whenever the first layer's shapes say that this
+writes fewer doubles a window than gathering: D'*(T + 1) against D*T + w,
+for the first layer's (D, T) -> (D', T') and w its first product, D*T'
+for u = W2^T @ X of a temporal-first layer and D'*T for xbar of any
+other. A consecutive selection, a day, a slice of one or windows laid end
+to end, projects for A, C and B with a 20 x 5 hidden layer, and is
+gathered for B. A selection that is not consecutive takes the gathered
+(D, T, B) batch. The per-event product runs over other matrix shapes than
+the gathered one, so its probabilities may differ in the last bits: they
+must stay within 1e-12 relative of the gathered forward, and the labels
+must be equal.
 """
 
 import math
@@ -167,8 +166,8 @@ def test_temporal_first_networks_take_the_gathered_batch(monkeypatch, name):
     spec = SPECS[name]()
     params = init_network_params(spec, 0)
     windows = day_windows()[100:400]
-    if name == "C/mtabl5":  # C projects a day; windows laid end to end are gathered
-        windows = Windows.separate(windows.x, windows.labels)
+    if name == "C/mtabl5":  # C projects consecutive windows; these are reversed
+        windows = windows[::-1]
     assert temporal_first(params[0])
     calls = recorded(monkeypatch)
     labels = predict_labels(spec, params, windows)
@@ -179,16 +178,15 @@ def test_temporal_first_networks_take_the_gathered_batch(monkeypatch, name):
     assert labels == np.argmax(probs[:, 0], axis=0).tolist()
 
 
-# Whether predict_labels projects the windows of a day (E/n near 1) and
-# windows laid end to end (E/n = T): D'*(T + E/n) at E/n = 1 and at 10,
+# Whether predict_labels projects a consecutive selection: D'*(T + 1)
 # against D*T + w.
 PROJECTS = {
-    "A/tabl": (True, True),  # 33 and 60 against 430
-    "A/mtabl3": (True, True),  # 33 and 60 against 430
-    "B/mtabl3": (False, False),  # 1320 and 2400 against 600
-    "B/mtabl3-20x5": (True, True),  # 220 and 400 against 600
-    "C/mtabl5": (True, False),  # 660 and 1200 against 800
-    "C/mtabl5-30x10-200x5": (True, True),  # 330 and 600 against 700
+    "A/tabl": True,  # 33 against 430
+    "A/mtabl3": True,  # 33 against 430
+    "B/mtabl3": False,  # 1320 against 600
+    "B/mtabl3-20x5": True,  # 220 against 600
+    "C/mtabl5": True,  # 660 against 800
+    "C/mtabl5-30x10-200x5": True,  # 330 against 700
 }
 
 
@@ -199,13 +197,13 @@ def test_predict_takes_the_path_that_writes_fewer_doubles(monkeypatch, name, cas
     spec = SPECS[name]()
     params = init_network_params(spec, 0)
     part = day_windows()
-    windows, expected = {
-        "whole partition": (part, PROJECTS[name][0]),
-        "slice from mid-day": (part[137:560], PROJECTS[name][0]),
-        "windows end to end": (Windows.separate(part[::3].x, part[::3].labels),
-                               PROJECTS[name][1]),
-        "gaps and repeats": (part[np.r_[400:500, 20:80, 7, 7]], False),
+    windows = {
+        "whole partition": part,
+        "slice from mid-day": part[137:560],
+        "windows end to end": Windows.separate(part[::3].x, part[::3].labels),
+        "gaps and repeats": part[np.r_[400:500, 20:80, 7, 7]],
     }[case]
+    expected = PROJECTS[name] and case != "gaps and repeats"
     calls = recorded(monkeypatch)
     labels = predict_labels(spec, params, windows)
     rows = len(params[0].W1) if expected else N_FEATURES
