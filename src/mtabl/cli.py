@@ -272,7 +272,7 @@ def cmd_train(args) -> int:
         save_checkpoint(
             run_dir / "checkpoint.mtabl", spec, params,
             meta={"seed": seed, "eval_split": split_name,
-                  "dataset_cache": str(out_dir / "dataset.mtabl"), **preprocessing},
+                  "dataset_cache": "../dataset.mtabl", **preprocessing},  # from run_dir
         )
         _write_report(report, run_dir / "report")
         print(f"seed {seed}: {split_name} macro_f1={report.macro_f1:.4f} "
@@ -329,11 +329,14 @@ def cmd_eval(args) -> int:
             dataset = data_mod.standardize(dataset, np.array(meta["feature_mean"]),
                                            np.array(meta["feature_std"]))
     else:
-        cache = args.dataset_cache or meta.get("dataset_cache")
+        cache = args.dataset_cache
         if cache is None:
-            raise DataError("no dataset: pass --dataset-cache or --data")
-        if not isinstance(cache, str):
-            raise FormatError(f"{args.checkpoint}: dataset_cache is {cache!r}, expected a path")
+            cache = meta.get("dataset_cache")
+            if cache is None:
+                raise DataError("no dataset: pass --dataset-cache or --data")
+            if not isinstance(cache, str):
+                raise FormatError(f"{args.checkpoint}: dataset_cache is {cache!r}, not a path")
+            cache = Path(args.checkpoint).parent / cache  # recorded relative to the checkpoint
         if not Path(cache).is_file():
             raise DataError(f"no dataset cache at {cache}")
         dataset = data_mod.load_dataset(cache)

@@ -16,11 +16,13 @@ event series plus an int64 start and label per window; no window crosses
 a day, and each event is stored once however many windows cover it.
 Synthetic windows are each their own length-T day. Z-score statistics
 are the mean and std of every feature over the training series' events,
-each event counted once.
+each event counted once. The dataset cache stores the starts as runs of
+windows a fixed step apart and the labels as int8 (:func:`save_dataset`).
 """
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -366,18 +368,41 @@ def synth_generate(n_samples: int, n_features: int = 8, window: int = 10,
     )
 
 
+def _runs(starts: np.ndarray) -> np.ndarray:
+    """Window starts as (first, step, count) rows, each one maximal run of
+    windows a fixed step apart taken greedily from the first window: a day
+    of a split is one row, windows laid end to end are one, a lone window
+    is (start, 0, 1)."""
+    steps = np.diff(starts)
+    # The last step of each stretch of equal steps: a run from window i
+    # ends one window past the end of i's stretch.
+    ends = np.flatnonzero(np.append(steps[1:] != steps[:-1], True)).tolist()
+    rows, i = [], 0
+    while i < len(starts) - 1:
+        end = ends[bisect.bisect_left(ends, i)]
+        rows.append((starts[i], steps[i], end - i + 2))
+        i = end + 2
+    if i == len(starts) - 1:
+        rows.append((starts[i], 0, 1))
+    return np.array(rows, np.int64).reshape(-1, 3)
+
+
 def save_dataset(path, dataset: Dataset) -> None:
-    """Binary dataset cache of every partition's series, window starts and
-    labels, each series written whole; reloading reproduces the windows
-    bit-exactly."""
+    """Binary dataset cache: per partition its whole series (``{name}/series``,
+    float64), its window starts as int64 (first, step, count) rows
+    (``{name}/runs``, see :func:`_runs`) and its labels as int8
+    (``{name}/labels``); then the statistics. Reloading reproduces the
+    windows bit-exactly; labels outside 0, 1, 2 raise DataError."""
     from .serialize import write_container
 
     dims = dataset.sample_dims()
     blocks = []
     for name, part in dataset.partitions():
         if part:
-            blocks += [(f"{name}/series", part.series), (f"{name}/starts", part.starts[:, None]),
-                       (f"{name}/labels", part.labels[:, None])]
+            if not (0 <= part.labels.min() and part.labels.max() < N_CLASSES):
+                raise DataError(f"{name} labels outside 0, 1, 2")
+            blocks += [(f"{name}/series", part.series), (f"{name}/runs", _runs(part.starts)),
+                       (f"{name}/labels", part.labels.astype(np.int8)[:, None])]
     # Largest first: a reader allocating in file order then takes the large
     # chunks its process freed before small blocks split them.
     blocks.sort(key=lambda block: -block[1].nbytes)
@@ -403,10 +428,32 @@ def _checked_block(path, blocks: dict, name: str, dtype, shape) -> np.ndarray:
     return block
 
 
+def _starts(path, name: str, runs: np.ndarray, count: int, last_start: int) -> np.ndarray:
+    """The int64 starts that :func:`_runs` encoded, after checking from the
+    rows alone that they give ``count`` starts in [0, ``last_start``]: no
+    start is built, and so none can wrap, before every run is in range."""
+    first, step, n = runs.T
+    # count and last_start are below 2**31, the cap on a block's sides; with
+    # each n <= count and |step| <= last_start, no sum or product can wrap.
+    if not ((1 <= n) & (n <= count)).all() or n.sum() != count:
+        raise FormatError(f"{path}: {name} runs do not count its {count} windows")
+    bounded = ((0 <= first) & (first <= last_start)
+               & (-last_start <= step) & (step <= last_start)).all()
+    last = first + step * (n - 1) if bounded else first
+    if not (bounded and ((0 <= last) & (last <= last_start)).all()):
+        raise FormatError(f"{path}: {name} window starts outside its series")
+    starts = np.repeat(step, n)
+    # Each run's first entry jumps from the previous run's last start.
+    starts[np.cumsum(n) - n] = first - np.concatenate(([0], last))[:-1]
+    return np.cumsum(starts, out=starts)
+
+
 def load_dataset(path) -> Dataset:
-    """Read a cache written by :func:`save_dataset`; metadata that does not
-    match the blocks (dims, counts, window starts, labels, statistics)
-    raises FormatError."""
+    """Read a cache written by :func:`save_dataset`, rebuilding each
+    partition's int64 starts and labels; metadata that does not match the
+    blocks (dims, counts, window runs, labels, statistics) raises
+    FormatError, as does a cache of the older per-window layout, which
+    has no ``runs`` block."""
     from .serialize import read_container
 
     meta, blocks = read_container(path, expect_kind="dataset")
@@ -424,18 +471,17 @@ def load_dataset(path) -> Dataset:
         count = counts.get(name, 0)
         if type(count) is not int or count < 0:
             raise FormatError(f"{path}: bad {name} count {count!r}")
-        keys = [f"{name}/{block}" for block in ("series", "starts", "labels")]
+        keys = [f"{name}/{block}" for block in ("series", "runs", "labels")]
         if count == 0 and not any(key in blocks for key in keys):
             parts[name] = Windows.join([], (d, t))
             continue
         series = _checked_block(path, blocks, keys[0], np.float64, (d, None))
-        starts = _checked_block(path, blocks, keys[1], np.int64, (count, 1))[:, 0]
-        labels = _checked_block(path, blocks, keys[2], np.int64, (count, 1))[:, 0]
-        if not ((starts >= 0) & (starts <= series.shape[1] - t)).all():
-            raise FormatError(f"{path}: {name} window starts outside its series")
-        if not np.isin(labels, range(N_CLASSES)).all():
+        runs = _checked_block(path, blocks, keys[1], np.int64, (None, 3))
+        labels = _checked_block(path, blocks, keys[2], np.int8, (count, 1))[:, 0]
+        if not ((0 <= labels) & (labels < N_CLASSES)).all():
             raise FormatError(f"{path}: {name} labels outside 0, 1, 2")
-        parts[name] = Windows(series, starts, labels, t)
+        starts = _starts(path, name, runs, count, series.shape[1] - t)
+        parts[name] = Windows(series, starts, labels.astype(np.int64), t)
     mean = std = None
     if has_stats:
         mean = _checked_block(path, blocks, "stats/mean", np.float64, (d, 1))[:, 0]

@@ -52,7 +52,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .data import N_CLASSES
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, DivergenceError
 from .layers import (
     ACTIVATIONS,
     SCOPE_PROJECT,
@@ -365,7 +365,8 @@ def predict_labels(spec: NetworkSpec, params: list, windows) -> list[int]:
     windows, when :func:`_projects` finds that it writes fewer doubles,
     get each event's projection W1 @ X once per chunk, copied time-major in
     place of the windows (:func:`_project`), and the first layer runs
-    features first; any other selection is gathered in the caller's order."""
+    features first; any other selection is gathered in the caller's order.
+    A non-finite probability raises DivergenceError naming its window."""
     dims = (windows.series.shape[0], windows.window)
     if dims != spec.input_dims:
         raise DimensionError(f"input {dims} does not match network input {spec.input_dims}")
@@ -378,7 +379,14 @@ def predict_labels(spec: NetworkSpec, params: list, windows) -> list[int]:
         x = _project(chunk, params[0].W1, ws) if projected else gather(chunk, ws)
         # Index the result so that no chunk's caches outlive its forward.
         probs = network_forward(x, spec, params, ws, projected)[0]
-        labels[start:start + size] = np.argmax(probs[:, 0], axis=0)
+        if not np.isfinite(probs).all():
+            bad = start + np.flatnonzero(~np.isfinite(probs).all(axis=(0, 1)))[0]
+            raise DivergenceError(f"window {bad} has a non-finite class probability")
+        # np.argmax's labels, ties to the lower class, in two comparisons.
+        p0, p1, p2 = probs[:, 0]
+        out = labels[start:start + size]
+        np.greater(p1, p0, out=out)
+        out[p2 > np.maximum(p0, p1)] = 2
     return labels.tolist()
 
 

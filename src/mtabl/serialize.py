@@ -2,9 +2,9 @@
 
 Layout: an 8-byte magic, a u32 format version, a u32 header length, a JSON
 header, then the raw block payloads in header order. Each block is a 2-D
-array stored little-endian (float64 or int64) with its shape recorded in
-the header, so a save/load round trip is bit-exact. The header is
-validated before any payload is read; every malformed file raises
+array stored little-endian (float64 ``f8``, int64 ``i8`` or int8 ``i1``)
+with its shape in the header, so a save/load round trip is bit-exact. The
+header is validated before any payload is read; every malformed file raises
 :class:`FormatError`. Blocks stream between the file and their arrays:
 a write sends each array's own buffer and a read fills each new array in
 place, so a load holds the payload once.
@@ -24,7 +24,7 @@ from .network import NetworkParams, NetworkSpec
 MAGIC = b"MTABLBIN"
 VERSION = 2
 
-_DTYPES = {"f8": "<f8", "i8": "<i8"}
+_DTYPES = {"f8": "<f8", "i8": "<i8", "i1": "i1"}
 
 
 def write_container(path, kind: str, meta: dict, blocks: list[tuple[str, np.ndarray]]) -> None:
@@ -34,8 +34,9 @@ def write_container(path, kind: str, meta: dict, blocks: list[tuple[str, np.ndar
             raise FormatError(f"block {name!r} must be 2-D, got ndim={array.ndim}")
         if array.dtype.kind not in "fiu":
             raise FormatError(f"block {name!r} has unsupported dtype {array.dtype}")
+        dtype = "f8" if array.dtype.kind == "f" else "i1" if array.dtype == np.int8 else "i8"
         entries.append({"name": name, "rows": array.shape[0], "cols": array.shape[1],
-                        "dtype": "f8" if array.dtype.kind == "f" else "i8"})
+                        "dtype": dtype})
     header = json.dumps({"kind": kind, "meta": meta, "blocks": entries}).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -94,10 +95,11 @@ def read_container(path, expect_kind: str | None = None):
         blocks: dict[str, np.ndarray] = {}
         for entry in header["blocks"]:
             # Sizes are checked against the file before anything is allocated.
-            nbytes = entry["rows"] * entry["cols"] * 8
+            dtype = np.dtype(_DTYPES[entry["dtype"]])
+            nbytes = entry["rows"] * entry["cols"] * dtype.itemsize
             array = None
             if nbytes <= size - fh.tell():
-                array = np.empty((entry["rows"], entry["cols"]), _DTYPES[entry["dtype"]])
+                array = np.empty((entry["rows"], entry["cols"]), dtype)
             if array is None or fh.readinto(array) != nbytes:
                 raise FormatError(f"{path}: truncated payload for block {entry['name']!r}")
             blocks[entry["name"]] = array

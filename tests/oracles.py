@@ -12,7 +12,9 @@ update formulas evaluated as written, one fresh array per operation; and
 :func:`softmax_over_rows`, the softmax reduced over the last axis. One
 more exception is :func:`check_reduction`, which runs the library's own
 layer forward and backward on multi-head parameters built to reduce to
-the single head, and compares the two.
+the single head, and compares the two. :func:`biased_params` is no
+oracle: it gives prediction comparisons the nonzero biases that
+initialisation leaves at zero.
 """
 
 import math
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mtabl.layers import LayerParams, layer_backward, layer_forward
+from mtabl.network import init_network_params
 
 
 def matmul_loops(a, b):
@@ -274,3 +277,13 @@ def check_reduction(seed: int = 0, n_inputs: int = 100, tol: float = 1e-12) -> R
         n_inputs=n_inputs, tol=tol, max_forward_diff=max_fwd, max_grad_diff=max_grad,
         control_separated=control_separated,
     )
+
+
+def biased_params(spec, seed, scale=0.5):
+    """Seeded initial parameters with every layer's bias drawn from
+    N(0, ``scale``); at zero biases, a pass that dropped one would agree."""
+    params = init_network_params(spec, seed)
+    rng = np.random.default_rng([seed, 1])
+    for p in params:
+        p.B[...] = rng.normal(0.0, scale, p.B.shape)
+    return params

@@ -309,6 +309,19 @@ class TestEvalCommand:
         assert code == 0
         assert "macro_f1=" in capsys.readouterr().out
 
+    def test_checkpoint_locates_dataset_from_another_directory(self, tmp_path, monkeypatch):
+        # train records the cache relative to the checkpoint, not to the
+        # directory it ran in, so a relative --out still evaluates elsewhere.
+        (tmp_path / "work").mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        assert run(train_args(Path("tb") / "c", seeds=1, epochs=1)) == 0
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        checkpoint = Path("..") / "work" / "tb" / "c" / "seed0" / "checkpoint.mtabl"
+        assert run(["eval", "--checkpoint", str(checkpoint), "--out", "eval"]) == 0
+        train_report = (tmp_path / "work" / "tb" / "c" / "seed0" / "report.json").read_text()
+        assert (tmp_path / "elsewhere" / "eval" / "report_test.json").read_text() == train_report
+
     def test_missing_checkpoint(self, tmp_path):
         code = run(["eval", "--checkpoint", str(tmp_path / "nope.mtabl")])
         assert code == 3

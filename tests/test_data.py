@@ -21,6 +21,7 @@ from mtabl.data import (
     windowize,
 )
 from mtabl.errors import ConfigurationError, DataError, FormatError, ParseError
+from mtabl.serialize import read_container
 
 
 def write_day(path, n_rows=45, n_events=30, offset=0.0, seed=0):
@@ -429,6 +430,20 @@ class TestSynth:
             synth_generate(10, difficulty="weird")
 
 
+def _greedy_runs(starts):
+    """The runs save_dataset writes, by loop: from each run's first window,
+    take windows while the step to the next one repeats."""
+    rows, i = [], 0
+    while i < len(starts):
+        step = starts[i + 1] - starts[i] if i + 1 < len(starts) else 0
+        j = i + 1
+        while j < len(starts) and starts[j] - starts[j - 1] == step:
+            j += 1
+        rows.append([starts[i], step, j - i])
+        i = j
+    return rows
+
+
 class TestDatasetCache:
     def test_round_trip_bit_exact(self, tmp_path):
         ds = synth_generate(40, n_features=6, window=8, seed=1, difficulty="multi")
@@ -455,6 +470,52 @@ class TestDatasetCache:
         for name, part in subset.partitions():
             assert getattr(loaded, name).x.tobytes() == part.x.tobytes()
             assert getattr(loaded, name).labels.tolist() == part.labels.tolist()
+
+    @staticmethod
+    def _days(tmp_path, split=(2, 0, 1), events=(40, 33, 27)):
+        paths = []
+        for i, n in enumerate(events):
+            write_day(tmp_path / f"d{i}.txt", n_events=n, seed=i)
+            paths.append(tmp_path / f"d{i}.txt")
+        return split_days(paths, *split, window=10)
+
+    # Each kind of partition with the (first, step, count) rows its starts
+    # take in the cache.
+    @pytest.mark.parametrize("kind", ["day split", "synthetic", "random subset",
+                                      "one window", "empty partitions"])
+    def test_round_trip_keeps_every_bit(self, tmp_path, kind):
+        if kind == "synthetic":
+            ds = synth_generate(300, n_features=4, window=5, seed=2)
+        else:  # validation is empty; with "empty partitions" test is too
+            ds = self._days(tmp_path, (3, 0, 0) if kind == "empty partitions" else (2, 0, 1))
+        rng = np.random.default_rng(4)
+        if kind == "random subset":  # unsorted, with repeats
+            ds = replace(ds, train=ds.train[rng.integers(0, len(ds.train), 40)],
+                         test=ds.test[rng.permutation(len(ds.test))])
+        elif kind == "one window":
+            ds = replace(ds, train=ds.train[[30]], test=ds.test[17:18])
+        path = tmp_path / "cache.mtabl"
+        save_dataset(path, ds)
+        runs = {name: block.tolist() for name, block in read_container(path)[1].items()
+                if name.endswith("/runs")}
+        loaded = load_dataset(path)
+        for name, part in ds.partitions():
+            other = getattr(loaded, name)
+            for a, b in ((part.series, other.series), (part.starts, other.starts),
+                         (part.labels, other.labels)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert other.window == part.window
+            if part:
+                assert runs[f"{name}/runs"] == _greedy_runs(part.starts.tolist())
+        rows = {
+            "day split": {"train/runs": 2, "test/runs": 1},  # a row a day
+            "synthetic": {"train/runs": 1, "validation/runs": 1, "test/runs": 1},
+            "random subset": {"train/runs": 20, "test/runs": 9},  # pairs of windows
+            "one window": {"train/runs": 1, "test/runs": 1},
+            "empty partitions": {"train/runs": 3},
+        }[kind]
+        assert {name: len(block) for name, block in runs.items()} == rows
+        assert np.array_equal(loaded.feature_mean, ds.feature_mean)
 
     def test_round_trip_with_stats(self, tmp_path):
         files_dir = tmp_path / "days"

@@ -11,9 +11,11 @@ gathered for B. A selection that is not consecutive takes the gathered
 (D, T, B) batch. The per-event product runs over other matrix shapes than
 the gathered one, so its probabilities may differ in the last bits: they
 must stay within 1e-12 relative of the gathered forward, and the labels
-must be equal.
+must be equal. Comparisons run with nonzero biases (``biased_params``),
+so that a pass which dropped a bias would fail them.
 """
 
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -24,7 +26,7 @@ import pytest
 import mtabl
 import mtabl.network
 from mtabl.data import N_FEATURES, RawDayMatrix, Windows, windowize
-from mtabl.errors import CacheMismatchError, DimensionError
+from mtabl.errors import CacheMismatchError, DimensionError, DivergenceError
 from mtabl.layers import (
     SCOPE_PROJECT,
     Workspace,
@@ -36,6 +38,7 @@ from mtabl.linalg import count_multiplications
 from mtabl.network import init_network_params, network_forward, predict_labels, topology
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from oracles import biased_params  # noqa: E402
 from perfbench import bench  # noqa: E402  (the benchmark's own cost-model reader)
 
 REL_TOL = 1e-12
@@ -112,7 +115,7 @@ def selections():
 @pytest.mark.parametrize("name", ["A/tabl", "A/mtabl3"])
 def test_per_event_path_matches_the_gathered_forward(monkeypatch, name, case, seed):
     spec = SPECS[name]()
-    params = init_network_params(spec, seed)
+    params = biased_params(spec, seed)
     windows = selections()[case]
     assert not temporal_first(params[0])
     calls = recorded(monkeypatch)
@@ -136,7 +139,7 @@ def test_scattered_selection_runs_chunks_its_copy_fits(monkeypatch, name):
     # Windows that are not consecutive are gathered in the caller's order,
     # 40 x 10 doubles a window: 384 windows a chunk.
     spec = SPECS[name]()
-    params = init_network_params(spec, 0)
+    params = biased_params(spec, 0)
     day = day_windows((6000,))
     windows = day[np.random.default_rng(3).choice(len(day), 1000, replace=False)]
     assert not windows.consecutive()
@@ -164,7 +167,7 @@ def test_empty_selection_predicts_nothing(monkeypatch):
 @pytest.mark.parametrize("name", ["B/mtabl3", "C/mtabl5"])
 def test_temporal_first_networks_take_the_gathered_batch(monkeypatch, name):
     spec = SPECS[name]()
-    params = init_network_params(spec, 0)
+    params = biased_params(spec, 0)
     windows = day_windows()[100:400]
     if name == "C/mtabl5":  # C projects consecutive windows; these are reversed
         windows = windows[::-1]
@@ -195,7 +198,7 @@ PROJECTS = {
 @pytest.mark.parametrize("name", sorted(PROJECTS))
 def test_predict_takes_the_path_that_writes_fewer_doubles(monkeypatch, name, case):
     spec = SPECS[name]()
-    params = init_network_params(spec, 0)
+    params = biased_params(spec, 0)
     part = day_windows()
     windows = {
         "whole partition": part,
@@ -324,3 +327,54 @@ def test_benchmark_counts_the_gathered_forward(name):
     params = init_network_params(spec, 0)
     measured, _ = bench.count_mults(mtabl, spec, params, day_windows()[7].x)
     assert measured == BENCH_COUNTS[name]
+
+
+def _forward_returning(monkeypatch, probs_of):
+    """Make network_forward return ``probs_of(call, batch)`` as its probabilities."""
+    calls = []
+    forward = mtabl.network.network_forward
+
+    def patched(x, spec, params, ws=None, projected=False):
+        _, caches = forward(x, spec, params, ws, projected)
+        calls.append(x.shape[2])
+        return probs_of(len(calls) - 1, x.shape[2]), caches
+
+    monkeypatch.setattr(mtabl.network, "network_forward", patched)
+    return calls
+
+
+def test_labels_are_argmax_with_ties_to_the_lower_class(monkeypatch):
+    # Every triple over {0, 0.25, 0.5}, ties of two and of three included,
+    # then random probabilities, over two chunks of scattered windows.
+    spec = SPECS["A/tabl"]()
+    rng = np.random.default_rng(5)
+    probs = np.hstack([np.array(list(itertools.product([0.0, 0.25, 0.5], repeat=3))).T,
+                       rng.dirichlet(np.ones(3), 700).T])[:, None, :]
+    windows = day_windows((1000,))[rng.permutation(727)]
+    offsets = []
+
+    def probs_of(call, batch):
+        start = sum(offsets)
+        offsets.append(batch)
+        return probs[..., start:start + batch].copy()
+
+    calls = _forward_returning(monkeypatch, probs_of)
+    labels = predict_labels(spec, init_network_params(spec, 0), windows)
+    assert calls == [384, 343]
+    assert labels == np.argmax(probs[:, 0], axis=0).tolist()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_probability_raises_naming_its_first_window(monkeypatch, value):
+    spec = SPECS["A/tabl"]()
+    windows = day_windows((1000,))[np.random.default_rng(6).permutation(900)]
+
+    def probs_of(call, batch):
+        probs = np.full((3, 1, batch), 1.0 / 3.0)
+        if call == 1:  # windows 391 and 400 of the selection
+            probs[2, 0, 7] = probs[0, 0, 16] = value
+        return probs
+
+    _forward_returning(monkeypatch, probs_of)
+    with pytest.raises(DivergenceError, match="window 391 has a non-finite"):
+        predict_labels(spec, init_network_params(spec, 0), windows)

@@ -33,6 +33,18 @@ class TestContainer:
         assert np.array_equal(blocks["ints"], b)
         assert blocks["ints"].dtype == np.int64
 
+    def test_int8_block_takes_one_byte_a_value(self, tmp_path):
+        path = tmp_path / "blob.mtabl"
+        small = np.array([[0], [2], [-128], [127]], dtype=np.int8)
+        write_container(path, "test", {}, [("small", small), ("after", np.ones((1, 2)))])
+        wide = tmp_path / "wide.mtabl"
+        write_container(wide, "test", {}, [("small", small.astype(np.int64)),
+                                           ("after", np.ones((1, 2)))])
+        assert wide.stat().st_size - path.stat().st_size == 4 * 7  # 7 more bytes a value
+        _, blocks = read_container(path)
+        assert blocks["small"].dtype == np.int8 and blocks["small"].tobytes() == small.tobytes()
+        assert blocks["after"].tobytes() == np.ones((1, 2)).tobytes()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
@@ -223,6 +235,15 @@ def _set(mapping, key, value):
     mapping[key] = value
 
 
+def _per_window_layout(blocks):
+    """Rewrite the blocks as the older cache layout stored them: an int64
+    start and an int64 label per window, no runs."""
+    for name in ("train", "validation", "test"):
+        first, step, count = blocks.pop(f"{name}/runs")[0]
+        blocks[f"{name}/starts"] = (first + step * np.arange(count))[:, None]
+        blocks[f"{name}/labels"] = blocks[f"{name}/labels"].astype(np.int64)
+
+
 class TestDatasetValidation:
     @pytest.mark.parametrize("corrupt", [
         lambda meta, blocks: meta.pop("sample_dims"),
@@ -241,14 +262,26 @@ class TestDatasetValidation:
         lambda meta, blocks: blocks.pop("stats/std"),
         lambda meta, blocks: _set(blocks, "stats/mean", blocks["stats/mean"][:2]),
         lambda meta, blocks: _set(meta, "provenance", "days"),
-        # Window starts: past the series end, negative, not int64, one short.
-        lambda meta, blocks: blocks["train/starts"].__setitem__(
-            (2, 0), blocks["train/series"].shape[1] - 4),
-        lambda meta, blocks: blocks["test/starts"].__setitem__((0, 0), -1),
-        lambda meta, blocks: _set(blocks, "validation/starts",
-                                  blocks["validation/starts"] * 1.0),
-        lambda meta, blocks: _set(blocks, "train/starts", blocks["train/starts"][:-1]),
-        lambda meta, blocks: blocks.pop("validation/starts"),
+        # Window runs: a last start past the series end, a negative first
+        # start, not int64, a column short, missing.
+        lambda meta, blocks: blocks["train/runs"].__setitem__((0, 0), 1),
+        lambda meta, blocks: blocks["test/runs"].__setitem__((0, 0), -1),
+        lambda meta, blocks: _set(blocks, "validation/runs", blocks["validation/runs"] * 1.0),
+        lambda meta, blocks: _set(blocks, "train/runs", blocks["train/runs"][:, :2]),
+        lambda meta, blocks: blocks.pop("validation/runs"),
+        # Counts one short, a run of no windows, counts whose int64 sum
+        # wraps to the partition's count.
+        lambda meta, blocks: blocks["train/runs"].__setitem__((0, 2), 20),
+        lambda meta, blocks: _set(blocks, "train/runs",
+                                  np.vstack([blocks["train/runs"], [[0, 0, 0]]])),
+        lambda meta, blocks: _set(blocks, "train/runs", np.vstack(
+            [blocks["train/runs"], [[0, 0, 2**63 - 1], [0, 0, 2**63 - 1], [0, 0, 2]]])),
+        # Steps whose product with the train run's 20 steps wraps to 0, so
+        # that first and last start look in range.
+        lambda meta, blocks: blocks["train/runs"].__setitem__((0, 1), 2**62),
+        lambda meta, blocks: blocks["train/runs"].__setitem__((0, 1), -2**63),
+        # Labels as int64, the per-window layout's dtype.
+        lambda meta, blocks: _set(blocks, "test/labels", blocks["test/labels"].astype(np.int64)),
     ])
     def test_metadata_must_match_the_blocks(self, tmp_path, corrupt):
         path = tmp_path / "ds.mtabl"
@@ -270,7 +303,7 @@ class TestDatasetValidation:
                                  ["train", "validation", "test", "files"]), inner, max_size=3),
                              max_leaves=6)
         for _ in range(data.draw(st.integers(1, 3))):
-            how = data.draw(st.sampled_from(["meta", "count", "drop", "label", "start"]))
+            how = data.draw(st.sampled_from(["meta", "count", "drop", "label", "run"]))
             if how == "meta":
                 key = data.draw(st.sampled_from(
                     ["sample_dims", "counts", "has_stats", "provenance"]))
@@ -289,12 +322,13 @@ class TestDatasetValidation:
                 if labels is not None and labels.size:
                     labels[data.draw(st.integers(0, len(labels) - 1)), 0] = \
                         data.draw(st.integers(-3, 5))
-            elif how == "start":
+            elif how == "run":
                 name = data.draw(st.sampled_from(["train", "validation", "test"]))
-                starts = blocks.get(f"{name}/starts")
-                if starts is not None and starts.size:
-                    starts[data.draw(st.integers(0, len(starts) - 1)), 0] = \
-                        data.draw(st.integers(-3, 200))
+                runs = blocks.get(f"{name}/runs")
+                if runs is not None and runs.size:
+                    at = (data.draw(st.integers(0, len(runs) - 1)), data.draw(st.integers(0, 2)))
+                    runs[at] = data.draw(st.integers(-3, 200) | st.sampled_from(
+                        [2**62, -2**62, 2**63 - 1, -2**63]))
         write_container(path, "dataset", meta, list(blocks.items()))
         try:
             loaded = load_dataset(path)
@@ -314,6 +348,14 @@ class TestDatasetValidation:
         raw[len(MAGIC):len(MAGIC) + 4] = struct.pack("<I", 1)
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="unsupported format version 1"):
+            load_dataset(path)
+
+    def test_per_window_cache_names_its_missing_runs_block(self, tmp_path):
+        path = tmp_path / "ds.mtabl"
+        meta, blocks = _dataset_cache(path)
+        _per_window_layout(blocks)
+        write_container(path, "dataset", meta, list(blocks.items()))
+        with pytest.raises(FormatError, match="block 'train/runs' is missing"):
             load_dataset(path)
 
     def test_load_peak_memory_stays_near_the_cache_size(self, tmp_path):

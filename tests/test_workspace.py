@@ -28,6 +28,7 @@ from mtabl.network import (
     topology,
 )
 from mtabl.optim import OptimConfig, TrainState, batch_gradients, step, train
+from oracles import biased_params
 
 INPUT = (40, 10)
 SPECS = {
@@ -259,7 +260,7 @@ def test_predict_through_the_shared_workspace_is_bit_identical(monkeypatch, name
     # on fresh arrays: the gathered batch for B, each event's W1 @ X for A and C.
     # B and C run 256 windows a chunk, A/tabl 5120, so all 300 in one.
     spec = SPECS[name]()
-    params = init_network_params(spec, 0)
+    params = biased_params(spec, 0)
     windows = _dataset(600).train[:300]
     calls = []
     forward = mtabl.network.network_forward
