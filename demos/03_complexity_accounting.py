@@ -9,9 +9,10 @@ mixing step differs by a known bookkeeping amount because the shared
 (1-lam) rescaling is computed once rather than per head.
 
 The last table counts one training step of topology C next to the model's
-forward terms. Its BL layers multiply W1 @ (X @ W2), which their shapes
-make cheaper than the paper's (W1 @ X) @ W2, so the two projection steps
-come in under the model; the backward's products are unscoped.
+forward terms. Each BL layer multiplies in the order that takes fewer
+multiplications in a training step: the first as the paper's
+(W1 @ X) @ W2, the second as W1 @ (X @ W2), which comes in under the
+model's projection steps; the backward's products are unscoped.
 """
 
 import numpy as np

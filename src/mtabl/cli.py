@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage/configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -231,6 +232,10 @@ def _build_dataset(cfg: RunConfig) -> data_mod.Dataset:
     )
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def _write_report(report: EvalReport, stem: Path) -> None:
     stem.with_suffix(".txt").write_text(report.to_text() + "\n")
     stem.with_suffix(".json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
@@ -243,9 +248,14 @@ def cmd_train(args) -> int:
     spec = _network(cfg)
     dataset = _build_dataset(cfg)
     out_dir = Path(cfg.out)
+    config = (json.dumps(asdict(cfg), indent=2) + "\n").encode()
+    # The same run may write over its outputs; another would orphan their checkpoints.
+    if (out_dir / "config.json").is_file() and (out_dir / "config.json").read_bytes() != config:
+        raise ConfigurationError(f"{out_dir} holds another run's config.json: pick another --out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(json.dumps(asdict(cfg), indent=2) + "\n")
+    (out_dir / "config.json").write_bytes(config)
     data_mod.save_dataset(out_dir / "dataset.mtabl", dataset)
+    cache_sha256 = _sha256(out_dir / "dataset.mtabl")  # eval checks it
     # Everything eval --data needs to rebuild the inputs the model saw;
     # JSON float repr round-trips the statistics exactly.
     preprocessing = {
@@ -272,7 +282,8 @@ def cmd_train(args) -> int:
         save_checkpoint(
             run_dir / "checkpoint.mtabl", spec, params,
             meta={"seed": seed, "eval_split": split_name,
-                  "dataset_cache": "../dataset.mtabl", **preprocessing},  # from run_dir
+                  "dataset_cache": "../dataset.mtabl",  # from run_dir
+                  "dataset_sha256": cache_sha256, **preprocessing},
         )
         _write_report(report, run_dir / "report")
         print(f"seed {seed}: {split_name} macro_f1={report.macro_f1:.4f} "
@@ -340,6 +351,10 @@ def cmd_eval(args) -> int:
         if not Path(cache).is_file():
             raise DataError(f"no dataset cache at {cache}")
         dataset = data_mod.load_dataset(cache)
+        recorded = meta.get("dataset_sha256")
+        if recorded is not None and recorded != _sha256(cache):
+            raise DataError(f"{args.checkpoint} was trained on a cache of sha256 {recorded}, "
+                            f"but {cache} has sha256 {_sha256(cache)}")
     windows = getattr(dataset, args.split)
     if not windows:
         raise DataError(f"dataset has no {args.split} samples")

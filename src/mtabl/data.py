@@ -259,12 +259,14 @@ def normalize(dataset: Dataset) -> Dataset:
 
 
 def standardize(dataset: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:
-    """Apply given z-score statistics, such as those a checkpoint carries."""
+    """Apply given z-score statistics, such as those a checkpoint carries;
+    a partition without windows stays as it is."""
     divisor = np.where(std < 1e-12, 1.0, std)[:, None]
     parts = {}
     for name, part in dataset.partitions():  # no second full-size temporary
-        series = np.subtract(part.series, mean[:, None])
-        parts[name] = replace(part, series=np.divide(series, divisor, out=series))
+        if part:  # a default empty partition has no feature rows to scale
+            series = np.subtract(part.series, mean[:, None])
+            parts[name] = replace(part, series=np.divide(series, divisor, out=series))
     return replace(dataset, **parts, feature_mean=mean, feature_std=std)
 
 

@@ -27,11 +27,13 @@ analytic gradients, derived by hand; there is no autodiff anywhere.
 
 Attention needs xbar = W1 @ X before W2 applies. BL has nothing between
 the two products, so it takes whichever association costs fewer
-multiplications per window (:func:`temporal_first`): W1 @ (X @ W2) when
+multiplications per window in a training step's forward and parameter
+gradients (:func:`temporal_first`): W1 @ (X @ W2) when
 
-  d*t*t' + d'*d*t'  <  d'*d*t + d'*t*t',
+  2*d*t*t' + 3*d'*d*t'  <  2*d'*d*t + 3*d'*t*t',
 
-else (W1 @ X) @ W2, as the paper writes it. The temporal-first forward
+else (W1 @ X) @ W2, as the paper writes it; training and prediction both
+follow it. The temporal-first forward
 counts U = X @ W2 under the temporal-projection scope and W1 @ U under
 the feature-projection scope, and its cache holds U in place of xbar and
 xtilde. The two orders differ only in rounding. In (W1 @ X) @ W2, each
@@ -223,8 +225,8 @@ class Workspace:
     scratch over the stacked heads of an attention layer.
     ``network_backward`` gives all layers the unkeyed view, so they share
     the backward roles ``grad`` (dL/dz, then dL/dx, where there is no such
-    array to replace), ``dmixed`` and ``product`` (the
-    softmax backward's scratch, then dL/dxbar). A pass without a
+    array to replace), ``dmixed`` (then dW1's per-step products) and
+    ``product`` (the softmax backward's scratch, then dL/dxbar). A pass without a
     workspace touches none.
     """
 
@@ -339,10 +341,12 @@ def _each(cache: LayerCache, f) -> LayerCache:
 
 def temporal_first(p: LayerParams) -> bool:
     """Whether the layer multiplies W1 @ (X @ W2): it has no heads, and that
-    order takes fewer multiplications per window than (W1 @ X) @ W2."""
+    order takes fewer multiplications per window in a forward and its
+    parameter gradients (U, W1 @ U, dW1, dL/dU, dW2) than (W1 @ X) @ W2
+    (xbar, z, dW2, dL/dxbar, dW1); a tie takes (W1 @ X) @ W2."""
     (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
-    return (not len(p.heads)
-            and d * t * t_out + d_out * d * t_out < d_out * d * t + d_out * t * t_out)
+    return (not len(p.heads) and 2 * d * t * t_out + 3 * d_out * d * t_out
+            < 2 * d_out * d * t + 3 * d_out * t * t_out)
 
 
 def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
@@ -351,10 +355,10 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
 
     Returns the output, (D', T') or (D', T', B), and its cache, in ``ws``
     (one layer's view of a workspace) when given. ``_projected`` (internal,
-    from :func:`mtabl.network.predict_labels`): ``x`` is W1 @ X, (D', T, B),
-    and the cache has no backward; the layer runs features first, also when
-    :func:`temporal_first` would take W1 @ (X @ W2), and a view of a
-    time-major block is used in place, any other ``x`` copied.
+    from :func:`mtabl.network.predict_labels`, for a layer that runs
+    features first): ``x`` is W1 @ X, (D', T, B), and the cache has no
+    backward; a view of a time-major block is used in place, any other
+    ``x`` copied.
     """
     (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
     if x.ndim not in (2, 3) or x.shape[:2] != (d_out if _projected else d, t):
@@ -365,7 +369,7 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
         return y[..., 0], _each(cache, lambda a: a[..., 0])
     b, k = x.shape[2], len(p.heads)
     masks, stacked, u = np.empty((0, d_out, t, b)), None, None
-    if temporal_first(p) and not _projected:
+    if temporal_first(p):
         with scope(SCOPE_OUTPUT):
             # W2^T @ X[d] for each of the D feature rows, (T', B) each.
             u = matmul(p.W2.T, x, buffer(ws, "u", (d, t_out, b)))
@@ -537,9 +541,11 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
         dxbar += dmixed.sum(axis=1)
 
     # Step by step on the (T, D', B) block: dW1 = sum over t of
-    # dxbar[t] @ X[:, t]^T, and dL/dx[:, t] = W1^T @ dxbar[t].
+    # dxbar[t] @ X[:, t]^T, the T products in the dead dmixed buffer, and
+    # dL/dx[:, t] = W1^T @ dxbar[t].
     dxbar = dxbar.reshape(t, d_out, -1)
-    grads.W1[...] += matmul(dxbar, cache.x.transpose(1, 2, 0)).sum(axis=0)
+    grads.W1[...] += matmul(dxbar, cache.x.transpose(1, 2, 0),
+                            buffer(ws, "dmixed", (t, d_out, len(cache.x)))).sum(axis=0)
     if not input_grad:
         return grads, None
     # dz is dead by now, so dL/dx may take its buffer, and x was last read for dW1.

@@ -19,17 +19,15 @@ next pass through it.
 
 :func:`predict_labels` projects each event once when the windows are
 consecutive, as in a partition or a slice of one
-(:meth:`~mtabl.data.Windows.consecutive`), and the first layer's shapes
-say that this writes fewer doubles a window than gathering: W1 @ X acts
-on each event alone, and consecutive windows share T-1 of their T
-events. For the first layer's (D, T) -> (D', T') it projects when
-D'*(T + 1) < D*T + w, the doubles a window one event on writes each way,
-w being D*T' (u = W2^T @ X) for a temporal-first layer and D'*T (the
-xbar block) for any other (:func:`_projects`). So A, C and B with a
-20 x 5 hidden layer project any consecutive selection, windows laid end
-to end too, and B with its (120, 5) hidden layer gathers. A projected
-first layer runs features first, even one that
-:func:`~mtabl.layers.temporal_first` would run temporal-first. The
+(:meth:`~mtabl.data.Windows.consecutive`), the first layer runs features
+first (:func:`~mtabl.layers.temporal_first`), and its shapes say that
+this writes fewer doubles a window than gathering: W1 @ X acts on each
+event alone, and consecutive windows share T-1 of their T events. For
+the first layer's (D, T) -> (D', T') a window one event on writes
+D'*(T + 1) doubles projected and D*T + D'*T gathered, so it projects
+when D' < D*T (:func:`_projects`). So A and C project any consecutive
+selection, windows laid end to end too, and B gathers, as does any
+network whose first layer runs temporal first. The
 projected windows go straight into the time-major block the next step
 works on, one strided copy per run of windows one event apart (one run
 per day of a partition). Probabilities stay within 1e-12 relative,
@@ -310,25 +308,24 @@ def _window_doubles(params: list, projected: bool) -> int:
     first layer's input, W1 @ X when ``projected`` and else the gathered
     D x T window, then per layer its output, and u = W2^T @ X of a
     temporal-first layer or the (max(K, 1), D', T) heads block of a
-    feature-first one; a projected first layer runs features first."""
+    feature-first one."""
     w = params[0].W1.shape[0 if projected else 1] * params[0].W2.shape[0]
-    for i, p in enumerate(params):
+    for p in params:
         (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
-        inner = (d * t_out if temporal_first(p) and not (projected and i == 0)
-                 else max(len(p.heads), 1) * d_out * t)
+        inner = d * t_out if temporal_first(p) else max(len(p.heads), 1) * d_out * t
         w = max(w, d_out * t_out, inner)
     return w
 
 
 def _projects(p: LayerParams, windows) -> bool:
     """Whether :func:`predict_labels` projects each event of ``windows`` once,
-    given the first layer's ``p``: they are consecutive, not empty, and a
-    window one event past the last writes fewer doubles projected, its new
-    event's W1 @ x and its time-major block, D'*(T + 1), than gathered, the
-    window and its first product, D*T + w."""
-    (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
-    w = d * t_out if temporal_first(p) else d_out * t
-    return d_out * (t + 1) < d * t + w and len(windows) > 0 and windows.consecutive()
+    given the first layer's ``p``: it runs features first, the windows are
+    consecutive and not empty, and a window one event past the last writes
+    fewer doubles projected, its new event's W1 @ x and its time-major
+    block, D'*(T + 1), than gathered, the window and its xbar block,
+    D*T + D'*T; that is, D' < D*T."""
+    (d_out, d), t = p.W1.shape, len(p.W2)
+    return not temporal_first(p) and d_out < d * t and len(windows) > 0 and windows.consecutive()
 
 
 def _project(windows, w1: Matrix, ws: Workspace) -> np.ndarray:
@@ -362,10 +359,11 @@ def predict_labels(spec: NetworkSpec, params: list, windows) -> list[int]:
     each chunk, and every layer writes the same buffers. A chunk holds as
     many windows as fit ``_PREDICT_DOUBLES`` doubles in the widest of those
     buffers, so a narrow network runs few large chunks. Consecutive
-    windows, when :func:`_projects` finds that it writes fewer doubles,
-    get each event's projection W1 @ X once per chunk, copied time-major in
-    place of the windows (:func:`_project`), and the first layer runs
-    features first; any other selection is gathered in the caller's order.
+    windows, when :func:`_projects` finds that the first layer runs
+    features first and that this writes fewer doubles, get each event's
+    projection W1 @ X once per chunk, copied time-major in place of the
+    windows (:func:`_project`); any other selection is gathered in the
+    caller's order.
     A non-finite probability raises DivergenceError naming its window."""
     dims = (windows.series.shape[0], windows.window)
     if dims != spec.input_dims:

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mtabl.layers
 import mtabl.network
 from mtabl.data import Windows, synth_generate
 from mtabl.errors import ConstraintError, DivergenceError
@@ -117,10 +118,12 @@ def test_multiplication_counts_scale_with_the_batch():
 
 # Multiplications that one batch_gradients call records at 256 windows, by
 # scope; the backward's products are unscoped. These are counts, the same
-# on every machine. The BL layers of B and C multiply as W1 @ (X @ W2),
-# which their shapes make cheaper: as (W1 @ X) @ W2 the totals were
-# 43,169,280 for B and 84,840,960 for C. No layer-0 dL/dx is computed; its
-# product, 307,200 (A), 512,000 (B) or 1,024,000 (C), is not counted.
+# on every machine. B's BL layer and C's second multiply as W1 @ (X @ W2)
+# and C's first as (W1 @ X) @ W2, the orders temporal_first picks: with
+# every BL layer features first the totals were 43,169,280 for B and
+# 84,840,960 for C, and with every BL layer temporal first C's was
+# 52,325,120. No layer-0 dL/dx is computed; its product, 307,200 (A),
+# 512,000 (B) or 6,144,000 (C), is not counted.
 STEP_MULTIPLICATIONS = {
     "A/tabl": {"feature_projection": 307200, "attention_scores": 76800,
                "attention_mixing": 15360, "temporal_projection": 7680,
@@ -130,9 +133,9 @@ STEP_MULTIPLICATIONS = {
                  "temporal_projection": 515840, "unscoped": 13913600},
     "C/mtabl5": {"feature_projection": 15820800, "attention_scores": 96000,
                  "attention_mixing": 38400, "head_recombination": 57600,
-                 "temporal_projection": 1795840, "unscoped": 34516480},
+                 "temporal_projection": 2307840, "unscoped": 30420480},
 }
-STEP_TOTALS = {"A/tabl": 883_200, "B/mtabl3": 21_149_440, "C/mtabl5": 52_325_120}
+STEP_TOTALS = {"A/tabl": 883_200, "B/mtabl3": 21_149_440, "C/mtabl5": 48_741_120}
 
 
 @pytest.mark.parametrize("name", sorted(STEP_MULTIPLICATIONS))
@@ -143,6 +146,35 @@ def test_training_step_multiplications_are_pinned(name):
         batch_gradients(spec, params, windows(256), None)
     assert counter.by_scope == STEP_MULTIPLICATIONS[name]
     assert counter.total == STEP_TOTALS[name]
+
+
+# First BL layers (D, T) -> (D', T') of a B network: D in {8, 40} and T in
+# {5, 10, 11, 12, 20}, into the default hidden shapes (60, 10) and (120, 5)
+# and into (20, 5) and (30, 10); and (3, 3) -> (3, 3), where both orders
+# take 135 multiplications a window.
+RULE_SHAPES = [((d, t), out) for d in (8, 40) for t in (5, 10, 11, 12, 20)
+               for out in ((60, 10), (120, 5), (20, 5), (30, 10))] + [((3, 3), (3, 3))]
+
+
+@pytest.mark.parametrize("dims,out", RULE_SHAPES,
+                         ids=[f"{d}x{t}-{o}x{u}" for (d, t), (o, u) in RULE_SHAPES])
+def test_association_rule_takes_the_order_with_fewer_counted_multiplications(
+        monkeypatch, dims, out):
+    # Each order forced in turn on the BL layer, one batch_gradients step
+    # counted: the rule must pick the order that counted fewer, a tie
+    # features first.
+    spec = topology("B", input_dims=dims, hidden_dims=[out])
+    params = init_network_params(spec, 0)
+    batch = Windows.separate(np.random.default_rng(0).normal(size=(*dims, 4)), [0, 1, 2, 0])
+    rule, counts = mtabl.layers.temporal_first, {}
+    for forced in (True, False):
+        monkeypatch.setattr(mtabl.layers, "temporal_first",
+                            lambda p: forced and not len(p.heads))
+        with count_multiplications() as counter:
+            batch_gradients(spec, params, batch, None)
+        counts[forced] = counter.total
+    assert (counts[True] == counts[False]) == (dims == (3, 3))
+    assert rule(params[0]) == (counts[True] < counts[False])
 
 
 def test_seeded_training_is_bit_identical():

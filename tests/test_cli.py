@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -428,6 +429,57 @@ class TestEvalCommand:
         assert run(argv) == 3
         err = capsys.readouterr().err
         assert "data error" in err and str(missing) in err
+
+    def test_second_run_into_the_same_out_leaves_the_first_runs_data(self, tmp_path, capsys):
+        # A run with another synthetic seed once overwrote config.json and
+        # dataset.mtabl, and eval of the first run's checkpoint then scored
+        # the second run's data (macro-F1 0.19 against its own 0.30).
+        out = tmp_path / "stale"
+        first = ["train", "--synth", "--seeds", "1", "--max-epochs", "2", "--out", str(out)]
+        assert run(first) == 0
+        written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run(["train", "--synth", "--synth-seed", "7", "--seed", "1", "--seeds", "1",
+                    "--max-epochs", "2", "--out", str(out)]) == 2
+        assert "another run's config.json" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
+        assert run(["eval", "--checkpoint", str(out / "seed0" / "checkpoint.mtabl"),
+                    "--out", str(tmp_path / "eval")]) == 0
+        report = (out / "seed0" / "report.json").read_text()
+        assert (tmp_path / "eval" / "report_test.json").read_text() == report
+        # The same run may write over its own outputs, with the same bytes.
+        assert run(first) == 0
+        assert (out / "seed0" / "report.json").read_text() == report
+
+    @pytest.mark.parametrize("named_by", ["flag", "checkpoint"])
+    def test_cache_of_another_run_exits_3_naming_both_digests(self, tmp_path, capsys, named_by):
+        out, other = tmp_path / "run", tmp_path / "other"
+        assert run(train_args(out, seeds=1, epochs=1)) == 0
+        assert run(train_args(other, seeds=1, epochs=1, extra=["--synth-seed", "7"])) == 0
+        checkpoint = out / "seed0" / "checkpoint.mtabl"
+        argv = ["eval", "--checkpoint", str(checkpoint)]
+        if named_by == "flag":
+            argv += ["--dataset-cache", str(other / "dataset.mtabl")]
+        else:
+            shutil.copy(other / "dataset.mtabl", out / "dataset.mtabl")
+        recorded = load_checkpoint(checkpoint)[2]["dataset_sha256"]
+        found = hashlib.sha256((other / "dataset.mtabl").read_bytes()).hexdigest()
+        assert recorded != found
+        capsys.readouterr()
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and recorded in err and found in err
+
+    def test_checkpoint_without_a_digest_evaluates_any_cache(self, tmp_path, capsys):
+        out, other = tmp_path / "run", tmp_path / "other"
+        assert run(train_args(out, seeds=1, epochs=1)) == 0
+        assert run(train_args(other, seeds=1, epochs=1, extra=["--synth-seed", "7"])) == 0
+        checkpoint = out / "seed0" / "checkpoint.mtabl"
+        spec, params, meta = load_checkpoint(checkpoint)
+        del meta["dataset_sha256"]
+        save_checkpoint(checkpoint, spec, params, meta)
+        assert run(["eval", "--checkpoint", str(checkpoint),
+                    "--dataset-cache", str(other / "dataset.mtabl")]) == 0
 
     def test_inconsistent_dataset_cache_exits_3_without_traceback(self, tmp_path):
         out = tmp_path / "run"

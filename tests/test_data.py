@@ -299,6 +299,17 @@ class TestSplitAndNormalize:
         with pytest.raises(ConfigurationError):
             normalize(Dataset())
 
+    def test_partitions_without_windows_stay_as_they_are(self):
+        # A Dataset's default partition is Windows.join(): a (0, 0) series
+        # of window 0, which no (D, 1) statistics broadcast against.
+        s = synth_generate(30, n_features=4, window=5, seed=0)
+        ds = normalize(Dataset(train=s.train, test=s.test))
+        assert ds.validation.series.shape == (0, 0) and ds.validation.window == 0
+        assert ds.test.series.tobytes() == normalize(s).test.series.tobytes()
+        only_test = standardize(Dataset(test=s.test), ds.feature_mean, ds.feature_std)
+        assert only_test.train.series.shape == (0, 0)
+        assert only_test.test.series.tobytes() == ds.test.series.tobytes()
+
 
 class TestWindows:
     def partition(self, tmp_path, events=(25, 14, 31)):

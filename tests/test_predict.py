@@ -1,17 +1,16 @@
 """predict_labels against the gathered forward it shortcuts.
 
 Consecutive windows take W1 @ X once per event and then copy the windows
-of that projected series, whenever the first layer's shapes say that this
-writes fewer doubles a window than gathering: D'*(T + 1) against D*T + w,
-for the first layer's (D, T) -> (D', T') and w its first product, D*T'
-for u = W2^T @ X of a temporal-first layer and D'*T for xbar of any
-other. A consecutive selection, a day, a slice of one or windows laid end
-to end, projects for A, C and B with a 20 x 5 hidden layer, and is
-gathered for B. A selection that is not consecutive takes the gathered
-(D, T, B) batch. The per-event product runs over other matrix shapes than
-the gathered one, so its probabilities may differ in the last bits: they
-must stay within 1e-12 relative of the gathered forward, and the labels
-must be equal. Comparisons run with nonzero biases (``biased_params``),
+of that projected series, whenever the first layer runs features first
+and its shapes say that this writes fewer doubles a window than
+gathering: D'*(T + 1) against D*T + D'*T, for the first layer's
+(D, T) -> (D', T'). A consecutive selection, a day, a slice of one or
+windows laid end to end, projects for A and C, and is gathered for B,
+whose first layer runs temporal first. A selection that is not
+consecutive takes the gathered (D, T, B) batch. The per-event product
+runs over other matrix shapes than the gathered one, so its
+probabilities may differ in the last bits: they must stay within 1e-12
+relative of the gathered forward, and the labels must be equal. Comparisons run with nonzero biases (``biased_params``),
 so that a pass which dropped a bias would fail them.
 """
 
@@ -25,7 +24,7 @@ import pytest
 
 import mtabl
 import mtabl.network
-from mtabl.data import N_FEATURES, RawDayMatrix, Windows, windowize
+from mtabl.data import N_FEATURES, RawDayMatrix, Windows, synth_generate, windowize
 from mtabl.errors import CacheMismatchError, DimensionError, DivergenceError
 from mtabl.layers import (
     SCOPE_PROJECT,
@@ -55,6 +54,9 @@ SPECS = {
     # each window's 30 x 10 projection.
     "C/mtabl5-30x10-200x5": lambda: topology("C", attention_kind="mtabl", heads=5,
                                              hidden_dims=[(30, 10), (200, 5)]),
+    # A C whose first BL layer runs temporal first: 16,000 against 19,000.
+    "C/mtabl5-20x5-120x5": lambda: topology("C", attention_kind="mtabl", heads=5,
+                                            hidden_dims=[(20, 5), (120, 5)]),
 }
 # Windows per predict_labels chunk of a day: _PREDICT_DOUBLES = 256 * 600
 # doubles over the doubles per window of the widest buffer a forward writes,
@@ -64,7 +66,7 @@ CHUNK = {
     "A/mtabl3": 1706,  # 90
     "A/mtabl5": 1024,  # 150
     "B/mtabl3": 256,  # 600: the (120, 5) output of the BL layer
-    "B/mtabl3-20x5": 768,  # 200: the projected (20, 10) windows
+    "B/mtabl3-20x5": 384,  # 400: the gathered (40, 10) windows
     "C/mtabl5": 256,  # 600: the projected windows and the outputs of both BL layers
     "C/mtabl5-30x10-200x5": 153,  # 1000: the (200, 5) output
 }
@@ -164,13 +166,11 @@ def test_empty_selection_predicts_nothing(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("name", ["B/mtabl3", "C/mtabl5"])
+@pytest.mark.parametrize("name", ["B/mtabl3", "C/mtabl5-20x5-120x5"])
 def test_temporal_first_networks_take_the_gathered_batch(monkeypatch, name):
     spec = SPECS[name]()
     params = biased_params(spec, 0)
     windows = day_windows()[100:400]
-    if name == "C/mtabl5":  # C projects consecutive windows; these are reversed
-        windows = windows[::-1]
     assert temporal_first(params[0])
     calls = recorded(monkeypatch)
     labels = predict_labels(spec, params, windows)
@@ -181,14 +181,14 @@ def test_temporal_first_networks_take_the_gathered_batch(monkeypatch, name):
     assert labels == np.argmax(probs[:, 0], axis=0).tolist()
 
 
-# Whether predict_labels projects a consecutive selection: D'*(T + 1)
-# against D*T + w.
+# Whether predict_labels projects a consecutive selection: its first layer
+# runs features first, and D'*(T + 1) < D*T + D'*T.
 PROJECTS = {
     "A/tabl": True,  # 33 against 430
     "A/mtabl3": True,  # 33 against 430
-    "B/mtabl3": False,  # 1320 against 600
-    "B/mtabl3-20x5": True,  # 220 against 600
-    "C/mtabl5": True,  # 660 against 800
+    "B/mtabl3": False,  # temporal first
+    "B/mtabl3-20x5": False,  # temporal first
+    "C/mtabl5": True,  # 660 against 1000
     "C/mtabl5-30x10-200x5": True,  # 330 against 700
 }
 
@@ -217,17 +217,48 @@ def test_predict_takes_the_path_that_writes_fewer_doubles(monkeypatch, name, cas
     assert labels == np.argmax(gathered, axis=0).tolist()
 
 
+# Whether predict_labels projects consecutive windows, per topology and
+# input: only a features-first first layer projects, and at 8 x 10 the BL
+# layers of B and C both run temporal first.
+PATHS = {("A", (40, 10)): True, ("B", (40, 10)): False, ("C", (40, 10)): True,
+         ("A", (8, 10)): True, ("B", (8, 10)): False, ("C", (8, 10)): False}
+
+
+@pytest.mark.parametrize("name,dims", sorted(PATHS), ids=[f"{n}-{d}x{t}" for n, (d, t) in
+                                                           sorted(PATHS)])
+def test_prediction_runs_every_layer_in_the_order_training_does(monkeypatch, name, dims):
+    spec = topology(name, input_dims=dims, attention_kind="mtabl", heads=3)
+    params = biased_params(spec, 0)
+    windows = synth_generate(90, n_features=dims[0], window=dims[1], seed=0).train
+    assert windows.consecutive()
+    calls = recorded(monkeypatch)
+    orders = []
+    forward = mtabl.network.layer_forward
+
+    def layer_recording(x, p, *args):
+        y, cache = forward(x, p, *args)
+        orders.append((cache.u is not None, temporal_first(p)))
+        return y, cache
+
+    monkeypatch.setattr(mtabl.network, "layer_forward", layer_recording)
+    predict_labels(spec, params, windows)
+    assert {projected for _, projected, _ in calls} == {PATHS[name, dims]}
+    assert len(orders) == len(calls) * len(spec.layers)
+    assert all(ran == rule for ran, rule in orders)
+    assert any(ran for ran, _ in orders) == (name != "A")
+
+
 def test_c_prediction_projects_each_event_once_a_chunk():
     # 600 windows of one day run in chunks of 256, 256 and 88, which span
     # 627 events: the first BL layer's W1 (60 x 40) takes 627 * 2400
-    # multiplications where the gathered batch took W1 @ U, 600 * 24,000.
+    # multiplications where the gathered batch takes W1 @ X, 600 * 24,000.
     spec = SPECS["C/mtabl5"]()
     params = init_network_params(spec, 0)
     windows = day_windows((1000,))[200:800]
     with count_multiplications() as counter:
         predict_labels(spec, params, windows)
     assert counter.by_scope[SCOPE_PROJECT] == 24_184_800  # 37,080,000 gathered
-    assert counter.total == 30_043_800  # 41,739,000 gathered
+    assert counter.total == 30_043_800  # 42,939,000 gathered
 
 
 def test_backward_after_a_forward_only_pass_names_the_missing_mask():
@@ -256,7 +287,7 @@ def test_projected_input_of_the_wrong_shape_raises():
         network_forward(np.zeros((N_FEATURES, WINDOW, 4)), spec, params, None, True)
     with pytest.raises(DimensionError, match="projected input"):
         network_forward(np.zeros((3, WINDOW - 1, 4)), spec, params, None, True)
-    # A temporal-first layer takes its projected input features first, W1 @ X.
+    # A BL layer takes its projected input as W1 @ X, D' rows.
     (bl, *_) = init_network_params(SPECS["C/mtabl5"](), 0)
     with pytest.raises(DimensionError, match="projected input"):
         layer_forward(np.zeros((N_FEATURES, WINDOW, 4)), bl, "relu", None, True)
@@ -308,7 +339,9 @@ def test_chunks_fit_the_widest_buffer_to_the_budget(monkeypatch, name):
 
 
 # The benchmark counts one window's forward through network_forward: these
-# are the figures it read before predict_labels took the per-event path.
+# are the figures it read before predict_labels took the per-event path,
+# but for C, whose first layer now runs features first (7015 temporal
+# multiplications when it ran temporal first).
 BENCH_COUNTS = {
     "A/tabl": {"feature_projection": 1200, "attention_scores": 300,
                "attention_mixing": 60, "head_recombination": 0, "temporal_projection": 30},
@@ -317,7 +350,7 @@ BENCH_COUNTS = {
                  "temporal_projection": 2015},
     "C/mtabl5": {"feature_projection": 61800, "attention_scores": 375,
                  "attention_mixing": 150, "head_recombination": 225,
-                 "temporal_projection": 7015},
+                 "temporal_projection": 9015},
 }
 
 
