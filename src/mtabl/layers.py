@@ -361,6 +361,10 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
     ``x`` copied.
     """
     (d_out, d), (t, t_out) = p.W1.shape, p.W2.shape
+    temporal = temporal_first(p)
+    if _projected and temporal:
+        raise DimensionError(f"the layer with W1 {p.W1.shape} and W2 {p.W2.shape} runs "
+                             "temporal first, so it takes no projected input")
     if x.ndim not in (2, 3) or x.shape[:2] != (d_out if _projected else d, t):
         raise DimensionError(f"{'projected ' * _projected}input {x.shape} does not fit "
                              f"W1 {p.W1.shape} and W2 {p.W2.shape} of this layer")
@@ -369,7 +373,7 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
         return y[..., 0], _each(cache, lambda a: a[..., 0])
     b, k = x.shape[2], len(p.heads)
     masks, stacked, u = np.empty((0, d_out, t, b)), None, None
-    if temporal_first(p):
+    if temporal:
         with scope(SCOPE_OUTPUT):
             # W2^T @ X[d] for each of the D feature rows, (T', B) each.
             u = matmul(p.W2.T, x, buffer(ws, "u", (d, t_out, b)))

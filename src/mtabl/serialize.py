@@ -7,7 +7,8 @@ with its shape in the header, so a save/load round trip is bit-exact. The
 header is validated before any payload is read; every malformed file raises
 :class:`FormatError`. Blocks stream between the file and their arrays:
 a write sends each array's own buffer and a read fills each new array in
-place, so a load holds the payload once.
+place, so a load holds the payload once. A write creates a new file at
+the path's resolved target, so a reader holding the old file keeps it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,19 @@ def write_container(path, kind: str, meta: dict, blocks: list[tuple[str, np.ndar
         entries.append({"name": name, "rows": array.shape[0], "cols": array.shape[1],
                         "dtype": dtype})
     header = json.dumps({"kind": kind, "meta": meta, "blocks": entries}).encode("utf-8")
-    with open(path, "wb") as fh:
+    # The old regular file is removed, not truncated: ext4 flushes a file
+    # truncated and rewritten as it closes (auto_da_alloc). One that cannot
+    # be opened for writing is left for the open below to refuse, and one
+    # that cannot be removed is truncated as before. Only a link as the last
+    # component needs resolving (realpath alone takes some 30 us a call).
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    if os.path.isfile(target):
+        try:
+            os.close(os.open(target, os.O_WRONLY))
+            os.unlink(target)
+        except OSError:
+            pass
+    with open(target, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(header)))
         fh.write(header)

@@ -293,6 +293,22 @@ def test_projected_input_of_the_wrong_shape_raises():
         layer_forward(np.zeros((N_FEATURES, WINDOW, 4)), bl, "relu", None, True)
 
 
+@pytest.mark.parametrize("input_dims,hidden_dims", [((N_FEATURES, WINDOW), None),
+                                                    ((8, 10), [(8, 2)])],
+                         ids=["B", "B-square-first-layer"])
+def test_projected_input_to_a_temporal_first_layer_raises(input_dims, hidden_dims):
+    # Only a features-first layer has a projection W1 @ X to take. With
+    # D' = D the projected input has the raw input's shape, which the
+    # temporal-first branch would multiply without complaint.
+    spec = topology("B", input_dims=input_dims, attention_kind="mtabl", heads=3,
+                    hidden_dims=hidden_dims)
+    params = init_network_params(spec, 0)
+    assert temporal_first(params[0])
+    d_out = params[0].W1.shape[0]
+    with pytest.raises(DimensionError, match=rf"W1 \({d_out}, {input_dims[0]}\).*temporal first"):
+        network_forward(np.zeros((d_out, input_dims[1], 4)), spec, params, None, True)
+
+
 def test_projected_cache_cannot_run_backward():
     spec = SPECS["A/tabl"]()
     (p,) = init_network_params(spec, 0)

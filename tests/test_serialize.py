@@ -1,15 +1,18 @@
+import hashlib
 import json
+import os
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mtabl.data import load_dataset, normalize, save_dataset, synth_generate
+from mtabl.data import Dataset, Windows, load_dataset, normalize, save_dataset, synth_generate
 from mtabl.errors import FormatError
-from mtabl.network import init_network_params, topology
+from mtabl.network import NetworkParams, init_network_params, topology
 from mtabl.serialize import (
     MAGIC,
     VERSION,
@@ -73,6 +76,134 @@ class TestContainer:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="version"):
             read_container(path)
+
+
+def _pinned_dataset() -> Dataset:
+    """A dataset built without a random generator: its cache bytes are the
+    same on every platform and numpy."""
+    series = np.arange(4 * 30, dtype=np.float64).reshape(4, 30) / 8
+    return Dataset(train=Windows(series, np.array([0, 1, 2, 3, 10, 20]),
+                                 np.array([0, 1, 2, 2, 1, 0]), 5),
+                   test=Windows(series[:, :12] - 1.5, np.arange(8), np.arange(8) % 3, 5),
+                   feature_mean=np.arange(4.0), feature_std=np.full(4, 0.5),
+                   provenance={"source": "pinned"})
+
+
+def _save_pinned_checkpoint(path) -> None:
+    spec = topology("C", input_dims=(6, 4), attention_kind="mtabl", heads=2)
+    n = init_network_params(spec, 0).flat.size
+    save_checkpoint(path, spec, NetworkParams(spec, (np.arange(n) % 7) / 8), meta={"seed": 3})
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestOverwrite:
+    """A container is written by removing the regular file at the resolved
+    path and creating it anew."""
+
+    # Taken when a write still truncated the old file: removing it changes no byte.
+    PINS = {"dataset": "b8948023979f0a8708afd2b77e0f6096ce1e115e7897a7eca95d63b3d1fd089f",
+            "checkpoint": "7285c1bd9da1c9081bbceadf71fec11a840d04e879f13ed58f66978be679cf39"}
+
+    @staticmethod
+    def _write(kind, path):
+        if kind == "dataset":
+            save_dataset(path, _pinned_dataset())
+        else:
+            _save_pinned_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", ["dataset", "checkpoint"])
+    def test_bytes_are_pinned(self, tmp_path, kind):
+        self._write(kind, tmp_path / "c.mtabl")
+        assert _sha256(tmp_path / "c.mtabl") == self.PINS[kind]
+
+    @pytest.mark.parametrize("kind", ["dataset", "checkpoint"])
+    def test_overwrite_writes_the_bytes_of_a_new_file(self, tmp_path, kind):
+        path = tmp_path / "c.mtabl"
+        # An old file longer than the new container, so no old byte may remain.
+        path.write_bytes(b"\xff" * 100_000)
+        self._write(kind, path)
+        assert _sha256(path) == self.PINS[kind]
+
+    def test_open_handle_keeps_reading_the_old_file(self, tmp_path):
+        path = tmp_path / "c.mtabl"
+        _save_pinned_checkpoint(path)
+        old = path.read_bytes()
+        with open(path, "rb") as fh:
+            save_dataset(path, _pinned_dataset())
+            assert fh.read() == old
+        assert _sha256(path) == self.PINS["dataset"]
+
+    @pytest.mark.parametrize("block", [np.zeros((2, 2, 2)), np.array([["a"]], dtype=object)],
+                             ids=["3-D", "object"])
+    def test_invalid_block_leaves_the_old_file(self, tmp_path, block):
+        path = tmp_path / "c.mtabl"
+        _save_pinned_checkpoint(path)
+        stat = path.stat()
+        with pytest.raises(FormatError):
+            write_container(path, "checkpoint", {}, [("ok", np.ones((1, 2))), ("bad", block)])
+        assert _sha256(path) == self.PINS["checkpoint"] and path.stat().st_ino == stat.st_ino
+
+    @pytest.mark.parametrize("kind,load", [("dataset", load_dataset),
+                                           ("checkpoint", load_checkpoint)])
+    def test_write_failing_after_the_header_leaves_no_loadable_file(
+            self, tmp_path, monkeypatch, kind, load):
+        # The same header over the old payload, written in place without
+        # truncating, would load the old blocks; a new file holds only what
+        # was written.
+        path = tmp_path / "c.mtabl"
+        self._write(kind, path)
+        meta, blocks = read_container(path)
+
+        def fail(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "ascontiguousarray", fail)
+        with pytest.raises(OSError, match="no space"):
+            write_container(path, kind, meta, list(blocks.items()))
+        monkeypatch.undo()
+        assert path.stat().st_size > len(MAGIC) + 8
+        with pytest.raises(FormatError, match="truncated payload"):
+            load(path)
+
+    @pytest.mark.parametrize("link,to,path", [
+        ("link.mtabl", "store/c.mtabl", "link.mtabl"), ("dir", "store", "dir/c.mtabl"),
+    ], ids=["file-link", "directory-link"])
+    def test_symlink_is_written_through(self, tmp_path, link, to, path):
+        target = tmp_path / "store" / "c.mtabl"
+        target.parent.mkdir()
+        _save_pinned_checkpoint(target)
+        (tmp_path / link).symlink_to(to)
+        save_dataset(tmp_path / path, _pinned_dataset())
+        assert (tmp_path / link).is_symlink() and (tmp_path / path).resolve() == target.resolve()
+        assert _sha256(target) == self.PINS["dataset"]
+
+    def test_directory_and_missing_directory_refused_as_before(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            save_dataset(tmp_path, _pinned_dataset())
+        with pytest.raises(FileNotFoundError):
+            _save_pinned_checkpoint(tmp_path / "missing" / "c.mtabl")
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                        reason="root may write a read-only file or directory")
+    def test_read_only_file_refused_and_file_in_read_only_directory_truncated(self, tmp_path):
+        path = tmp_path / "c.mtabl"
+        _save_pinned_checkpoint(path)
+        path.chmod(0o444)
+        with pytest.raises(PermissionError):
+            save_dataset(path, _pinned_dataset())
+        assert _sha256(path) == self.PINS["checkpoint"]
+        # A file that cannot be removed is truncated and written in place.
+        path.chmod(0o644)
+        tmp_path.chmod(0o555)
+        try:
+            save_dataset(path, _pinned_dataset())
+        finally:
+            tmp_path.chmod(0o755)
+        assert _sha256(path) == self.PINS["dataset"]
 
 
 def _with_header(header) -> bytes:
