@@ -7,14 +7,15 @@ with its shape in the header, so a save/load round trip is bit-exact. The
 header is validated before any payload is read; every malformed file raises
 :class:`FormatError`. Blocks stream between the file and their arrays:
 a write sends each array's own buffer and a read fills each new array in
-place, so a load holds the payload once. A write creates a new file at
-the path's resolved target, so a reader holding the old file keeps it.
+place, so a load holds the payload once. A write over a file the writer
+owns creates a new file, so a reader holding the old one keeps it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 import struct
 
 import numpy as np
@@ -39,19 +40,20 @@ def write_container(path, kind: str, meta: dict, blocks: list[tuple[str, np.ndar
         entries.append({"name": name, "rows": array.shape[0], "cols": array.shape[1],
                         "dtype": dtype})
     header = json.dumps({"kind": kind, "meta": meta, "blocks": entries}).encode("utf-8")
-    # The old regular file is removed, not truncated: ext4 flushes a file
-    # truncated and rewritten as it closes (auto_da_alloc). One that cannot
-    # be opened for writing is left for the open below to refuse, and one
-    # that cannot be removed is truncated as before. Only a link as the last
-    # component needs resolving (realpath alone takes some 30 us a call).
-    target = os.path.realpath(path) if os.path.islink(path) else path
-    if os.path.isfile(target):
-        try:
-            os.close(os.open(target, os.O_WRONLY))
-            os.unlink(target)
-        except OSError:
-            pass
-    with open(target, "wb") as fh:
+    # A regular file the writer owns and may write is removed and created
+    # anew with its mode, not truncated: ext4 starts a truncated file's
+    # writeback as it closes (auto_da_alloc), inside this call. Anything
+    # else, a symlink included, is left to open(), which refuses or truncates.
+    mode = 0o666
+    try:
+        st = os.lstat(path)
+        if stat.S_ISREG(st.st_mode) and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid()):
+            os.close(os.open(path, os.O_WRONLY))
+            os.unlink(path)
+            mode = stat.S_IMODE(st.st_mode)
+    except OSError:
+        pass
+    with open(path, "wb", opener=lambda name, flags: os.open(name, flags, mode)) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(header)))
         fh.write(header)

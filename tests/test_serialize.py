@@ -100,8 +100,8 @@ def _sha256(path) -> str:
 
 
 class TestOverwrite:
-    """A container is written by removing the regular file at the resolved
-    path and creating it anew."""
+    """A container is written over a regular file the writer owns by removing
+    it and creating it anew with its mode; any other path is truncated."""
 
     # Taken when a write still truncated the old file: removing it changes no byte.
     PINS = {"dataset": "b8948023979f0a8708afd2b77e0f6096ce1e115e7897a7eca95d63b3d1fd089f",
@@ -179,6 +179,29 @@ class TestOverwrite:
         save_dataset(tmp_path / path, _pinned_dataset())
         assert (tmp_path / link).is_symlink() and (tmp_path / path).resolve() == target.resolve()
         assert _sha256(target) == self.PINS["dataset"]
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o644])
+    def test_new_file_keeps_the_old_mode(self, tmp_path, mode):
+        path = tmp_path / "c.mtabl"
+        _save_pinned_checkpoint(path)
+        path.chmod(mode)
+        old = os.umask(0o022)
+        try:
+            save_dataset(path, _pinned_dataset())
+        finally:
+            os.umask(old)
+        assert _sha256(path) == self.PINS["dataset"] and path.stat().st_mode & 0o777 == mode
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0,
+                        reason="only root may give a file to another owner")
+    def test_file_of_another_owner_is_truncated_and_keeps_its_owner(self, tmp_path):
+        path = tmp_path / "c.mtabl"
+        _save_pinned_checkpoint(path)
+        os.chown(path, 12345, 12345)
+        ino = path.stat().st_ino
+        save_dataset(path, _pinned_dataset())
+        assert _sha256(path) == self.PINS["dataset"]
+        assert (path.stat().st_ino, path.stat().st_uid, path.stat().st_gid) == (ino, 12345, 12345)
 
     def test_directory_and_missing_directory_refused_as_before(self, tmp_path):
         with pytest.raises(IsADirectoryError):
