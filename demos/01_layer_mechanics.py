@@ -5,8 +5,10 @@ Builds a tiny input series, pushes it through the layer without attention
 prints the intermediates so you can see what the attention mask actually
 does: each row of the mask is a distribution over time steps, and the
 mixing coefficient lam blends attended features with the plain
-projection. All weights of a layer sit in one flat vector; the named
-fields are views into it.
+projection. The layer computes on (D, T, B) batches, so the one window
+comes back as a batch of one, B = 1, and is printed as ``[..., 0]``. All
+weights of a layer sit in one flat vector; the named fields are views
+into it.
 """
 
 import numpy as np
@@ -31,19 +33,20 @@ base = dict(
 )
 bl = LayerParams.pack(**base)
 y_bl, _ = layer_forward(x, bl)
-print("\nBL output  y = W1 @ X @ W2 + B:")
-print(y_bl)
+print("\nBL output  y = W1 @ X @ W2 + B, shape", y_bl.shape, "(a batch of one window):")
+print(y_bl[..., 0])
 print("BL parameter blocks:", [(name, v.shape) for name, v in bl.named_blocks()])
 
 # ----------------------------------------------------- TABL, K = 1
 w = rng.normal(0, 0.4, (T, T))
 tabl = LayerParams.pack(**base, heads=[w], lam=0.7)
 y_tabl, cache = layer_forward(x, tabl)
+mask = cache.masks[0, ..., 0]  # head 0 of window 0
 print("\nTABL attention mask (rows sum to 1):")
-print(cache.masks[0])
-print("row sums:", cache.masks[0].sum(axis=1))
+print(mask)
+print("row sums:", mask.sum(axis=1))
 print("TABL output:")
-print(y_tabl)
+print(y_tabl[..., 0])
 
 # At lam = 0 the attention path is switched off entirely. lam is a view
 # into the layer's flat vector, so it is written in place.
@@ -64,11 +67,11 @@ mtabl = LayerParams.pack(
 y_mtabl, cache = layer_forward(x, mtabl)
 print(f"\nMTABL with {K} heads; per-head mask row for feature 0:")
 for k, mask in enumerate(cache.masks):
-    print(f"  head {k}:", mask[0])
+    print(f"  head {k}:", mask[0, :, 0])
 print("stacked attended features have shape", cache.stacked.shape,
       "-> recombined to", cache.xtilde.shape)
 print("MTABL output:")
-print(y_mtabl)
+print(y_mtabl[..., 0])
 print("parameters:", mtabl.flat.size, "floats in one vector")
 
 # One head with an identity recombination is exactly the single-head layer.

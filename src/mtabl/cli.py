@@ -247,6 +247,8 @@ def cmd_train(args) -> int:
     seed_cfgs = [replace(cfg.optim, seed=seed) for seed in cfg.seeds]
     spec = _network(cfg)
     dataset = _build_dataset(cfg)
+    if not dataset.train:
+        raise ConfigurationError("training partition is empty")
     out_dir = Path(cfg.out)
     config = (json.dumps(asdict(cfg), indent=2) + "\n").encode()
     # The same run may write over its outputs; another would orphan their checkpoints.

@@ -44,16 +44,16 @@ are one more array axis: masks and mixed features are (K, D', T), each
 computed for all heads by one operation.
 
 A batch of B windows is one C-ordered (D, T, B) array, window b being
-``X[..., b]``; a (D, T) window runs as a batch of one and comes back
-without the batch axis, so a head's mask is (D', T) or (D', T, B). A
-temporal-first layer takes u[d] = W2^T @ X[d] for each feature row d
-and z = W1 @ u as one GEMM; its backward takes dW1 and dL/du as one GEMM
-each, dW2 as the sum over d of X[d] @ dL/du[d]^T, and dL/dx[d] as
-W2 @ dL/du[d]. The bias add, relu and dL/dB run along the contiguous
-batch axis. relu's forward keeps z > 0 as a boolean mask
-(``LayerCache.positive``), and its backward multiplies dL/dy by it, so
-dL/dz has the bits of ``g * (z > 0).astype(float)``, signed zeros too.
-A forward-only pass, through a shared :class:`Workspace`, keeps no mask.
+``X[..., b]``; a (D, T) window runs as a batch of one and comes back as
+one, B = 1, so a head's mask is (D', T, B). A temporal-first layer
+takes u[d] = W2^T @ X[d] for each feature row d and z = W1 @ u as one
+GEMM; its backward takes dW1 and dL/du as one GEMM each, dW2 as the sum
+over d of X[d] @ dL/du[d]^T, and dL/dx[d] as W2 @ dL/du[d]. The bias
+add, relu and dL/dB run along the contiguous batch axis. relu's forward
+keeps z > 0 as a boolean mask (``LayerCache.positive``), and its
+backward multiplies dL/dy by it, so dL/dz has the bits of
+``g * (z > 0).astype(float)``, signed zeros too. A forward-only pass,
+through a shared :class:`Workspace`, keeps no mask.
 
 From xbar to z a feature-first layer works time-major, with the time
 axis first in memory: the softmax (which also checks that every mask row
@@ -70,7 +70,7 @@ transposed view. The backward works on the same blocks (dW_k and the
 heads' part of dL/dxbar are one GEMM each over the (T*K, D'*B) block of
 dL/de) and takes dW1 and dL/dx step by step from dL/dxbar's block. The
 cache holds (D', T, B) views of the blocks, so ``masks`` is
-(K, D', T[, B]), as in the maths.
+(K, D', T, B), as in the maths.
 
 Parameters live in one contiguous float64 vector: :class:`LayerParams`
 holds named views into it, laid out by :func:`layer_layout`, and
@@ -88,7 +88,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -292,7 +292,7 @@ class LayerCache:
     activation: str
     x: Matrix | None  # None after a projected forward, which has no backward
     xbar: Matrix | None  # from here to xtilde: views of time-major blocks
-    masks: np.ndarray  # (K, D', T[, B]), one mask per head
+    masks: np.ndarray  # (K, D', T, B), one mask per head
     stacked: Matrix | None  # the mixed heads [mix_1; ...; mix_K] when recombined
     xtilde: Matrix | None
     z: Matrix  # with a workspace, y overwrites it
@@ -333,12 +333,6 @@ def activation_backward(grad_y: Matrix, cache: LayerCache, ws: Workspace | None)
     raise ConfigurationError(f"unknown activation {kind!r}")
 
 
-def _each(cache: LayerCache, f) -> LayerCache:
-    """The cache with ``f`` applied to each of its arrays."""
-    return replace(cache, **{name: f(a) for name, a in vars(cache).items()
-                             if isinstance(a, np.ndarray)})
-
-
 def temporal_first(p: LayerParams) -> bool:
     """Whether the layer multiplies W1 @ (X @ W2): it has no heads, and that
     order takes fewer multiplications per window in a forward and its
@@ -351,10 +345,10 @@ def temporal_first(p: LayerParams) -> bool:
 
 def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
                   ws: Workspace | None = None, _projected: bool = False):
-    """Forward pass over one (D, T) window or a (D, T, B) batch.
+    """Forward pass over a (D, T, B) batch, or one (D, T) window as a batch of one.
 
-    Returns the output, (D', T') or (D', T', B), and its cache, in ``ws``
-    (one layer's view of a workspace) when given. ``_projected`` (internal,
+    Returns the output, (D', T', B), and its cache, in ``ws`` (one
+    layer's view of a workspace) when given. ``_projected`` (internal,
     from :func:`mtabl.network.predict_labels`, for a layer that runs
     features first): ``x`` is W1 @ X, (D', T, B), and the cache has no
     backward; a view of a time-major block is used in place, any other
@@ -368,9 +362,7 @@ def layer_forward(x: np.ndarray, p: LayerParams, activation: str = "identity",
     if x.ndim not in (2, 3) or x.shape[:2] != (d_out if _projected else d, t):
         raise DimensionError(f"{'projected ' * _projected}input {x.shape} does not fit "
                              f"W1 {p.W1.shape} and W2 {p.W2.shape} of this layer")
-    if x.ndim == 2:  # one window is a batch of one
-        y, cache = layer_forward(x[..., None], p, activation, ws, _projected)
-        return y[..., 0], _each(cache, lambda a: a[..., 0])
+    x = x[..., None] if x.ndim == 2 else x  # one window is a batch of one
     b, k = x.shape[2], len(p.heads)
     masks, stacked, u = np.empty((0, d_out, t, b)), None, None
     if temporal:
@@ -474,8 +466,8 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
 
     ``grad_y`` is dL/dy, or dL/dz when ``grad_wrt_preactivation`` is set
     (the fused softmax + cross-entropy path supplies the latter), in the
-    shape of the output. The parameter gradients, summed over the windows
-    of a batch, are added into ``grads``, which has the layout of
+    output's (D', T', B) shape. The parameter gradients, summed over the
+    windows of a batch, are added into ``grads``, which has the layout of
     ``params`` (a zeroed one when omitted). Returns ``(grads, grad_x)``,
     ``grad_x`` None when ``input_grad`` is false. With a workspace, dL/dz
     goes over ``grad_y`` and ``grad_x`` over ``cache.x`` when they lie in
@@ -487,11 +479,6 @@ def layer_backward(cache: LayerCache, params: LayerParams, grad_y: Matrix,
     _check_cache(cache, params, grad_y)
     if grads is None:
         grads = params.like(np.zeros_like(params.flat))
-    if grad_y.ndim == 2:  # one window is a batch of one
-        _, grad_x = layer_backward(_each(cache, lambda a: a[..., None]), params,
-                                   grad_y[..., None], grads, ws=ws, input_grad=input_grad,
-                                   grad_wrt_preactivation=grad_wrt_preactivation)
-        return grads, None if grad_x is None else grad_x[..., 0]
     dz = grad_y if grad_wrt_preactivation else activation_backward(grad_y, cache, ws)
     # In-place adds through the views: the frozen fields cannot be rebound.
     grads.B[...] += dz.sum(axis=2)

@@ -15,11 +15,11 @@ PROB_FLOOR = 1e-300
 
 def cross_entropy(probs: Matrix, label, class_weights=None) -> tuple[float, Matrix, int]:
     """Summed loss, its fused gradient and the count of true-class
-    probabilities floored before the log, for one window or a batch.
+    probabilities floored before the log, over a batch of windows.
 
-    ``probs`` is the softmax output of the network: (3, 1) with an int
-    ``label``, or (3, 1, B) with an array of B labels. The loss is summed
-    over the windows. The gradient, shaped like ``probs``, is taken with
+    ``probs`` is the softmax output of the network, (3, 1, B), with an
+    array of B labels; a bare (3, 1) column takes an int. The loss is
+    summed over the windows. The gradient, shaped like ``probs``, is taken with
     respect to the pre-softmax scores, folding the softmax Jacobian into
     the cross-entropy derivative: w * (probs - onehot), which is what the
     network backward takes.

@@ -3,8 +3,9 @@ forward/backward over a stack of bilinear layers.
 
 A network is an ordered list of layer descriptors whose shapes chain, with
 the attention layer last producing a (3, 1) column of class probabilities
-per window. Inputs are one (D, T) window or a (D, T, B) batch, the batch
-axis last (see :mod:`mtabl.layers`).
+per window. Inputs are a (D, T, B) batch, the batch axis last, or one
+(D, T) window, which runs and comes back as a batch of one, B = 1 (see
+:mod:`mtabl.layers`).
 Shape mismatches are configuration errors raised at construction, never at
 run time. A network's parameters are one float64 vector whose layout
 follows from the spec (:class:`NetworkParams`).
@@ -262,12 +263,11 @@ def init_network_params(spec: NetworkSpec, seed_or_rng) -> NetworkParams:
 
 def network_forward(x: np.ndarray, spec: NetworkSpec, params: list,
                     ws: Workspace | None = None, _projected: bool = False):
-    """Run the stack on one (D, T) window or a (D, T, B) batch; returns the
-    class probabilities, (3, 1) or (3, 1, B), and every layer's cache,
+    """Run the stack on a (D, T, B) batch, or one (D, T) window as B = 1;
+    returns the class probabilities, (3, 1, B), and every layer's cache,
     in ``ws`` when one is given. ``_projected`` (internal, from
-    :func:`predict_labels`): ``x`` is the first layer's projection W1 @ X."""
-    if not (_projected or x.ndim in (2, 3) and x.shape[:2] == spec.input_dims):
-        raise DimensionError(f"input {x.shape} does not match network input {spec.input_dims}")
+    :func:`predict_labels`): ``x`` is the first layer's projection W1 @ X.
+    The first layer checks the input's shape."""
     caches = []
     out = x
     for i, (layer, p) in enumerate(zip(spec.layers, params)):

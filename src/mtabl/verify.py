@@ -158,7 +158,9 @@ def _quadratic_loss(y: np.ndarray, target: np.ndarray):
 def gradcheck_layer(params, activation: str, x: np.ndarray, *,
                     step: float = DEFAULT_STEP, threshold: float = DEFAULT_THRESHOLD,
                     target: np.ndarray | None = None) -> GradCheckReport:
-    """Check one layer's analytic gradients under a quadratic loss."""
+    """Check one layer's analytic gradients under a quadratic loss toward
+    ``target``, shaped like the layer's (D', T', B) output (B = 1 for a
+    (D, T) window); zeros when omitted."""
     y0, cache = layer_forward(x, params, activation)
     if target is None:
         target = np.zeros_like(y0)
@@ -183,12 +185,12 @@ def gradcheck(spec: NetworkSpec, params, sample, *,
     backward, the numeric side re-evaluates the actual loss.
     """
     probs, caches = network_forward(sample.x, spec, params)
-    grad_scores = cross_entropy(probs, sample.label)[1]
+    grad_scores = cross_entropy(probs, [sample.label])[1]  # the window is a batch of one
     grads = network_backward(spec, params, caches, grad_scores)
 
     def loss_fn(p):
         out, _ = network_forward(sample.x, spec, p)
-        return cross_entropy(out, sample.label)[0]
+        return cross_entropy(out, [sample.label])[0]
 
     return compare_to_finite_differences(loss_fn, params, grads,
                                          step=step, threshold=threshold)

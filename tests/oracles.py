@@ -135,7 +135,7 @@ def metrics_bruteforce(predictions, labels):
 
 def per_window_gradients(spec, params, batch, class_weights=None):
     """Mean loss, mean gradient vector and clamp count of a batch, one
-    (D, T) window at a time through the library's single-window path."""
+    (D, T) window at a time, each run as a batch of one."""
     from mtabl.losses import PROB_FLOOR, cross_entropy
     from mtabl.network import network_backward, network_forward
 
@@ -143,8 +143,8 @@ def per_window_gradients(spec, params, batch, class_weights=None):
     loss_sum, clamped = 0.0, 0
     for sample in batch:
         probs, caches = network_forward(sample.x, spec, params)
-        clamped += int(probs[sample.label, 0] < PROB_FLOOR)
-        loss, grad_scores, _ = cross_entropy(probs, sample.label, class_weights)
+        clamped += int(probs[sample.label, 0, 0] < PROB_FLOOR)
+        loss, grad_scores, _ = cross_entropy(probs, [sample.label], class_weights)
         grads = network_backward(spec, params, caches, grad_scores)
         total += grads.flat
         loss_sum += loss
@@ -153,16 +153,14 @@ def per_window_gradients(spec, params, batch, class_weights=None):
 
 def bl_feature_first(x, w1, w2, b, activation, grad_y):
     """BL forward and backward as the paper writes it, (W1 @ X) @ W2, one
-    window at a time. ``x`` is (D, T) or (D, T, B) and ``grad_y`` dL/dy in
-    the output's shape; the activation is identity or relu. Returns
+    window at a time. ``x`` is (D, T, B) and ``grad_y`` dL/dy in the
+    output's shape; the activation is identity or relu. Returns
     (y, dW1, dW2, dB, dL/dx), the parameter gradients summed over windows."""
-    batched = x.ndim == 3
-    xs = [x[..., i] for i in range(x.shape[2])] if batched else [x]
-    gys = [grad_y[..., i] for i in range(grad_y.shape[2])] if batched else [grad_y]
     dw1, dw2, db = np.zeros_like(w1), np.zeros_like(w2), np.zeros_like(b)
     ys, gxs = [], []
     relu = activation == "relu"
-    for xw, gy in zip(xs, gys):
+    for i in range(x.shape[2]):
+        xw, gy = x[..., i], grad_y[..., i]
         xbar = w1 @ xw
         z = xbar @ w2 + b
         ys.append(np.maximum(z, 0.0) if relu else z)
@@ -172,9 +170,7 @@ def bl_feature_first(x, w1, w2, b, activation, grad_y):
         dxbar = dz @ w2.T
         dw1 += dxbar @ xw.T
         gxs.append(w1.T @ dxbar)
-    if batched:
-        return np.stack(ys, axis=-1), dw1, dw2, db, np.stack(gxs, axis=-1)
-    return ys[0], dw1, dw2, db, gxs[0]
+    return np.stack(ys, axis=-1), dw1, dw2, db, np.stack(gxs, axis=-1)
 
 
 def optimizer_step_as_written(flat, grad, m, v, velocity, t, lr, cfg):
@@ -251,7 +247,7 @@ def check_reduction(seed: int = 0, n_inputs: int = 100, tol: float = 1e-12) -> R
     control_separated = True
     for _ in range(n_inputs):
         x = rng.normal(size=(d, t))
-        grad_y = rng.normal(size=(d_out, t_out))
+        grad_y = rng.normal(size=(d_out, t_out))[..., None]  # a batch of one
 
         y_single, cache_single = layer_forward(x, single)
         g_single, _ = layer_backward(cache_single, single, grad_y)

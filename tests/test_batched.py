@@ -17,7 +17,7 @@ import mtabl.layers
 import mtabl.network
 from mtabl.data import Windows, synth_generate
 from mtabl.errors import ConstraintError, DivergenceError
-from mtabl.layers import Workspace, layer_forward
+from mtabl.layers import Workspace, layer_backward, layer_forward
 from mtabl.linalg import count_multiplications
 from mtabl.losses import inverse_frequency_weights
 from mtabl.network import (
@@ -30,6 +30,7 @@ from mtabl.network import (
     topology,
 )
 from mtabl.optim import OptimConfig, batch_gradients, train
+from mtabl.verify import random_layer_case
 
 from oracles import per_window_gradients
 
@@ -63,6 +64,10 @@ def windows(n, seed=0, dims=INPUT):
 
 def relative_gap(a, b):
     return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -213,27 +218,45 @@ class TestBatchLayout:
         for b, sample in enumerate(batch):
             _, alone = network_forward(sample.x, spec, params)
             for many, one in zip(caches, alone):
-                assert one.y.shape == many.y.shape[:2]
-                assert np.abs(many.y[..., b] - one.y).max() <= REL_TOL * np.abs(one.y).max()
+                assert one.y.shape == many.y.shape[:2] + (1,)
+                assert np.abs(many.y[..., b] - one.y[..., 0]).max() <= REL_TOL * np.abs(one.y).max()
 
 
 class TestSingleWindowContract:
     """What callers of the one-window API rely on."""
 
-    def test_layer_keeps_two_dimensional_shapes(self):
-        spec = SPECS["B/mtabl3"]()
-        params = init_network_params(spec, 0)
-        x = windows(1)[0].x
-        for layer, p, (d_out, t_out) in zip(spec.layers, params, spec.shapes()[1:]):
-            t = x.shape[1]
-            y, cache = layer_forward(x, p, layer.activation)
-            assert y.shape == (d_out, t_out)
-            for mask in cache.masks:
-                assert mask.shape == (d_out, t)
-                assert np.abs(mask.sum(axis=1) - 1.0).max() <= 1e-12
-            x = y
-        probs, _ = network_forward(windows(1)[0].x, spec, params)
-        assert probs.shape == (3, 1)
+    @pytest.mark.parametrize("case", ["A/tabl", "B/mtabl3", "C/mtabl5", "bl", "tabl", "mtabl"])
+    def test_a_window_is_a_batch_of_one(self, case):
+        # A (D, T) window gives the bits of the batch x[..., None], B = 1
+        # kept: every layer's output and cache, its parameter gradients and
+        # dL/dx, and a network's class probabilities.
+        rng = np.random.default_rng(5)
+        if case in SPECS:
+            spec = SPECS[case]()
+            params = init_network_params(spec, 0)
+            x = windows(1)[0].x
+            probs = network_forward(x, spec, params)[0]
+            assert same_bits(probs, network_forward(x[..., None], spec, params)[0])
+            assert probs.shape == (3, 1, 1)
+            layers = [(p, layer.activation) for p, layer in zip(params, spec.layers)]
+        else:
+            p, activation, x = random_layer_case(case, rng, heads=3)
+            layers = [(p, activation)]
+        for p, activation in layers:
+            y, cache = layer_forward(x, p, activation)
+            y_batch, batch = layer_forward(x[..., None], p, activation)
+            assert same_bits(y, y_batch) and y.shape[2:] == (1,)
+            for name, a in vars(cache).items():
+                if isinstance(a, np.ndarray):
+                    assert same_bits(a, getattr(batch, name)) and a.shape[-1] == 1, name
+                else:
+                    assert a == getattr(batch, name), name
+            grad_y = rng.normal(size=y.shape)
+            grads, grad_x = layer_backward(cache, p, grad_y)
+            grads_batch, grad_x_batch = layer_backward(batch, p, grad_y)
+            assert same_bits(grads.flat, grads_batch.flat)
+            assert same_bits(grad_x, grad_x_batch) and grad_x.shape == x.shape + (1,)
+            x = y[..., 0]  # the next layer's window
 
     def test_batched_masks_match_one_window_masks(self):
         spec = SPECS["A/tabl"]()
@@ -244,7 +267,7 @@ class TestSingleWindowContract:
         assert mask.shape == (3, 10, 5)
         for b, sample in enumerate(batch):
             _, one = layer_forward(sample.x, p, "softmax")
-            assert np.abs(mask[..., b] - one.masks[0]).max() <= 1e-15
+            assert np.abs(mask[..., b] - one.masks[0][..., 0]).max() <= 1e-15
 
     def test_predict_labels_takes_lists_and_slices(self, monkeypatch):
         # Slices and index lists of a partition are partitions too.

@@ -219,6 +219,20 @@ class TestTrainCommand:
         assert run(["train", *extra, "--out", "run"]) == code
         assert not Path("run").exists()
 
+    @pytest.mark.parametrize("extra", [
+        ["--train-days", "0"],
+        pytest.param(["--train-days", "1", "--window", "500"],
+                     marks=pytest.mark.filterwarnings("ignore:.*no samples produced")),
+    ], ids=["no-training-days", "window-past-every-day"])
+    def test_empty_training_partition_writes_nothing(self, tmp_path, capsys, extra):
+        write_days(tmp_path / "days", n=3, events=400)
+        out = tmp_path / "out"
+        assert run(["train", "--data", str(tmp_path / "days"), *extra, "--val-days", "0",
+                    "--test-days", "2", "--seeds", "1", "--max-epochs", "1",
+                    "--out", str(out)]) == 2
+        assert "training partition is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_heads_zero_is_usage_error(self, tmp_path, capsys):
         code = run(["train", "--synth", "--layer", "mtabl", "--heads", "0",
                     "--out", str(tmp_path / "x")])

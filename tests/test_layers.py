@@ -59,13 +59,13 @@ class TestBLForward:
         p = random_bl(rng)
         p.B[:] = 0.0
         y, _ = layer_forward(np.zeros((2, 3)), p)
-        assert np.array_equal(y, np.zeros((2, 2)))
+        assert np.array_equal(y, np.zeros((2, 2, 1)))
 
     def test_identity_weights_pass_input_through(self, rng):
         x = rng.normal(size=(3, 4))
         p = LayerParams.pack(W1=np.eye(3), W2=np.eye(4), B=np.zeros((3, 4)))
         y, _ = layer_forward(x, p)
-        assert np.array_equal(y, x)
+        assert np.array_equal(y, x[..., None])
 
     def test_matches_scalar_oracle(self, rng):
         x = rng.normal(size=(2, 3))
@@ -74,7 +74,7 @@ class TestBLForward:
             y, _ = layer_forward(x, p, act)
             expected = np.array(bl_forward_scalar(
                 x.tolist(), p.W1.tolist(), p.W2.tolist(), p.B.tolist(), act))
-            assert np.abs(y - expected).max() <= 1e-12
+            assert np.abs(y[..., 0] - expected).max() <= 1e-12
 
     def test_shape_mismatch(self, rng):
         p = random_bl(rng, d=2)
@@ -111,7 +111,7 @@ class TestAssociationOrder:
             y = y.copy()
             grad_y = rng.normal(size=y.shape)
             grads, grad_x = layer_backward(cache, p, grad_y, ws=w)
-            want = bl_feature_first(x, p.W1, p.W2, p.B, activation, grad_y)
+            want = bl_feature_first(np.atleast_3d(x), p.W1, p.W2, p.B, activation, grad_y)
             for got, ref in zip((y, grads.W1, grads.W2, grads.B, grad_x), want):
                 assert got.shape == ref.shape
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -122,10 +122,10 @@ class TestAssociationOrder:
         x = rng.normal(size=(6, 5))
         for act in ("identity", "relu"):
             y, cache = layer_forward(x, p, act)
-            assert cache.xbar is None and cache.u.shape == (6, 2)
+            assert cache.xbar is None and cache.u.shape == (6, 2, 1)
             expected = np.array(bl_forward_scalar(
                 x.tolist(), p.W1.tolist(), p.W2.tolist(), p.B.tolist(), act))
-            assert np.abs(y - expected).max() <= 1e-12
+            assert np.abs(y[..., 0] - expected).max() <= 1e-12
 
     def test_bias_gradient_sums_windows_like_numpy_sum(self, rng):
         # dL/dB is dz summed over the contiguous batch axis; its bits must be
@@ -196,7 +196,7 @@ class TestTABLForward:
         expected = np.array(tabl_forward_scalar(
             x.tolist(), p.W1.tolist(), p.heads[0].tolist(), p.W2.tolist(),
             p.B.tolist(), float(p.lam)))
-        assert np.abs(y - expected).max() <= 1e-12
+        assert np.abs(y[..., 0] - expected).max() <= 1e-12
 
     def test_lam_outside_range_rejected(self, rng):
         for lam in (-0.1, 1.1):
@@ -306,7 +306,7 @@ class TestMTABLForward:
         expected = np.array(mtabl_forward_scalar(
             x.tolist(), p.W1.tolist(), [w.tolist() for w in p.heads],
             p.Wtilde1.tolist(), p.W2.tolist(), p.B.tolist(), float(p.lam)))
-        assert np.abs(y - expected).max() <= 1e-12
+        assert np.abs(y[..., 0] - expected).max() <= 1e-12
 
     def test_no_heads_rejected(self, rng):
         # Recombination without heads, and several heads without it.
@@ -334,7 +334,7 @@ class TestBackward:
             x = rng.normal(size=(2, 3))
             y, cache = layer_forward(x, params)
             grads, grad_x = layer_backward(cache, params, np.zeros_like(y))
-            assert np.array_equal(grad_x, np.zeros_like(x))
+            assert np.array_equal(grad_x, np.zeros_like(x)[..., None])
             assert grads.layout == params.layout
             for name, g in grads.named_blocks():
                 assert np.all(g == 0.0), name
@@ -356,11 +356,11 @@ class TestBackward:
         x = rng.normal(size=(4, 3))
         probs, cache = layer_forward(x, p, "softmax")
         label = 1
-        _, fused, _ = cross_entropy(probs, label)
+        _, fused, _ = cross_entropy(probs, [label])
         grads_fused, gx_fused = layer_backward(cache, p, fused,
                                                grad_wrt_preactivation=True)
         grad_y = np.zeros_like(probs)
-        grad_y[label, 0] = -1.0 / probs[label, 0]
+        grad_y[label, 0, 0] = -1.0 / probs[label, 0, 0]
         grads_plain, gx_plain = layer_backward(cache, p, grad_y)
         assert np.abs(gx_fused - gx_plain).max() <= 1e-12
         assert np.abs(grads_fused.flat - grads_plain.flat).max() <= 1e-12
@@ -380,7 +380,7 @@ class TestBackward:
         dropped = LayerParams.pack(other.W1, other.W2, other.B, heads=other.heads[:1],
                                    lam=other.lam, Wtilde1=other.Wtilde1[:, :2])
         with pytest.raises(CacheMismatchError):
-            layer_backward(mt_cache, dropped, np.zeros((2, 2)))
+            layer_backward(mt_cache, dropped, np.zeros((2, 2, 1)))
         # One head, with and without recombination, must not mix either.
         one_head = LayerParams.pack(p.W1, p.W2, p.B, heads=p.heads, lam=p.lam,
                                     Wtilde1=np.eye(2))
@@ -411,25 +411,24 @@ class TestBackward:
 @pytest.mark.parametrize("kind,heads,topo", [("tabl", 1, "A"), ("mtabl", 3, "B"),
                                               ("mtabl", 5, "C")])
 def test_masks_keep_the_contract_perfbench_reads(rng, kind, heads, topo):
-    # cache.masks is (K, D', T[, B]), every row sums to 1, and each window's
-    # masks are the scalar oracle's, for a single window and for a batch.
+    # cache.masks is (K, D', T, B), a window's B = 1; perfbench takes each
+    # head on axis 0 and sums its rows over axis 1. Every row sums to 1, and
+    # each window's masks are the scalar oracle's, for a window and a batch.
     spec = topology(topo, attention_kind=kind, heads=heads)
     params = init_network_params(spec, 3)
     batch = rng.normal(size=(40, 10, 6))
     p = params[-1]
     d_out, t = p.W1.shape[0], p.W2.shape[0]
     heads_ = [w.tolist() for w in p.heads]
-    for x in (batch, batch[..., 4]):
+    for x, windows in ((batch, 6), (batch[..., 4], 1)):
         masks = network_forward(x, spec, params)[1][-1].masks
-        windows = x.shape[2:]
-        assert masks.shape == (heads, d_out, t) + windows
-        assert np.abs(masks.sum(axis=2) - 1.0).max() <= 1e-12
+        assert masks.shape == (heads, d_out, t, windows)
+        for mask in masks:
+            assert np.abs(mask.sum(axis=1) - 1.0).max() <= 1e-12
         x_att = network_forward(x, spec, params)[1][-1].x
-        for b in np.ndindex(windows):
-            expected = attention_masks_scalar(x_att[(...,) + b].tolist(),
-                                              p.W1.tolist(), heads_)
-            got = masks[(...,) + b]
-            assert np.abs(got - np.array(expected)).max() <= 1e-12
+        for b in range(windows):
+            expected = attention_masks_scalar(x_att[..., b].tolist(), p.W1.tolist(), heads_)
+            assert np.abs(masks[..., b] - np.array(expected)).max() <= 1e-12
 
 
 class TestParamPlumbing:

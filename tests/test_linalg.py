@@ -177,7 +177,7 @@ class TestTimeMajorRows:
     def test_copy_puts_the_last_axis_first(self, rng, lead, t):
         # The attention forward copies W1 @ X with its time axis first, and
         # its masks and mixed features stay time-major: xbar of one window
-        # (D',) or a batch (D', B), and the masks of K = 2 heads (K, D', B).
+        # (D', 1) or a batch (D', B), and the masks of K = 2 heads (K, D', B).
         d_out, batch, k = (lead[0], (), 1) if len(lead) == 1 else (lead[-2], lead[-1:], 2)
         d = 4
         p = LayerParams.pack(rng.normal(size=(d_out, d)), rng.normal(size=(t, 2)),
@@ -185,13 +185,13 @@ class TestTimeMajorRows:
                              np.eye(d_out, d_out * k) if k > 1 else None, 0.5)
         x = rng.normal(size=(d, t) + batch)
         _, cache = layer_forward(x, p)
-        expected = np.einsum("ed,d...->e...", p.W1, x)
+        expected = np.einsum("ed,d...->e...", p.W1, np.atleast_3d(x))
         assert np.abs(cache.xbar - expected).max() <= 1e-12 * np.abs(expected).max()
-        # The time axis is a window's last, and comes before a batch's axis.
-        shape = lead[:len(lead) - len(batch)] + (t,) + batch
+        # The time axis comes before the batch axis, which a window keeps as B = 1.
+        shape = lead[:len(lead) - len(batch)] + (t,) + (batch or (1,))
         assert (cache.masks if len(lead) == 3 else cache.xbar).shape == shape
         for block in (cache.xbar, cache.masks, cache.xtilde):
-            assert np.moveaxis(block, -1 - len(batch), 0).flags.c_contiguous
+            assert np.moveaxis(block, -2, 0).flags.c_contiguous
 
     def test_max_is_the_row_max_bit_for_bit(self, rng, lead, t):
         a = _scores(rng, lead, t)

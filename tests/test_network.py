@@ -87,7 +87,7 @@ class TestForwardBackward:
         spec = topology("B", input_dims=(10, 6), attention_kind="mtabl", heads=2)
         params = init_network_params(spec, 3)
         y, _ = network_forward(rng.normal(size=(10, 6)), spec, params)
-        assert y.shape == (3, 1)
+        assert y.shape == (3, 1, 1)
         assert abs(y.sum() - 1.0) <= 1e-12
         assert (y > 0).all()
 
@@ -104,7 +104,7 @@ class TestForwardBackward:
                         hidden_dims=[(4, 3)])
         params = init_network_params(spec, 11)
         x = rng.normal(size=(5, 4))
-        label = 2
+        label = [2]
         probs, caches = network_forward(x, spec, params)
         _, grad_scores, _ = cross_entropy(probs, label)
         # network_backward never computes layer 0's dL/dx; the layers give it,
@@ -125,7 +125,7 @@ class TestForwardBackward:
                 lu = cross_entropy(network_forward(up, spec, params)[0], label)[0]
                 ld = cross_entropy(network_forward(down, spec, params)[0], label)[0]
                 numeric = (lu - ld) / (2 * step)
-                assert abs(grad_x[i, j] - numeric) <= 1e-4 * max(1.0, abs(numeric))
+                assert abs(grad_x[i, j, 0] - numeric) <= 1e-4 * max(1.0, abs(numeric))
 
     def test_predict_labels_in_range(self, rng):
         spec = spec_a(kind="mtabl", heads=2)

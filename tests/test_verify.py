@@ -25,7 +25,7 @@ class TestGradcheckLayer:
         p = LayerParams.pack(W1=rng.normal(size=(3, 4)), W2=rng.normal(size=(5, 2)),
                              B=rng.normal(size=(3, 2)))
         x = rng.normal(size=(4, 5))
-        report = gradcheck_layer(p, "identity", x, target=rng.normal(size=(3, 2)))
+        report = gradcheck_layer(p, "identity", x, target=rng.normal(size=(3, 2))[..., None])
         assert report.passed
         assert report.max_rel_err <= 1e-8
 
@@ -38,7 +38,8 @@ class TestGradcheckLayer:
                              B=rng.normal(0.0, 0.3, size=(d_out, t_out)))
         assert temporal_first(p) == (dims == (6, 5))
         x = rng.normal(size=dims)
-        assert gradcheck_layer(p, "identity", x, target=rng.normal(size=out)).max_rel_err <= 1e-8
+        target = rng.normal(size=out)[..., None]
+        assert gradcheck_layer(p, "identity", x, target=target).max_rel_err <= 1e-8
         report = gradcheck_layer(p, "relu", x)
         assert report.passed, report.to_text()
 
@@ -187,7 +188,7 @@ class TestReduction:
         plain = LayerParams.pack(**base, heads=[w], lam=0.4)
         recombined = LayerParams.pack(**base, heads=[w], Wtilde1=np.eye(3), lam=0.4)
         for _ in range(20):
-            x, grad_y = rng.normal(size=(4, 5)), rng.normal(size=(3, 2))
+            x, grad_y = rng.normal(size=(4, 5)), rng.normal(size=(3, 2))[..., None]
             y1, c1 = layer_forward(x, plain)
             y2, c2 = layer_forward(x, recombined)
             assert y1.tobytes() == y2.tobytes()
